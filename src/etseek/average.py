@@ -19,7 +19,7 @@ import numpy as np
 
 from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
-from etseek.trace import SimulationTrace, inter_event_stats
+from etseek.trace import SimulationTrace
 from etseek.trigger import GainMatrix, TriggerConstants, TriggerState, step_trigger
 from etseek.vehicle import DitherParams
 
@@ -173,23 +173,10 @@ def run_average_loop(
         g2 += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         g3 += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     if continuous:
-        times = trace.t[trace.event == 1]
-        ev = np.empty((times.shape[0], 6))
-        ev[:, 0] = times
-        idx = np.flatnonzero(trace.event == 1)
-        ev[:, 1] = trace.g1[idx]
-        ev[:, 2] = trace.g2[idx]
-        ev[:, 3] = trace.g3[idx]
-        ev[:, 4] = trace.u1[idx]
-        ev[:, 5] = trace.u2[idx]
-        trace.events = ev
+        trace.events = trace.events_from_mask()
     else:
         trace.events = np.array(
             [[e.time, *e.gradient, *e.control] for e in state.events]
         ).reshape(-1, 6)
     return trace
 
-
-def average_event_stats(trace: SimulationTrace) -> tuple[float | None, float | None]:
-    """(min, mean) inter-event gap of an averaged-loop trace."""
-    return inter_event_stats(trace.events[:, 0])

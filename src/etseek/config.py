@@ -51,15 +51,18 @@ class Scenario:
     sample_period: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ScenarioError("run.dt", "must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ScenarioError("run.dt", "must be finite and > 0")
+        if not math.isfinite(self.t_final):
+            raise ScenarioError("run.t_final", "must be finite")
         if self.t_final < self.dt:
             raise ScenarioError("run.t_final", "must be >= dt")
         if self.mode not in MODES:
             raise ScenarioError("run.mode", f"unknown mode {self.mode!r}")
         if self.mode == "sampled-data":
-            if self.sample_period is None or self.sample_period <= 0.0:
-                raise ScenarioError("run.mode", "sampled-data requires a positive period")
+            period = self.sample_period
+            if period is None or not (math.isfinite(period) and period > 0.0):
+                raise ScenarioError("run.mode", "sampled-data requires a finite positive period")
         elif self.sample_period is not None:
             raise ScenarioError("run.mode", "sample_period only applies to sampled-data")
 
@@ -73,6 +76,8 @@ def parse_mode(text: str) -> tuple[str, float | None]:
             period = float(match.group(1))
         except ValueError as exc:
             raise ScenarioError("run.mode", f"bad sampled-data period {match.group(1)!r}") from exc
+        if not (math.isfinite(period) and period > 0.0):
+            raise ScenarioError("run.mode", f"sampled-data period must be finite and > 0, got {period}")
         return "sampled-data", period
     if text in MODES and text != "sampled-data":
         return text, None

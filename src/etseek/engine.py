@@ -5,6 +5,16 @@ constant over the step, which is exactly what the zero-order hold means.
 Event detection is discretized to the same grid: the trigger is evaluated
 once per step and an event fires at the first grid point where Xi < 0.
 Identical scenarios therefore produce bit-identical traces.
+
+For speed, the full-plant loop is inlined: RK4, the dithered kinematics,
+field evaluation, demodulation, the trigger with its zero-order hold and
+the estimator pose are written out as one flat loop over local floats.
+The composable functions (:func:`integrate_step`,
+:func:`~etseek.vehicle.dither_velocities`, :func:`~etseek.field.evaluate`,
+:func:`~etseek.estimator.demodulation_vector`,
+:func:`~etseek.trigger.step_trigger`, :func:`~etseek.vehicle.estimator_pose`)
+are its tested reference: the loop keeps their float expressions in the
+same evaluation order, so it reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,11 +27,15 @@ import numpy as np
 from etseek.analysis import dwell_time_bound
 from etseek.average import build_average_matrices, run_average_loop
 from etseek.config import Scenario
-from etseek.estimator import demodulation_vector, gradient_estimate
-from etseek.field import evaluate
-from etseek.trace import RunMetrics, SimulationTrace, inter_event_stats
-from etseek.trigger import TriggerState, control_input, step_trigger, trigger_value
-from etseek.vehicle import VehicleState, dither_velocities, estimator_pose
+from etseek.trace import TRACE_COLUMNS, RunMetrics, SimulationTrace, inter_event_stats
+from etseek.vehicle import estimator_pose
+
+# The building blocks the inlined loop expands, importable from here as its
+# reference.
+from etseek.estimator import demodulation_vector, gradient_estimate  # noqa: F401
+from etseek.field import evaluate  # noqa: F401
+from etseek.trigger import control_input, step_trigger, trigger_value  # noqa: F401
+from etseek.vehicle import VehicleState, dither_velocities  # noqa: F401
 
 
 class NonFiniteStateError(RuntimeError):
@@ -56,23 +70,6 @@ def integrate_step(derivative, state, t: float, dt: float):
     return tuple(
         s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
         for s, a, b, c, e in zip(state, k1, k2, k3, k4)
-    )
-
-
-def _demodulation_or_zero(d, t: float) -> tuple[float, float, float]:
-    """Demodulation vector, with zero gain on channels without dither.
-
-    Undithered channels carry no probing information, so their estimate
-    component is pinned to zero instead of dividing by a zero amplitude;
-    production scenarios always have strictly positive amplitudes and take
-    the plain demodulation path.
-    """
-    if d.a1 > 0.0 and d.a2 > 0.0 and d.a3 > 0.0:
-        return demodulation_vector(d, t)
-    return (
-        -(4.0 / d.a1) * math.sin(d.omega1 * t) if d.a1 > 0.0 else 0.0,
-        (4.0 / d.a2) * math.cos(d.omega2 * t) if d.a2 > 0.0 else 0.0,
-        -(4.0 / d.a3) * math.sin(d.omega3 * t) if d.a3 > 0.0 else 0.0,
     )
 
 
@@ -138,95 +135,137 @@ def _run_average(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     return trace, metrics
 
 
+
+
+_FULL, _CONTINUOUS, _SAMPLED = range(3)
+_POLICY = {"full": _FULL, "continuous-control": _CONTINUOUS, "sampled-data": _SAMPLED}
+
+
 def _run_full(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     d = sc.dithers
     field = sc.field
-    gain = sc.gain
-    consts = sc.trigger
+    x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star
+    (k00, k01, k02), (k10, k11, k12) = sc.gain.rows
+    sigma, alpha, bias = sc.trigger.sigma, sc.trigger.alpha, sc.trigger.bias
+    policy = _POLICY[sc.mode]
+    period = sc.sample_period
     dt = sc.dt
     n = round(sc.t_final / dt)
     trace = SimulationTrace.preallocate(n + 1, system="full")
-    trig = TriggerState()
-    mode = sc.mode
-    next_sample = 0.0
+    # Constant prefixes of the building blocks' expressions, grouped the way
+    # left-to-right evaluation already groups them there.
+    w1, w2, w3 = d.omega1, d.omega2, d.omega3
+    aw1 = d.a1 * d.omega1
+    aw2 = d.a2 * d.omega2
+    aw3 = 0.5 * d.a3 * d.omega3
+    ha1, ha2, ha3 = 0.5 * d.a1, 0.5 * d.a2, 0.5 * d.a3
+    # Undithered channels carry no probing information, so their estimate
+    # is pinned to zero instead of dividing by a zero amplitude.
+    m1 = -(4.0 / d.a1) if d.a1 > 0.0 else 0.0
+    m2 = (4.0 / d.a2) if d.a2 > 0.0 else 0.0
+    m3 = -(4.0 / d.a3) if d.a3 > 0.0 else 0.0
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    sin, cos, sqrt, isfinite = math.sin, math.cos, math.sqrt, math.isfinite
+    col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
+        col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
     x, y, th = sc.initial.x, sc.initial.y, sc.initial.theta
+    held = False
+    h1 = h2 = h3 = 0.0
+    u1 = u2 = 0.0
+    last_event = next_sample = 0.0
     for i in range(n + 1):
         t = i * dt
         try:
-            pose = VehicleState(x, y, th)
-            q = evaluate(field, pose)
-        except (ValueError, OverflowError):
+            q = q_star - 0.5 * (x - x_star) ** 2 - 0.5 * (y - y_star) ** 2 - 0.5 * (th - theta_star) ** 2
+        except OverflowError:
             # squaring a huge-but-finite coordinate overflows before the
             # state itself turns inf/nan; same diagnosis either way
             raise NonFiniteStateError(t) from None
-        if not math.isfinite(q) or abs(q) > 1e100:
-            # beyond any physically meaningful signal level the downstream
-            # norms would overflow; the run has diverged
+        if not isfinite(q) or abs(q) > 1e100:
+            # a non-finite pose makes q non-finite; beyond any physically
+            # meaningful signal level the downstream norms would overflow
             raise NonFiniteStateError(t)
-        m = _demodulation_or_zero(d, t)
-        g = gradient_estimate(m, q)
-        if trig.held_gradient is None:
-            e = (0.0, 0.0, 0.0)
+        s1 = sin(w1 * t)
+        c2 = cos(w2 * t)
+        s3 = sin(w3 * t)
+        g1 = m1 * s1 * q
+        g2 = m2 * c2 * q
+        g3 = m3 * s3 * q
+        e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if held else 0.0
+        xi = sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias)
+        if i == n:
+            fired = False
+        elif policy == _FULL:
+            fired = not held or (xi < 0.0 and t > last_event)
+        elif policy == _CONTINUOUS:
+            fired = True
         else:
-            h = trig.held_gradient
-            e = (h[0] - g[0], h[1] - g[1], h[2] - g[2])
-        xi = trigger_value(g, e, consts)
-        fired = False
-        if i < n:
-            if mode == "full":
-                fired = step_trigger(trig, t, g, consts, gain)
-            elif mode == "continuous-control":
-                trig.held_gradient = g
-                trig.held_control = control_input(gain, g)
-                trig.last_event_time = t
-                fired = True
-            else:  # sampled-data
-                if t >= next_sample - 0.5 * dt:
-                    trig.held_gradient = g
-                    trig.held_control = control_input(gain, g)
-                    trig.last_event_time = t
-                    next_sample += sc.sample_period
-                    fired = True
-        u1, u2 = trig.held_control
-        hat = estimator_pose(pose, d, t)
-        trace.t[i] = t
-        trace.x[i] = x
-        trace.y[i] = y
-        trace.theta[i] = th
-        trace.xhat[i] = hat[0]
-        trace.yhat[i] = hat[1]
-        trace.thetahat[i] = hat[2]
-        trace.q[i] = q
-        trace.g1[i] = g[0]
-        trace.g2[i] = g[1]
-        trace.g3[i] = g[2]
-        trace.u1[i] = u1
-        trace.u2[i] = u2
-        trace.xi[i] = xi
-        trace.event[i] = 1 if fired else 0
+            fired = t >= next_sample - half
+            if fired:
+                next_sample += period
+        if fired:
+            held = True
+            h1, h2, h3 = g1, g2, g3
+            u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
+            u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
+            last_event = t
+            col_ev[i] = 1
+        col_t[i] = t
+        col_x[i] = x
+        col_y[i] = y
+        col_th[i] = th
+        col_xh[i] = x - ha1 * s1
+        col_yh[i] = y + ha2 * c2
+        col_thh[i] = th - ha3 * s3
+        col_q[i] = q
+        col_g1[i] = g1
+        col_g2[i] = g2
+        col_g3[i] = g3
+        col_u1[i] = u1
+        col_u2[i] = u2
+        col_xi[i] = xi
         if i == n:
             break
-        u = (u1, u2)
-
-        def rhs(tt: float, s: tuple[float, float, float]):
-            v, w = dither_velocities(d, tt, s[2], u)
-            return v * math.cos(s[2]), v * math.sin(s[2]), w
-
-        x, y, th = integrate_step(rhs, (x, y, th), t, dt)
-    if mode == "full":
-        events = np.array(
-            [[e.time, *e.gradient, *e.control] for e in trig.events]
-        ).reshape(-1, 6)
-    else:
-        idx = trace.event_indices()
-        events = np.empty((idx.shape[0], 6))
-        events[:, 0] = trace.t[idx]
-        events[:, 1] = trace.g1[idx]
-        events[:, 2] = trace.g2[idx]
-        events[:, 3] = trace.g3[idx]
-        events[:, 4] = trace.u1[idx]
-        events[:, 5] = trace.u2[idx]
-    trace.events = events
+        # RK4 under the held control.  The right-hand side reads only the
+        # heading, so the mid and end stages need no x/y; the dither terms
+        # at t + dt/2 are shared by k2 and k3.
+        tm = t + half
+        te = t + dt
+        p1 = aw1 * cos(w1 * t) + u1
+        p2 = aw2 * sin(w2 * t) + u1
+        wr1 = aw3 * cos(w3 * t) + u2
+        pm1 = aw1 * cos(w1 * tm) + u1
+        pm2 = aw2 * sin(w2 * tm) + u1
+        wrm = aw3 * cos(w3 * tm) + u2
+        pe1 = aw1 * cos(w1 * te) + u1
+        pe2 = aw2 * sin(w2 * te) + u1
+        wre = aw3 * cos(w3 * te) + u2
+        c = cos(th)
+        s = sin(th)
+        v = c * p1 + s * p2
+        k1x = v * c
+        k1y = v * s
+        thm = th + half * wr1
+        c = cos(thm)
+        s = sin(thm)
+        v = c * pm1 + s * pm2
+        k2x = v * c
+        k2y = v * s
+        thm = th + half * wrm
+        c = cos(thm)
+        s = sin(thm)
+        v = c * pm1 + s * pm2
+        k3x = v * c
+        k3y = v * s
+        the = th + dt * wrm
+        c = cos(the)
+        s = sin(the)
+        v = c * pe1 + s * pe2
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + v * c)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + v * s)
+        th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
+    events = trace.events = trace.events_from_mask()
     final_error = math.sqrt(
         (x - field.x_star) ** 2 + (y - field.y_star) ** 2 + (th - field.theta_star) ** 2
     )

@@ -74,6 +74,18 @@ class SimulationTrace:
     def event_indices(self) -> np.ndarray:
         return np.flatnonzero(self.event == 1)
 
+    def events_from_mask(self) -> np.ndarray:
+        """Event log read off the event-flagged rows.
+
+        At an event the trace row holds the latched gradient estimate and
+        the control it produced, so the rows are the log itself.
+        """
+        idx = self.event_indices()
+        events = np.empty((idx.shape[0], 6))
+        for j, col in enumerate((self.t, self.g1, self.g2, self.g3, self.u1, self.u2)):
+            events[:, j] = col[idx]
+        return events
+
 
 @dataclass
 class RunMetrics:

@@ -6,7 +6,9 @@ The CSV header is part of the external contract and must stay bit-exact:
 
 Floats are written with 17 significant digits so that re-parsing
 reproduces them bit-exactly.  Averaged-loop traces carry one extra
-trailing ``system`` column with the literal value ``average``.
+trailing ``system`` column with the literal value ``average``.  Rows are
+written in blocks with one ``%``-format per row, and traces are read back
+with :func:`numpy.loadtxt`, whose float parser is correctly rounded.
 """
 
 from __future__ import annotations
@@ -16,43 +18,50 @@ from pathlib import Path
 
 import numpy as np
 
-from etseek.trace import RunMetrics, SimulationTrace
+from etseek.trace import TRACE_COLUMNS, RunMetrics, SimulationTrace
 
 CSV_HEADER = "t,x,y,theta,xhat,yhat,thetahat,Q,G1,G2,G3,u1,u2,xi,event"
 
-_FLOAT_COLUMNS = (
-    "t",
-    "x",
-    "y",
-    "theta",
-    "xhat",
-    "yhat",
-    "thetahat",
-    "q",
-    "g1",
-    "g2",
-    "g3",
-    "u1",
-    "u2",
-    "xi",
-)
+#: Rows formatted per write; bounds the text held in memory at once.
+_CHUNK_ROWS = 4096
+
+
+def _run_text(col: np.ndarray) -> np.ndarray | None:
+    """Per-row ``.17g`` text of a column made of few constant runs, else None.
+
+    Held columns (the zero-order-hold control) change only at events, so
+    formatting each run once saves most of their conversions.
+    """
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 4 * starts.shape[0] > col.shape[0]:
+        return None
+    texts = np.array(["%.17g" % v for v in col[starts].tolist()], dtype=object)
+    return texts.repeat(np.diff(np.append(starts, col.shape[0])))
 
 
 def export_trace(trace: SimulationTrace, path: str | Path) -> None:
     path = Path(path)
     marker = trace.system != "full"
     header = CSV_HEADER + (",system" if marker else "")
+    columns = []
+    formats = []
+    for name in TRACE_COLUMNS[:-1]:
+        col = trace.column(name)
+        text = _run_text(col)
+        columns.append(col if text is None else text)
+        formats.append("%.17g" if text is None else "%s")
+    columns.append(trace.event)
+    row_format = ",".join(formats + ["%d"])
+    if marker:
+        row_format += "," + trace.system.replace("%", "%%")
+    row_format += "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(header + "\n")
-            columns = [getattr(trace, name) for name in _FLOAT_COLUMNS]
-            events = trace.event
-            for i in range(len(trace)):
-                fields = [format(col[i], ".17g") for col in columns]
-                fields.append(str(int(events[i])))
-                if marker:
-                    fields.append(trace.system)
-                handle.write(",".join(fields) + "\n")
+            for a in range(0, len(trace), _CHUNK_ROWS):
+                block = zip(*[col[a:a + _CHUNK_ROWS].tolist() for col in columns])
+                handle.write("".join([row_format % row for row in block]))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
@@ -63,23 +72,24 @@ def import_trace(path: str | Path) -> SimulationTrace:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             header = handle.readline().rstrip("\n")
-            lines = handle.read().splitlines()
+            if header not in (CSV_HEADER, CSV_HEADER + ",system"):
+                raise ValueError(f"unexpected trace header in {path}: {header!r}")
+            first = next((line for line in handle if line.strip()), "")
+            if first:
+                handle.seek(0)
+                data = np.loadtxt(
+                    handle, delimiter=",", skiprows=1, usecols=range(len(TRACE_COLUMNS)),
+                    ndmin=2, comments=None,
+                )
+            else:
+                data = np.empty((0, len(TRACE_COLUMNS)))
     except OSError as exc:
         raise OSError(f"cannot read trace from {path}: {exc}") from exc
-    if header not in (CSV_HEADER, CSV_HEADER + ",system"):
-        raise ValueError(f"unexpected trace header in {path}: {header!r}")
-    system = "full"
-    rows = [line.split(",") for line in lines if line]
-    n = len(rows)
-    data = {name: np.empty(n) for name in _FLOAT_COLUMNS}
-    event = np.zeros(n, dtype=np.int64)
-    for i, parts in enumerate(rows):
-        for j, name in enumerate(_FLOAT_COLUMNS):
-            data[name][i] = float(parts[j])
-        event[i] = int(parts[len(_FLOAT_COLUMNS)])
-        if len(parts) > len(_FLOAT_COLUMNS) + 1:
-            system = parts[len(_FLOAT_COLUMNS) + 1]
-    return SimulationTrace(event=event, system=system, **data)
+    parts = first.rstrip("\n").split(",")
+    system = parts[len(TRACE_COLUMNS)] if len(parts) > len(TRACE_COLUMNS) else "full"
+    columns = {name: data[:, j] for j, name in enumerate(TRACE_COLUMNS)}
+    columns["event"] = columns["event"].astype(np.int64)
+    return SimulationTrace(system=system, **columns)
 
 
 def export_metrics(metrics: RunMetrics | dict, path: str | Path) -> None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import etseek
 from etseek.cli import main
 
 
@@ -96,3 +101,32 @@ def test_usage_error_exit_code():
     assert main(["simulate"]) == 1
     assert main(["simulate", "--config", "paper_siv.cfg", "--mode", "warp",
                  "--t-final", "0.01"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--t-final", "inf"],
+        ["--t-final", "nan"],
+        ["--dt", "nan", "--t-final", "0.01"],
+        ["--dt", "inf"],
+        ["--dt", "1e-300", "--t-final", "1e10"],  # step count overflows to inf
+        ["--mode", "sampled-data(nan)", "--t-final", "0.01"],
+        ["--mode", "sampled-data(inf)", "--t-final", "0.01"],
+        ["--mode", "sampled-data(-0.01)", "--t-final", "0.01"],
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_non_finite_inputs_exit_cleanly(flags):
+    # Run as a separate process so that an uncaught exception shows up as
+    # a traceback on stderr instead of failing inside the test runner.
+    src = str(Path(etseek.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "etseek.cli", "simulate", "--config", "paper_siv.cfg", *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -144,6 +144,11 @@ class TestModes:
         with pytest.raises(ScenarioError):
             parse_mode("turbo")
 
+    @pytest.mark.parametrize("period", ["nan", "inf", "-inf", "0", "-0.01"])
+    def test_parse_mode_rejects_bad_periods(self, period):
+        with pytest.raises(ScenarioError, match="run.mode"):
+            parse_mode(f"sampled-data({period})")
+
     def test_sampled_mode_in_config(self, tmp_path):
         path = write_cfg(tmp_path, run={"mode": "sampled-data(0.05)"})
         sc = load_scenario(path)
@@ -156,6 +161,13 @@ class TestModes:
             replace(siv_scenario, dt=0.0)
         with pytest.raises(ScenarioError, match="run.t_final"):
             replace(siv_scenario, t_final=1e-6)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ScenarioError, match="run.dt"):
+                replace(siv_scenario, dt=bad)
+            with pytest.raises(ScenarioError, match="run.t_final"):
+                replace(siv_scenario, t_final=bad)
+            with pytest.raises(ScenarioError, match="run.mode"):
+                replace(siv_scenario, mode="sampled-data", sample_period=bad)
 
 
 class TestFrequencyScaling:
