@@ -6,30 +6,18 @@ and dwell-time guarantees that come with the event-triggered design.
 """
 
 from etseek.bessel import bessel_j, bessel_j_quadrature
-from etseek.field import QuadraticField, evaluate, gradient
-from etseek.vehicle import (
-    DitherParams,
-    VehicleState,
-    dither_vector,
-    dither_velocities,
-    estimator_pose,
-    state_derivative,
-)
+from etseek.field import QuadraticField, evaluate
+from etseek.vehicle import DitherParams, VehicleState, dither_velocities, estimator_pose
 from etseek.estimator import demodulation_vector, gradient_estimate
 from etseek.trigger import (
     GainMatrix,
     TriggerConstants,
-    TriggerEvent,
-    TriggerState,
     control_input,
-    error_vector,
-    step_trigger,
     trigger_floor,
     trigger_value,
 )
 from etseek.average import (
     AverageModel,
-    average_derivative,
     build_average_matrices,
     delta_bar_norm_bound,
     run_average_loop,
@@ -62,11 +50,8 @@ __all__ = [
     "SimulationTrace",
     "TheoryReport",
     "TriggerConstants",
-    "TriggerEvent",
-    "TriggerState",
     "VehicleState",
     "alpha_lower_bound",
-    "average_derivative",
     "averaging_error",
     "bessel_j",
     "bessel_j_quadrature",
@@ -75,13 +60,10 @@ __all__ = [
     "decay_envelope_check",
     "delta_bar_norm_bound",
     "demodulation_vector",
-    "dither_vector",
     "dither_velocities",
     "dwell_time_bound",
-    "error_vector",
     "estimator_pose",
     "evaluate",
-    "gradient",
     "gradient_estimate",
     "hurwitz_check",
     "integrate_step",
@@ -90,8 +72,6 @@ __all__ = [
     "run_average_loop",
     "run_simulation",
     "solve_lyapunov",
-    "state_derivative",
-    "step_trigger",
     "trigger_floor",
     "trigger_value",
     "verify_scenario",

@@ -15,11 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from etseek.average import build_average_matrices, run_average_loop
+from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
 from etseek.trace import SimulationTrace, inter_event_stats
 from etseek.trigger import TriggerConstants, trigger_floor
-from etseek.vehicle import estimator_pose
 
 _HURWITZ_MARGIN = -1e-9
 _RESIDUAL_REL_TOL = 1e-8
@@ -214,12 +213,7 @@ def verify_scenario(
     lam_q_min = float(np.linalg.eigvalsh(cert.q)[0])
     lam_p_max = float(np.linalg.eigvalsh(cert.p)[-1])
     rate = lam_q_min * (1.0 - sc.trigger.sigma) / lam_p_max
-    hat0 = estimator_pose(sc.initial, d, 0.0)
-    g0 = (
-        hat0[0] - sc.field.x_star,
-        hat0[1] - sc.field.y_star,
-        hat0[2] - sc.field.theta_star,
-    )
+    g0 = initial_error(sc.initial, d, sc.field)
     avg_trace = run_average_loop(
         model, sc.gain, sc.trigger, g0, dt, t_final, field=sc.field
     )

@@ -7,23 +7,23 @@ The averaged error dynamics in original time t read
 where A, B and the constant disturbance delta_bar come from averaging the
 dithered plant over one probing period (the 1/omega3 factor of the
 rescaled-time formulation is absorbed by simulating in t).  The averaged
-loop reuses the same trigger and zero-order-hold machinery as the full
-plant, applied to the averaged signals.
+loop is one flat loop over local floats, like the full plant's, and applies
+the same event rule and zero-order hold to the averaged signals.  The
+composable functions of :mod:`etseek.trigger` are its tested reference.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
-from etseek.trace import SimulationTrace
-from etseek.trigger import GainMatrix, TriggerConstants, TriggerState, step_trigger
-from etseek.vehicle import DitherParams
-
-from dataclasses import dataclass
+from etseek.trace import TRACE_COLUMNS, SimulationTrace
+from etseek.trigger import GainMatrix, TriggerConstants
+from etseek.vehicle import DitherParams, VehicleState, estimator_pose
 
 _SQRT2_2 = math.sqrt(2.0) / 2.0
 
@@ -77,6 +77,14 @@ def average_derivative(
     return (model.a - bk) @ np.asarray(g_av) - bk @ np.asarray(e_av) + model.delta_bar
 
 
+def initial_error(
+    initial: VehicleState, d: DitherParams, field: QuadraticField
+) -> tuple[float, float, float]:
+    """Averaged error G_av(0): the estimator pose at t = 0 minus the source."""
+    hat = estimator_pose(initial, d, 0.0)
+    return (hat[0] - field.x_star, hat[1] - field.y_star, hat[2] - field.theta_star)
+
+
 def run_average_loop(
     model: AverageModel,
     gain: GainMatrix,
@@ -84,99 +92,86 @@ def run_average_loop(
     g0,
     dt: float,
     t_final: float,
-    field: QuadraticField | None = None,
-    continuous: bool = False,
+    field: QuadraticField,
 ) -> SimulationTrace:
     """Integrate the averaged loop under the average static trigger.
 
-    Between events the control is held, so the flow is dG/dt = A G + c
-    with c = -B K G(t_k) + delta_bar; RK4 on the uniform grid keeps the
-    trace aligned with full-plant runs.  ``continuous`` recomputes the
-    control every step instead (test hook for the trigger-free loop).
-    The pose columns of the returned trace are the source location offset
-    by G_av (the averaged estimate equals the averaged error); with no
-    field they are referenced to the origin.
+    Events fire on the full plant's rule: t = 0, then the first grid point
+    after the last event where Xi < 0.  Between events the control is held,
+    so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar; RK4 on
+    the uniform grid keeps the trace aligned with full-plant runs.  The
+    pose columns of the returned trace are the source location offset by
+    G_av (the averaged estimate equals the averaged error).
     """
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
-    k = np.asarray(gain.rows, dtype=float)
-    bk = model.b @ k
+    (k00, k01, k02), (k10, k11, k12) = gain.rows
+    bk = model.b @ np.asarray(gain.rows, dtype=float)
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = bk.tolist()
     a13 = float(model.a[0, 2])
     a23 = float(model.a[1, 2])
-    d1, d2, d3 = (float(v) for v in model.delta_bar)
+    d1, d2, d3 = model.delta_bar.tolist()
+    sigma, alpha, bias = consts.sigma, consts.alpha, consts.bias
+    x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star
     n = round(t_final / dt)
     trace = SimulationTrace.preallocate(n + 1, system="average")
-    state = TriggerState()
-    if field is None:
-        x_star = y_star = theta_star = 0.0
-        q_star = 0.0
-    else:
-        x_star, y_star, theta_star = field.x_star, field.y_star, field.theta_star
-        q_star = field.q_star
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    sqrt = math.sqrt
+    col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
+        col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
     g1, g2, g3 = (float(v) for v in g0)
-    c1 = c2 = c3 = 0.0
+    held = False
+    h1 = h2 = h3 = 0.0
+    u1 = u2 = 0.0
+    c1 = c2 = c3 = hc3 = dc3 = step3 = 0.0
+    last_event = 0.0
     for i in range(n + 1):
         t = i * dt
-        g = (g1, g2, g3)
-        if state.held_gradient is None:
-            e = (0.0, 0.0, 0.0)
+        e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if held else 0.0
+        xi = sigma * sqrt(g1 * g1 + g2 * g2 + g3 * g3) - alpha * (e_norm + bias)
+        if i == n:
+            fired = False
         else:
-            h = state.held_gradient
-            e = (h[0] - g1, h[1] - g2, h[2] - g3)
-        e_norm = math.sqrt(e[0] ** 2 + e[1] ** 2 + e[2] ** 2)
-        g_norm = math.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
-        xi = consts.sigma * g_norm - consts.alpha * (e_norm + consts.bias)
-        fired = False
-        if i < n:
-            if continuous:
-                state.held_gradient = g
-                state.held_control = (
-                    -(k[0, 0] * g1 + k[0, 1] * g2 + k[0, 2] * g3),
-                    -(k[1, 0] * g1 + k[1, 1] * g2 + k[1, 2] * g3),
-                )
-                state.last_event_time = t
-                fired = True
-            else:
-                fired = step_trigger(state, t, g, consts, gain)
-            if fired:
-                held = state.held_gradient
-                c1 = -(bk[0, 0] * held[0] + bk[0, 1] * held[1] + bk[0, 2] * held[2]) + d1
-                c2 = -(bk[1, 0] * held[0] + bk[1, 1] * held[1] + bk[1, 2] * held[2]) + d2
-                c3 = -(bk[2, 0] * held[0] + bk[2, 1] * held[1] + bk[2, 2] * held[2]) + d3
-        u1, u2 = state.held_control
-        trace.t[i] = t
-        trace.x[i] = x_star + g1
-        trace.y[i] = y_star + g2
-        trace.theta[i] = theta_star + g3
-        trace.xhat[i] = x_star + g1
-        trace.yhat[i] = y_star + g2
-        trace.thetahat[i] = theta_star + g3
-        trace.q[i] = q_star - 0.5 * (g1 * g1 + g2 * g2 + g3 * g3)
-        trace.g1[i] = g1
-        trace.g2[i] = g2
-        trace.g3[i] = g3
-        trace.u1[i] = u1
-        trace.u2[i] = u2
-        trace.xi[i] = xi
-        trace.event[i] = 1 if fired else 0
+            # The decision squares with ** 2 like trigger_value, the recorded
+            # Xi above with g * g.  On glibc 2.36, pow(x, 2) and x * x differ
+            # in the last bit for about 0.08% of doubles, so they stay apart.
+            fired = not held or (
+                sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias) < 0.0
+                and t > last_event
+            )
+        if fired:
+            held = True
+            h1, h2, h3 = g1, g2, g3
+            u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
+            u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
+            c1 = -(b00 * g1 + b01 * g2 + b02 * g3) + d1
+            c2 = -(b10 * g1 + b11 * g2 + b12 * g3) + d2
+            c3 = -(b20 * g1 + b21 * g2 + b22 * g3) + d3
+            hc3 = half * c3
+            dc3 = dt * c3
+            step3 = sixth * (c3 + 2.0 * c3 + 2.0 * c3 + c3)
+            last_event = t
+            col_ev[i] = 1
+        col_t[i] = t
+        col_x[i] = col_xh[i] = x_star + g1
+        col_y[i] = col_yh[i] = y_star + g2
+        col_th[i] = col_thh[i] = theta_star + g3
+        col_q[i] = q_star - 0.5 * (g1 * g1 + g2 * g2 + g3 * g3)
+        col_g1[i] = g1
+        col_g2[i] = g2
+        col_g3[i] = g3
+        col_u1[i] = u1
+        col_u2[i] = u2
+        col_xi[i] = xi
         if i == n:
             break
-        # RK4 on dG/dt = A G + c; A acts through column 3 only.
-        k1 = (a13 * g3 + c1, a23 * g3 + c2, c3)
-        y3 = g3 + 0.5 * dt * k1[2]
-        k2 = (a13 * y3 + c1, a23 * y3 + c2, c3)
-        y3 = g3 + 0.5 * dt * k2[2]
-        k3 = (a13 * y3 + c1, a23 * y3 + c2, c3)
-        y3 = g3 + dt * k3[2]
-        k4 = (a13 * y3 + c1, a23 * y3 + c2, c3)
-        g1 += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        g2 += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        g3 += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    if continuous:
-        trace.events = trace.events_from_mask()
-    else:
-        trace.events = np.array(
-            [[e.time, *e.gradient, *e.control] for e in state.events]
-        ).reshape(-1, 6)
+        # RK4 on dG/dt = A G + c.  A acts through G3 only and dG3/dt = c3 is
+        # constant, so the k2 and k3 stages coincide and G3 moves by a fixed
+        # step between events.
+        km = a13 * (g3 + hc3) + c1
+        g1 += sixth * (a13 * g3 + c1 + 2.0 * km + 2.0 * km + (a13 * (g3 + dc3) + c1))
+        km = a23 * (g3 + hc3) + c2
+        g2 += sixth * (a23 * g3 + c2 + 2.0 * km + 2.0 * km + (a23 * (g3 + dc3) + c2))
+        g3 += step3
     return trace
-

@@ -156,7 +156,8 @@ def main(argv=None) -> int:
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, FileNotFoundError, ValueError, OverflowError) as exc:
+    except (ScenarioError, FileNotFoundError, ValueError, OverflowError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,17 +25,16 @@ import warnings
 import numpy as np
 
 from etseek.analysis import dwell_time_bound
-from etseek.average import build_average_matrices, run_average_loop
+from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
 from etseek.trace import TRACE_COLUMNS, RunMetrics, SimulationTrace, inter_event_stats
-from etseek.vehicle import estimator_pose
 
 # The building blocks the inlined loop expands, importable from here as its
 # reference.
 from etseek.estimator import demodulation_vector, gradient_estimate  # noqa: F401
 from etseek.field import evaluate  # noqa: F401
 from etseek.trigger import control_input, step_trigger, trigger_value  # noqa: F401
-from etseek.vehicle import VehicleState, dither_velocities  # noqa: F401
+from etseek.vehicle import VehicleState, dither_velocities, estimator_pose  # noqa: F401
 
 
 class NonFiniteStateError(RuntimeError):
@@ -81,9 +80,19 @@ def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     by the mode (event trigger, every step, or a fixed sampling period).
     """
     _check_grid_resolution(sc)
-    if sc.mode == "average":
-        return _run_average(sc)
-    return _run_full(sc)
+    run = _run_average if sc.mode == "average" else _run_full
+    trace, final_error = run(sc)
+    events = trace.events
+    min_gap, mean_gap = inter_event_stats(events[:, 0])
+    metrics = RunMetrics(
+        num_steps=len(trace) - 1,
+        num_events=int(events.shape[0]),
+        min_inter_event=min_gap,
+        mean_inter_event=mean_gap,
+        final_error_norm=final_error,
+        theory=None,
+    )
+    return trace, metrics
 
 
 def _check_grid_resolution(sc: Scenario) -> None:
@@ -108,40 +117,23 @@ def _check_grid_resolution(sc: Scenario) -> None:
         )
 
 
-def _run_average(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
+def _run_average(sc: Scenario) -> tuple[SimulationTrace, float]:
     model = build_average_matrices(sc.field.theta_star, sc.dithers)
-    hat0 = estimator_pose(sc.initial, sc.dithers, 0.0)
-    g0 = (
-        hat0[0] - sc.field.x_star,
-        hat0[1] - sc.field.y_star,
-        hat0[2] - sc.field.theta_star,
-    )
+    g0 = initial_error(sc.initial, sc.dithers, sc.field)
     trace = run_average_loop(
         model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=sc.field
     )
-    n = round(sc.t_final / sc.dt)
     final_error = math.sqrt(
         trace.g1[-1] ** 2 + trace.g2[-1] ** 2 + trace.g3[-1] ** 2
     )
-    min_gap, mean_gap = inter_event_stats(trace.events[:, 0])
-    metrics = RunMetrics(
-        num_steps=n,
-        num_events=int(trace.events.shape[0]),
-        min_inter_event=min_gap,
-        mean_inter_event=mean_gap,
-        final_error_norm=final_error,
-        theory=None,
-    )
-    return trace, metrics
-
-
+    return trace, final_error
 
 
 _FULL, _CONTINUOUS, _SAMPLED = range(3)
 _POLICY = {"full": _FULL, "continuous-control": _CONTINUOUS, "sampled-data": _SAMPLED}
 
 
-def _run_full(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
+def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
     d = sc.dithers
     field = sc.field
     x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star
@@ -265,17 +257,7 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
         x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + v * c)
         y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + v * s)
         th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
-    events = trace.events = trace.events_from_mask()
     final_error = math.sqrt(
         (x - field.x_star) ** 2 + (y - field.y_star) ** 2 + (th - field.theta_star) ** 2
     )
-    min_gap, mean_gap = inter_event_stats(events[:, 0])
-    metrics = RunMetrics(
-        num_steps=n,
-        num_events=int(events.shape[0]),
-        min_inter_event=min_gap,
-        mean_inter_event=mean_gap,
-        final_error_norm=final_error,
-        theory=None,
-    )
-    return trace, metrics
+    return trace, final_error

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,11 +32,10 @@ TRACE_COLUMNS = (
 
 @dataclass
 class SimulationTrace:
-    """One row per integration grid point, plus the compact event log.
+    """One row per integration grid point.
 
-    ``events`` is an (n_events, 6) array of rows
-    (time, G1, G2, G3, u1, u2) holding the latched gradient estimate and
-    the control applied from each event on.  ``system`` is "full" for the
+    ``event`` flags the rows where the control was updated; those rows are
+    the event log (see :attr:`events`).  ``system`` is "full" for the
     nonlinear plant and "average" for the averaged loop.
     """
 
@@ -55,7 +54,6 @@ class SimulationTrace:
     u2: np.ndarray
     xi: np.ndarray
     event: np.ndarray
-    events: np.ndarray = field(default_factory=lambda: np.empty((0, 6)))
     system: str = "full"
 
     @classmethod
@@ -74,17 +72,17 @@ class SimulationTrace:
     def event_indices(self) -> np.ndarray:
         return np.flatnonzero(self.event == 1)
 
-    def events_from_mask(self) -> np.ndarray:
-        """Event log read off the event-flagged rows.
+    @property
+    def events(self) -> np.ndarray:
+        """Event log: (n_events, 6) rows (time, G1, G2, G3, u1, u2).
 
         At an event the trace row holds the latched gradient estimate and
-        the control it produced, so the rows are the log itself.
+        the control applied from then on, so the event-flagged rows are the
+        log itself.
         """
         idx = self.event_indices()
-        events = np.empty((idx.shape[0], 6))
-        for j, col in enumerate((self.t, self.g1, self.g2, self.g3, self.u1, self.u2)):
-            events[:, j] = col[idx]
-        return events
+        cols = (self.t, self.g1, self.g2, self.g3, self.u1, self.u2)
+        return np.column_stack([col[idx] for col in cols])
 
 
 @dataclass

@@ -67,7 +67,7 @@ def export_trace(trace: SimulationTrace, path: str | Path) -> None:
 
 
 def import_trace(path: str | Path) -> SimulationTrace:
-    """Re-parse an exported trace (columns only; the event log is not in CSV)."""
+    """Re-parse an exported trace; its event log is the event-flagged rows."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:

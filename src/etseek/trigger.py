@@ -8,6 +8,12 @@ with e the deviation of the gradient estimate from its value at the last
 event and bias the constant a1*omega3*|J_2(a3)| that dominates the norm
 of the averaged disturbance.  Between events the control is held
 constant; t = 0 is always an event.
+
+The full-plant and averaged loops inline this rule over local floats and
+read their event log off the trace's event-flagged rows.
+:class:`TriggerState`, :func:`step_trigger` and :class:`TriggerEvent` are
+the composable form of the same rule: no production loop calls them, and
+the tests check both loops against them bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ class TriggerEvent:
 
 @dataclass
 class TriggerState:
-    """Held control and event log owned by a single simulation run."""
+    """Held control and event log of one run of the composable trigger."""
 
     held_gradient: GradientEstimate | None = None
     held_control: tuple[float, float] = (0.0, 0.0)

@@ -130,3 +130,14 @@ def test_non_finite_inputs_exit_cleanly(flags):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_memory_error_exit_code(monkeypatch, capsys):
+    # Preallocating the trace of a very long run raises numpy's
+    # _ArrayMemoryError, a MemoryError subclass; no huge array is made here.
+    def out_of_memory(sc):
+        raise MemoryError("Unable to allocate 4.47 TiB for an array")
+
+    monkeypatch.setattr("etseek.cli.run_simulation", out_of_memory)
+    assert main(["simulate", "--config", "paper_siv.cfg", "--t-final", "0.01"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,10 +1,14 @@
-"""The inlined full-plant loop against its composable reference.
+"""The inlined full-plant and averaged loops against their composable references.
 
 ``reference_run_full`` drives the plant through the public building
 blocks one call at a time: ``integrate_step`` over ``dither_velocities``,
 ``evaluate``, ``demodulation_vector``, ``step_trigger`` and
-``estimator_pose``.  The engine's inlined loop must reproduce it bit for
-bit, including the time at which a divergent run is abandoned.
+``estimator_pose``.  ``reference_run_average`` drives the averaged loop
+through ``TriggerState`` and ``step_trigger``.  The engine's inlined loops
+must reproduce them bit for bit, including the time at which a divergent
+run is abandoned.  Each reference keeps its own ``TriggerEvent`` log, so
+the event log the engine reads off the event-flagged rows is checked
+against an independent record.
 """
 
 import math
@@ -15,17 +19,24 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from etseek.average import build_average_matrices
 from etseek.config import load_scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
 from etseek.estimator import demodulation_vector, gradient_estimate
 from etseek.field import evaluate
 from etseek.trace import TRACE_COLUMNS, SimulationTrace
-from etseek.trigger import TriggerState, control_input, step_trigger, trigger_value
+from etseek.trigger import (
+    TriggerEvent,
+    TriggerState,
+    control_input,
+    step_trigger,
+    trigger_value,
+)
 from etseek.vehicle import VehicleState, dither_velocities, estimator_pose
 
 
 def reference_run_full(sc):
-    """Trace of one full-plant run, built from the composable functions."""
+    """Trace and event log of one full-plant run, from the composable functions."""
     d = sc.dithers
     dt = sc.dt
     n = round(sc.t_final / dt)
@@ -57,6 +68,7 @@ def reference_run_full(sc):
                 trig.held_gradient = g
                 trig.held_control = control_input(sc.gain, g)
                 trig.last_event_time = t
+                trig.events.append(TriggerEvent(t, g, trig.held_control))
                 if sc.mode == "sampled-data":
                     next_sample += sc.sample_period
                 fired = True
@@ -72,20 +84,83 @@ def reference_run_full(sc):
             return v * math.cos(s[2]), v * math.sin(s[2]), w
 
         x, y, th = integrate_step(rhs, (x, y, th), t, dt)
-    if sc.mode == "full":
-        trace.events = np.array(
-            [[e.time, *e.gradient, *e.control] for e in trig.events]
-        ).reshape(-1, 6)
-    else:
-        trace.events = trace.events_from_mask()
-    return trace
+    return trace, trig.events
 
 
-def assert_bit_equal(trace, ref):
+def reference_run_average(sc):
+    """Trace and event log of one averaged run, from the composable trigger."""
+    model = build_average_matrices(sc.field.theta_star, sc.dithers)
+    hat0 = estimator_pose(sc.initial, sc.dithers, 0.0)
+    g0 = (
+        hat0[0] - sc.field.x_star,
+        hat0[1] - sc.field.y_star,
+        hat0[2] - sc.field.theta_star,
+    )
+    consts = sc.trigger
+    k = np.asarray(sc.gain.rows, dtype=float)
+    bk = model.b @ k
+    a13 = float(model.a[0, 2])
+    a23 = float(model.a[1, 2])
+    d1, d2, d3 = (float(v) for v in model.delta_bar)
+    dt = sc.dt
+    n = round(sc.t_final / dt)
+    trace = SimulationTrace.preallocate(n + 1, system="average")
+    state = TriggerState()
+    field = sc.field
+    x_star, y_star, theta_star = field.x_star, field.y_star, field.theta_star
+    q_star = field.q_star
+    g1, g2, g3 = (float(v) for v in g0)
+    c1 = c2 = c3 = 0.0
+    for i in range(n + 1):
+        t = i * dt
+        g = (g1, g2, g3)
+        if state.held_gradient is None:
+            e = (0.0, 0.0, 0.0)
+        else:
+            h = state.held_gradient
+            e = (h[0] - g1, h[1] - g2, h[2] - g3)
+        e_norm = math.sqrt(e[0] ** 2 + e[1] ** 2 + e[2] ** 2)
+        g_norm = math.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
+        xi = consts.sigma * g_norm - consts.alpha * (e_norm + consts.bias)
+        fired = False
+        if i < n:
+            fired = step_trigger(state, t, g, consts, sc.gain)
+            if fired:
+                held = state.held_gradient
+                c1 = -(bk[0, 0] * held[0] + bk[0, 1] * held[1] + bk[0, 2] * held[2]) + d1
+                c2 = -(bk[1, 0] * held[0] + bk[1, 1] * held[1] + bk[1, 2] * held[2]) + d2
+                c3 = -(bk[2, 0] * held[0] + bk[2, 1] * held[1] + bk[2, 2] * held[2]) + d3
+        u1, u2 = state.held_control
+        row = (
+            t, x_star + g1, y_star + g2, theta_star + g3,
+            x_star + g1, y_star + g2, theta_star + g3,
+            q_star - 0.5 * (g1 * g1 + g2 * g2 + g3 * g3),
+            g1, g2, g3, u1, u2, xi, 1 if fired else 0,
+        )
+        for name, value in zip(TRACE_COLUMNS, row):
+            trace.column(name)[i] = value
+        if i == n:
+            break
+        # RK4 on dG/dt = A G + c; A acts through column 3 only.
+        k1 = (a13 * g3 + c1, a23 * g3 + c2, c3)
+        y3 = g3 + 0.5 * dt * k1[2]
+        k2 = (a13 * y3 + c1, a23 * y3 + c2, c3)
+        y3 = g3 + 0.5 * dt * k2[2]
+        k3 = (a13 * y3 + c1, a23 * y3 + c2, c3)
+        y3 = g3 + dt * k3[2]
+        k4 = (a13 * y3 + c1, a23 * y3 + c2, c3)
+        g1 += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        g2 += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        g3 += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    return trace, state.events
+
+
+def assert_bit_equal(trace, ref, log):
     for name in TRACE_COLUMNS:
         assert trace.column(name).tobytes() == ref.column(name).tobytes(), name
-    assert trace.events.shape == ref.events.shape
-    assert trace.events.tobytes() == ref.events.tobytes()
+    expected = np.array([[e.time, *e.gradient, *e.control] for e in log]).reshape(-1, 6)
+    assert trace.events.shape == expected.shape
+    assert trace.events.tobytes() == expected.tobytes()
 
 
 def jittered(sc, dx, dy, dth, **changes):
@@ -121,9 +196,28 @@ def test_inlined_loop_matches_reference(name, dx, dy, dth, mode, t_final):
         SCENARIOS[name], dx, dy, dth, mode=mode[0], sample_period=mode[1], t_final=t_final
     )
     trace, metrics = run_simulation(sc)
-    ref = reference_run_full(sc)
-    assert_bit_equal(trace, ref)
-    assert metrics.num_events == ref.events.shape[0]
+    ref, log = reference_run_full(sc)
+    assert_bit_equal(trace, ref, log)
+    assert metrics.num_events == len(log)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(
+    name=st.sampled_from(sorted(SCENARIOS)),
+    dx=jitter,
+    dy=jitter,
+    dth=jitter,
+    t_final=st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_averaged_loop_matches_reference(name, dx, dy, dth, t_final):
+    # paper_siv holds after its second event; smallgain (omega3 = 20) sits
+    # inside its trigger-floor ball and fires on every step.
+    sc = jittered(SCENARIOS[name], dx, dy, dth, mode="average", t_final=t_final)
+    trace, metrics = run_simulation(sc)
+    ref, log = reference_run_average(sc)
+    assert_bit_equal(trace, ref, log)
+    assert metrics.num_events == len(log)
+    assert metrics.num_steps == len(ref) - 1
 
 
 @settings(PROPERTY, max_examples=3)

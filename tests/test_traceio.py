@@ -34,7 +34,6 @@ def test_header_is_exact(tmp_path, smallgain_scenario):
 
 def test_empty_trace_is_header_only(tmp_path):
     trace = SimulationTrace.preallocate(0)
-    trace.events = np.empty((0, 6))
     path = tmp_path / "empty.csv"
     export_trace(trace, path)
     assert path.read_text() == CSV_HEADER + "\n"
@@ -97,6 +96,8 @@ def test_round_trip_bitwise(tmp_path, smallgain_scenario):
         back = import_trace(path)
         for name in TRACE_COLUMNS:
             assert trace.column(name).tobytes() == back.column(name).tobytes(), (mode, name)
+        assert trace.events.shape[0] > 0
+        assert back.events.tobytes() == trace.events.tobytes(), mode
         assert back.event.dtype == np.int64
         assert back.system == trace.system == mode
         again = tmp_path / f"{mode}-again.csv"
