@@ -10,6 +10,16 @@ rescaled-time formulation is absorbed by simulating in t).  The averaged
 loop is one flat loop over local floats, like the full plant's, and applies
 the same event rule and zero-order hold to the averaged signals.  The
 composable functions of :mod:`etseek.trigger` are its tested reference.
+
+Between events the latched G, u and c are constant, and a hold can last
+for the rest of the run (``paper_siv`` fires twice in 60 s).  Once a hold
+has lasted ``_SCALAR_HOLD`` steps, the loop computes its rows in numpy
+blocks and hands back to the scalar loop at the first row that fires.  A
+block repeats the scalar arithmetic exactly: G is a left fold
+(``np.add.accumulate``) of the same RK4 increments, the other columns are
+elementwise, and every ``** 2`` is ``np.float_power``, libm ``pow`` like
+Python's.  The trace is bit-identical to stepping, which the closed-form
+G(t) of a hold would not be.
 """
 
 from __future__ import annotations
@@ -85,6 +95,14 @@ def initial_error(
     return (hat[0] - field.x_star, hat[1] - field.y_star, hat[2] - field.theta_star)
 
 
+# Hold blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK (under
+# 1 MB of temporaries).  A block costs about as much as 40 scalar steps, so
+# short holds, as inside the trigger-floor ball, stay on the scalar path.
+_SCALAR_HOLD = 128
+_FIRST_BLOCK = 256
+_MAX_BLOCK = 4096
+
+
 def run_average_loop(
     model: AverageModel,
     gain: GainMatrix,
@@ -126,52 +144,126 @@ def run_average_loop(
     u1 = u2 = 0.0
     c1 = c2 = c3 = hc3 = dc3 = step3 = 0.0
     last_event = 0.0
-    for i in range(n + 1):
-        t = i * dt
-        e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if held else 0.0
-        xi = sigma * sqrt(g1 * g1 + g2 * g2 + g3 * g3) - alpha * (e_norm + bias)
-        if i == n:
-            fired = False
-        else:
-            # The decision squares with ** 2 like trigger_value, the recorded
-            # Xi above with g * g.  On glibc 2.36, pow(x, 2) and x * x differ
-            # in the last bit for about 0.08% of doubles, so they stay apart.
-            fired = not held or (
-                sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias) < 0.0
-                and t > last_event
-            )
-        if fired:
-            held = True
-            h1, h2, h3 = g1, g2, g3
-            u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
-            u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
-            c1 = -(b00 * g1 + b01 * g2 + b02 * g3) + d1
-            c2 = -(b10 * g1 + b11 * g2 + b12 * g3) + d2
-            c3 = -(b20 * g1 + b21 * g2 + b22 * g3) + d3
-            hc3 = half * c3
-            dc3 = dt * c3
-            step3 = sixth * (c3 + 2.0 * c3 + 2.0 * c3 + c3)
-            last_event = t
-            col_ev[i] = 1
-        col_t[i] = t
-        col_x[i] = col_xh[i] = x_star + g1
-        col_y[i] = col_yh[i] = y_star + g2
-        col_th[i] = col_thh[i] = theta_star + g3
-        col_q[i] = q_star - 0.5 * (g1 * g1 + g2 * g2 + g3 * g3)
-        col_g1[i] = g1
-        col_g2[i] = g2
-        col_g3[i] = g3
-        col_u1[i] = u1
-        col_u2[i] = u2
-        col_xi[i] = xi
-        if i == n:
-            break
-        # RK4 on dG/dt = A G + c.  A acts through G3 only and dG3/dt = c3 is
-        # constant, so the k2 and k3 stages coincide and G3 moves by a fixed
-        # step between events.
-        km = a13 * (g3 + hc3) + c1
-        g1 += sixth * (a13 * g3 + c1 + 2.0 * km + 2.0 * km + (a13 * (g3 + dc3) + c1))
-        km = a23 * (g3 + hc3) + c2
-        g2 += sixth * (a23 * g3 + c2 + 2.0 * km + 2.0 * km + (a23 * (g3 + dc3) + c2))
-        g3 += step3
-    return trace
+    # Rows from `block_from` on that do not fire go to hold blocks; n + 1
+    # switches blocks off.
+    block_from = n + 1
+    scalar_hold = _SCALAR_HOLD
+    start = 0
+    while True:
+        for i in range(start, n + 1):
+            t = i * dt
+            e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if held else 0.0
+            xi = sigma * sqrt(g1 * g1 + g2 * g2 + g3 * g3) - alpha * (e_norm + bias)
+            if i == n:
+                fired = False
+            else:
+                # The decision squares with ** 2 like trigger_value, the
+                # recorded Xi above with g * g.  On glibc 2.36, pow(x, 2) and
+                # x * x differ in the last bit for about 0.08% of doubles, so
+                # they stay apart (and hold blocks square with np.float_power,
+                # which is pow as well).
+                fired = not held or (
+                    sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias) < 0.0
+                    and t > last_event
+                )
+            if fired:
+                held = True
+                h1, h2, h3 = g1, g2, g3
+                u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
+                u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
+                c1 = -(b00 * g1 + b01 * g2 + b02 * g3) + d1
+                c2 = -(b10 * g1 + b11 * g2 + b12 * g3) + d2
+                c3 = -(b20 * g1 + b21 * g2 + b22 * g3) + d3
+                hc3 = half * c3
+                dc3 = dt * c3
+                step3 = sixth * (c3 + 2.0 * c3 + 2.0 * c3 + c3)
+                last_event = t
+                block_from = i + scalar_hold
+                col_ev[i] = 1
+            elif i >= block_from:
+                break
+            col_t[i] = t
+            col_x[i] = col_xh[i] = x_star + g1
+            col_y[i] = col_yh[i] = y_star + g2
+            col_th[i] = col_thh[i] = theta_star + g3
+            col_q[i] = q_star - 0.5 * (g1 * g1 + g2 * g2 + g3 * g3)
+            col_g1[i] = g1
+            col_g2[i] = g2
+            col_g3[i] = g3
+            col_u1[i] = u1
+            col_u2[i] = u2
+            col_xi[i] = xi
+            if i == n:
+                return trace
+            # RK4 on dG/dt = A G + c.  A acts through G3 only and dG3/dt = c3
+            # is constant, so the k2 and k3 stages coincide and G3 moves by a
+            # fixed step between events.
+            km = a13 * (g3 + hc3) + c1
+            g1 += sixth * (a13 * g3 + c1 + 2.0 * km + 2.0 * km + (a13 * (g3 + dc3) + c1))
+            km = a23 * (g3 + hc3) + c2
+            g2 += sixth * (a23 * g3 + c2 + 2.0 * km + 2.0 * km + (a23 * (g3 + dc3) + c2))
+            g3 += step3
+        # The hold has lasted _SCALAR_HOLD steps: go on from row i in blocks
+        # of rows, each the scalar steps' arithmetic done elementwise.
+        start = i
+        width = _FIRST_BLOCK
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                rows = min(width, n + 1 - start)
+                # G at rows start .. start + rows, one past the block.
+                gs3 = np.add.accumulate(np.concatenate(((g3,), np.full(rows, step3))))
+                b3 = gs3[:-1]
+                mid3 = b3 + hc3
+                end3 = b3 + dc3
+                gs1 = _fold(g1, a13, c1, b3, mid3, end3, sixth)
+                gs2 = _fold(g2, a23, c2, b3, mid3, end3, sixth)
+                b1, b2 = gs1[:-1], gs2[:-1]
+                floor = alpha * (np.sqrt(
+                    np.float_power(h1 - b1, 2.0) + np.float_power(h2 - b2, 2.0)
+                    + np.float_power(h3 - b3, 2.0)
+                ) + bias)
+                decision = sigma * np.sqrt(
+                    np.float_power(b1, 2.0) + np.float_power(b2, 2.0)
+                    + np.float_power(b3, 2.0)
+                ) - floor
+                if not np.isfinite(decision).all():
+                    # A square may overflow in this block: step it in the
+                    # scalar loop, which raises OverflowError where ** 2 does.
+                    block_from = n + 1
+                    break
+                # Every row of a block comes after the last event.  Row n goes
+                # back to the scalar loop too, which never fires it.
+                fires = decision < 0.0
+                k = int(fires.argmax()) if fires.any() else rows
+                stop = start + k
+                sq = b1 * b1 + b2 * b2 + b3 * b3
+                trace.t[start:stop] = np.arange(start, stop) * dt
+                trace.x[start:stop] = trace.xhat[start:stop] = x_star + b1[:k]
+                trace.y[start:stop] = trace.yhat[start:stop] = y_star + b2[:k]
+                trace.theta[start:stop] = trace.thetahat[start:stop] = theta_star + b3[:k]
+                trace.q[start:stop] = q_star - 0.5 * sq[:k]
+                trace.g1[start:stop] = b1[:k]
+                trace.g2[start:stop] = b2[:k]
+                trace.g3[start:stop] = b3[:k]
+                trace.u1[start:stop] = u1
+                trace.u2[start:stop] = u2
+                trace.xi[start:stop] = (sigma * np.sqrt(sq) - floor)[:k]
+                if stop > n:
+                    return trace
+                g1, g2, g3 = float(gs1[k]), float(gs2[k]), float(gs3[k])
+                start = stop
+                if k < rows:
+                    # Row `stop` fires: the scalar loop takes it from here.
+                    # Should it not fire there, blocks resume a row later.
+                    block_from = stop + 1
+                    break
+                width = min(2 * width, _MAX_BLOCK)
+
+
+def _fold(g, a, c, g3, mid3, end3, sixth):
+    """G1 or G2 over a hold block: the scalar loop's RK4 increments, with its
+    association, summed left to right from g (so bit-identical to ``+=``)."""
+    km = a * mid3 + c
+    return np.add.accumulate(
+        np.concatenate(((g,), sixth * (a * g3 + c + 2.0 * km + 2.0 * km + (a * end3 + c))))
+    )

@@ -23,10 +23,17 @@ _MAX_SERIES_TERMS = 200
 # route-agreement budget for |x| <= 5, m <= 4; 8192 gives margin.
 _QUADRATURE_PANELS = 8192
 
+# The series starts from (x/2)^m / m!, and 171! no longer converts to a
+# float; rejecting larger orders up front also keeps math.factorial from
+# running for minutes on a huge order.
+_MAX_ORDER = 170
+
 
 def _check_args(order: int, x: float) -> None:
-    if order < 0 or order != int(order):
-        raise ValueError(f"Bessel order must be a non-negative integer, got {order!r}")
+    if not 0 <= order <= _MAX_ORDER or order != int(order):
+        raise ValueError(
+            f"Bessel order must be an integer in [0, {_MAX_ORDER}], got {order!r}"
+        )
     if not math.isfinite(x):
         raise ValueError(f"Bessel argument must be finite, got {x!r}")
 

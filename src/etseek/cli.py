@@ -9,6 +9,7 @@ Verbs: ``simulate`` (full plant), ``average`` (averaged loop),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -103,6 +104,11 @@ def _cmd_compare(args) -> int:
         raise ScenarioError("cli.omega-list", f"not numeric: {args.omega_list!r}") from exc
     if len(omegas) < 2:
         raise ScenarioError("cli.omega-list", "need at least two omega3 values")
+    for omega in omegas:
+        if not (math.isfinite(omega) and omega > 0.0):
+            raise ScenarioError(
+                "cli.omega-list", f"--omega-list values must be finite and > 0, got {omega}"
+            )
     base = sc.dithers.omega3
     deviations: dict[str, float] = {}
     for omega in omegas:

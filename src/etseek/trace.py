@@ -29,6 +29,11 @@ TRACE_COLUMNS = (
     "event",
 )
 
+#: Most grid steps one run may take.  A trace row is 120 bytes, so this
+#: caps a trace at 1.2 GB: 1000 s at the default dt = 1e-4, 16 times the
+#: longest shipped run.  Checked before any column is allocated.
+MAX_STEPS = 10_000_000
+
 
 @dataclass
 class SimulationTrace:
@@ -58,6 +63,12 @@ class SimulationTrace:
 
     @classmethod
     def preallocate(cls, n_rows: int, system: str = "full") -> "SimulationTrace":
+        """Empty trace of ``n_rows`` rows; more than ``MAX_STEPS + 1`` is refused."""
+        if n_rows > MAX_STEPS + 1:
+            raise ValueError(
+                f"{n_rows - 1} steps (t_final / dt) exceed the cap of {MAX_STEPS}; "
+                "raise dt or shorten t_final"
+            )
         cols = {name: np.empty(n_rows) for name in TRACE_COLUMNS if name != "event"}
         return cls(event=np.zeros(n_rows, dtype=np.int64), system=system, **cols)
 

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from etseek import average
 from etseek.analysis import alpha_lower_bound, solve_lyapunov
 from etseek.average import (
     AverageModel,
@@ -13,10 +15,10 @@ from etseek.average import (
     delta_bar_norm_bound,
     run_average_loop,
 )
-from etseek.config import load_scenario
+from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
 from etseek.field import QuadraticField
-from etseek.trace import TRACE_COLUMNS
+from etseek.trace import TRACE_COLUMNS, SimulationTrace
 from etseek.trigger import TriggerConstants, trigger_floor
 from etseek.vehicle import DitherParams
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
@@ -256,3 +258,84 @@ def test_full_horizon_digests(name):
         digest.update(trace.column(column).tobytes())
     digest.update(trace.events.tobytes())
     assert digest.hexdigest() == FULL_HORIZON_DIGESTS[name]
+
+
+HOLD_CASES = {
+    # Two events, then one hold that runs to the horizon.
+    "paper_siv": replace(load_scenario("paper_siv.cfg"), mode="average", t_final=0.5),
+    # Runs of every-step events between holds of up to 353 steps.
+    "smallgain@40": replace(
+        scale_probing_frequency(load_scenario("smallgain.cfg"), 2.0),
+        mode="average", t_final=0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLD_CASES))
+@pytest.mark.parametrize("hold, first, widest", [(1, 2, 3), (0, 1, 1), (3, 1, 2)])
+def test_hold_blocks_of_any_width_match_default(monkeypatch, name, hold, first, widest):
+    # Tiny blocks make a hold fire on a block's first row, end a block on
+    # the last row, and carry a hold to the horizon, many times over.
+    sc = HOLD_CASES[name]
+    expected, _ = run_simulation(sc)
+    monkeypatch.setattr(average, "_SCALAR_HOLD", hold)
+    monkeypatch.setattr(average, "_FIRST_BLOCK", first)
+    monkeypatch.setattr(average, "_MAX_BLOCK", widest)
+    trace, _ = run_simulation(sc)
+    for column in TRACE_COLUMNS:
+        assert trace.column(column).tobytes() == expected.column(column).tobytes(), column
+    assert trace.events.tobytes() == expected.events.tobytes()
+
+
+def test_float_power_squares_like_python():
+    # The averaged loop's firing decision and e_norm square with ** 2, which
+    # is libm pow(x, 2.0); x * x is the correctly rounded square and differs
+    # in the last bit for a fraction of doubles.  Hold blocks square with
+    # np.float_power(x, 2.0), so it must give pow's bits, including where
+    # x * x does not.
+    rng = np.random.default_rng(20261018)
+    x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 8, 100_000)
+    python = np.array([v ** 2 for v in x.tolist()])
+    apart = x[x * x != python]
+    for values in (apart, x):
+        squared = np.float_power(values, 2.0)
+        expected = np.array([v ** 2 for v in values.tolist()])
+        mismatched = np.count_nonzero(squared != expected)
+        assert mismatched == 0, (
+            f"np.float_power(x, 2.0) differs from Python's x ** 2 on {mismatched} of "
+            f"{values.size} doubles ({apart.size} of the draws have x * x != x ** 2): "
+            "the averaged loop's hold blocks would no longer reproduce its scalar "
+            "steps bit for bit"
+        )
+
+
+def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
+    # From |G| near 1e154 the squares overflow a few hundred steps into the
+    # hold, inside the second block; the loop must fall back to scalar
+    # steps and raise at the same row, with the same rows written.
+    traces = []
+    allocate = SimulationTrace.preallocate
+
+    def marked(n_rows, system="full"):
+        trace = allocate(n_rows, system)
+        for column in TRACE_COLUMNS[:-1]:
+            trace.column(column)[:] = np.nan
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(SimulationTrace, "preallocate", marked)
+    model, d = siv_model()
+    c = TriggerConstants.from_dithers(0.5, 0.195, d)
+    g0 = (1e154, -1e154, 5e153)
+    first_blocks = average._SCALAR_HOLD + average._FIRST_BLOCK
+    for hold in (average._SCALAR_HOLD, 10**9):
+        monkeypatch.setattr(average, "_SCALAR_HOLD", hold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-4, 0.1, ORIGIN)
+    blocked, scalar = traces
+    written = np.count_nonzero(~np.isnan(scalar.t))
+    assert written > first_blocks + 1
+    for column in TRACE_COLUMNS:
+        assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column

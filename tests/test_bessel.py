@@ -66,3 +66,11 @@ def test_rejects_bad_arguments():
         bessel_j(-1, 0.5)
     with pytest.raises(ValueError):
         bessel_j_quadrature(0, math.nan)
+    # 170! is the largest factorial a float holds; past it the series cannot
+    # start, so the order is refused before math.factorial runs.
+    assert math.isfinite(bessel_j(170, 1.0))
+    for order in (171, 10**8):
+        with pytest.raises(ValueError, match="order"):
+            bessel_j(order, 1.0)
+        with pytest.raises(ValueError, match="order"):
+            bessel_j_quadrature(order, 1.0)

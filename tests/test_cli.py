@@ -103,6 +103,22 @@ def test_usage_error_exit_code():
                  "--t-final", "0.01"]) == 1
 
 
+def assert_clean_validation_error(*args, timeout=120):
+    # Run as a separate process so that an uncaught exception shows up as
+    # a traceback on stderr instead of failing inside the test runner.
+    src = str(Path(etseek.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "etseek.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    return proc.stderr
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -118,18 +134,42 @@ def test_usage_error_exit_code():
     ids=lambda flags: " ".join(flags),
 )
 def test_non_finite_inputs_exit_cleanly(flags):
-    # Run as a separate process so that an uncaught exception shows up as
-    # a traceback on stderr instead of failing inside the test runner.
-    src = str(Path(etseek.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "etseek.cli", "simulate", "--config", "paper_siv.cfg", *flags],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert_clean_validation_error("simulate", "--config", "paper_siv.cfg", *flags)
+
+
+def test_huge_bessel_order_exits_at_once():
+    # math.factorial(10**8) alone would run for minutes.
+    err = assert_clean_validation_error("bessel", "--order", "100000000", "--arg", "1", timeout=30)
+    assert "order" in err
+
+
+def test_step_count_cap_exits_cleanly():
+    from etseek.trace import MAX_STEPS
+
+    # 6e9 steps: without the cap the run asks numpy for columns of 48 GB.
+    assert 60.0 / 1e-8 > MAX_STEPS
+    err = assert_clean_validation_error("simulate", "--config", "paper_siv.cfg", "--dt", "1e-8")
+    assert f"cap of {MAX_STEPS}" in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "average", "verify"])
+def test_step_count_cap_covers_every_loop(monkeypatch, capsys, verb):
+    monkeypatch.setattr("etseek.trace.MAX_STEPS", 100)
+    assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.0101"]) == 1
+    assert "exceed the cap of 100" in capsys.readouterr().err
+    assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.01"]) == 0
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "0"])
+def test_compare_rejects_bad_omega(capsys, token):
+    code = main([
+        "compare", "--config", "smallgain.cfg", "--omega-list", f"{token},20",
+        "--t-final", "0.01",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cli.omega-list: ")
+    assert "--omega-list" in err
 
 
 def test_memory_error_exit_code(monkeypatch, capsys):

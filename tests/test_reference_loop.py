@@ -20,7 +20,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from etseek.average import build_average_matrices
-from etseek.config import load_scenario
+from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
 from etseek.estimator import demodulation_vector, gradient_estimate
 from etseek.field import evaluate
@@ -201,18 +201,26 @@ def test_inlined_loop_matches_reference(name, dx, dy, dth, mode, t_final):
     assert metrics.num_events == len(log)
 
 
-@settings(PROPERTY, max_examples=20)
+# paper_siv holds after its second event; smallgain (omega3 = 20) sits
+# inside its trigger-floor ball and fires on every step; smallgain scaled to
+# omega3 = 40 mixes runs of every-step events with holds of up to 353 steps,
+# long enough for the averaged loop to compute them in blocks.
+AVERAGED = {
+    **SCENARIOS,
+    "smallgain.cfg@40": scale_probing_frequency(SCENARIOS["smallgain.cfg"], 2.0),
+}
+
+
+@settings(PROPERTY, max_examples=30)
 @given(
-    name=st.sampled_from(sorted(SCENARIOS)),
+    name=st.sampled_from(sorted(AVERAGED)),
     dx=jitter,
     dy=jitter,
     dth=jitter,
     t_final=st.floats(min_value=1e-3, max_value=0.5),
 )
 def test_averaged_loop_matches_reference(name, dx, dy, dth, t_final):
-    # paper_siv holds after its second event; smallgain (omega3 = 20) sits
-    # inside its trigger-floor ball and fires on every step.
-    sc = jittered(SCENARIOS[name], dx, dy, dth, mode="average", t_final=t_final)
+    sc = jittered(AVERAGED[name], dx, dy, dth, mode="average", t_final=t_final)
     trace, metrics = run_simulation(sc)
     ref, log = reference_run_average(sc)
     assert_bit_equal(trace, ref, log)
