@@ -33,23 +33,24 @@ class LyapunovCertificate:
     residual: float
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TheoryReport:
     """Verification summary for one scenario.
 
     The residual scale of the convergence bound is reported in both the
     theorem form 1.5*a3 and the appendix form 0.5*sqrt(a1^2+a2^2+a3^2);
-    the acceptance checks use the appendix form.
+    the acceptance checks use the appendix form.  The checks that need a
+    Lyapunov certificate stay None when the averaged gain is not Hurwitz.
     """
 
     hurwitz: bool
-    alpha_min: float | None
-    alpha_ok: bool | None
-    tau_star: float | None
-    min_inter_event: float | None
-    decay_rate: float | None
-    envelope_violations: int | None
-    averaging_sup_error: dict[str, float] | None
+    alpha_min: float | None = None
+    alpha_ok: bool | None = None
+    tau_star: float | None = None
+    min_inter_event: float | None = None
+    decay_rate: float | None = None
+    envelope_violations: int | None = None
+    averaging_sup_error: dict[str, float] | None = None
     residual_scale_theorem: float
     residual_scale_appendix: float
 
@@ -171,11 +172,7 @@ def averaging_error(trace_full: SimulationTrace, trace_avg: SimulationTrace) -> 
     return float(np.sqrt(dx * dx + dy * dy + dth * dth).max())
 
 
-def verify_scenario(
-    sc: Scenario,
-    dt: float | None = None,
-    t_final: float | None = None,
-) -> tuple[TheoryReport, SimulationTrace | None]:
+def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]:
     """Build the full theory report for a scenario.
 
     Runs the averaged loop from the scenario's initial estimation error
@@ -183,54 +180,31 @@ def verify_scenario(
     report together with the averaged trace (None when the averaged gain
     is not Hurwitz, in which case no certificate exists).
     """
-    dt = sc.dt if dt is None else dt
-    t_final = sc.t_final if t_final is None else t_final
     d = sc.dithers
     model = build_average_matrices(sc.field.theta_star, d)
     k = np.asarray(sc.gain.rows, dtype=float)
     acl = model.a - model.b @ k
     bk = model.b @ k
-    is_hurwitz = hurwitz_check(acl)
-    tau_star = dwell_time_bound(sc.trigger.sigma, acl, bk)
-    scale_theorem = 1.5 * d.a3
-    scale_appendix = 0.5 * math.sqrt(d.a1**2 + d.a2**2 + d.a3**2)
-    if not is_hurwitz:
-        report = TheoryReport(
-            hurwitz=False,
-            alpha_min=None,
-            alpha_ok=None,
-            tau_star=tau_star,
-            min_inter_event=None,
-            decay_rate=None,
-            envelope_violations=None,
-            averaging_sup_error=None,
-            residual_scale_theorem=scale_theorem,
-            residual_scale_appendix=scale_appendix,
-        )
+    report = TheoryReport(
+        hurwitz=hurwitz_check(acl),
+        tau_star=dwell_time_bound(sc.trigger.sigma, acl, bk),
+        residual_scale_theorem=1.5 * d.a3,
+        residual_scale_appendix=0.5 * math.sqrt(d.a1**2 + d.a2**2 + d.a3**2),
+    )
+    if not report.hurwitz:
         return report, None
     cert = solve_lyapunov(acl, np.eye(3))
-    alpha_min = alpha_lower_bound(cert.p, acl, cert.q)
+    report.alpha_min = alpha_lower_bound(cert.p, acl, cert.q)
+    report.alpha_ok = sc.trigger.alpha > report.alpha_min
     lam_q_min = float(np.linalg.eigvalsh(cert.q)[0])
     lam_p_max = float(np.linalg.eigvalsh(cert.p)[-1])
-    rate = lam_q_min * (1.0 - sc.trigger.sigma) / lam_p_max
+    report.decay_rate = lam_q_min * (1.0 - sc.trigger.sigma) / lam_p_max
     g0 = initial_error(sc.initial, d, sc.field)
     avg_trace = run_average_loop(
-        model, sc.gain, sc.trigger, g0, dt, t_final, field=sc.field
+        model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=sc.field
     )
-    violations = decay_envelope_check(
-        avg_trace, cert.p, rate, 0.05, floor=trigger_floor(sc.trigger)
+    report.envelope_violations = decay_envelope_check(
+        avg_trace, cert.p, report.decay_rate, 0.05, floor=trigger_floor(sc.trigger)
     )
-    min_gap, _ = inter_event_stats(avg_trace.events[:, 0])
-    report = TheoryReport(
-        hurwitz=True,
-        alpha_min=alpha_min,
-        alpha_ok=sc.trigger.alpha > alpha_min,
-        tau_star=tau_star,
-        min_inter_event=min_gap,
-        decay_rate=rate,
-        envelope_violations=violations,
-        averaging_sup_error=None,
-        residual_scale_theorem=scale_theorem,
-        residual_scale_appendix=scale_appendix,
-    )
+    report.min_inter_event, _ = inter_event_stats(avg_trace.events[:, 0])
     return report, avg_trace

@@ -19,7 +19,9 @@ block repeats the scalar arithmetic exactly: G is a left fold
 (``np.add.accumulate``) of the same RK4 increments, the other columns are
 elementwise, and every ``** 2`` is ``np.float_power``, libm ``pow`` like
 Python's.  The trace is bit-identical to stepping, which the closed-form
-G(t) of a hold would not be.
+G(t) of a hold would not be.  A block also hands back the first row whose
+q fails the full plant's finiteness check, so both paths raise
+:class:`~etseek.trace.NonFiniteStateError` at the same row.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
-from etseek.trace import TRACE_COLUMNS, SimulationTrace
+from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState, estimator_pose
 
@@ -78,15 +80,6 @@ def delta_bar_norm_bound(model: AverageModel, d: DitherParams) -> tuple[float, f
     return norm, bound
 
 
-def average_derivative(
-    g_av: np.ndarray, e_av: np.ndarray, model: AverageModel, gain: GainMatrix
-) -> np.ndarray:
-    """Right-hand side (A - BK) g_av - BK e_av + delta_bar in original time."""
-    k = np.asarray(gain.rows, dtype=float)
-    bk = model.b @ k
-    return (model.a - bk) @ np.asarray(g_av) - bk @ np.asarray(e_av) + model.delta_bar
-
-
 def initial_error(
     initial: VehicleState, d: DitherParams, field: QuadraticField
 ) -> tuple[float, float, float]:
@@ -114,10 +107,10 @@ def run_average_loop(
 ) -> SimulationTrace:
     """Integrate the averaged loop under the average static trigger.
 
-    Events fire on the full plant's rule: t = 0, then the first grid point
-    after the last event where Xi < 0.  Between events the control is held,
-    so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar; RK4 on
-    the uniform grid keeps the trace aligned with full-plant runs.  The
+    Events fire on the full plant's rule: t = 0, then every grid point
+    where Xi < 0.  Between events the control is held, so the flow is
+    dG/dt = A G + c with c = -B K G(t_k) + delta_bar; RK4 on the uniform
+    grid keeps the trace aligned with full-plant runs.  The
     pose columns of the returned trace are the source location offset by
     G_av (the averaged estimate equals the averaged error).
     """
@@ -135,15 +128,13 @@ def run_average_loop(
     trace = SimulationTrace.preallocate(n + 1, system="average")
     half = 0.5 * dt
     sixth = dt / 6.0
-    sqrt = math.sqrt
+    sqrt, isfinite = math.sqrt, math.isfinite
     col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
         col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
     g1, g2, g3 = (float(v) for v in g0)
-    held = False
     h1 = h2 = h3 = 0.0
     u1 = u2 = 0.0
     c1 = c2 = c3 = hc3 = dc3 = step3 = 0.0
-    last_event = 0.0
     # Rows from `block_from` on that do not fire go to hold blocks; n + 1
     # switches blocks off.
     block_from = n + 1
@@ -152,22 +143,25 @@ def run_average_loop(
     while True:
         for i in range(start, n + 1):
             t = i * dt
-            e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if held else 0.0
-            xi = sigma * sqrt(g1 * g1 + g2 * g2 + g3 * g3) - alpha * (e_norm + bias)
-            if i == n:
-                fired = False
-            else:
+            sq = g1 * g1 + g2 * g2 + g3 * g3
+            q = q_star - 0.5 * sq
+            if not isfinite(q) or abs(q) > 1e100:
+                raise NonFiniteStateError(t)
+            try:
+                e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
                 # The decision squares with ** 2 like trigger_value, the
-                # recorded Xi above with g * g.  On glibc 2.36, pow(x, 2) and
+                # recorded Xi below with g * g.  On glibc 2.36, pow(x, 2) and
                 # x * x differ in the last bit for about 0.08% of doubles, so
                 # they stay apart (and hold blocks square with np.float_power,
                 # which is pow as well).
-                fired = not held or (
-                    sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias) < 0.0
-                    and t > last_event
+                fired = i < n and (
+                    i == 0
+                    or sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias) < 0.0
                 )
+            except OverflowError:
+                raise NonFiniteStateError(t) from None
+            xi = sigma * sqrt(sq) - alpha * (e_norm + bias)
             if fired:
-                held = True
                 h1, h2, h3 = g1, g2, g3
                 u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
                 u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
@@ -177,7 +171,6 @@ def run_average_loop(
                 hc3 = half * c3
                 dc3 = dt * c3
                 step3 = sixth * (c3 + 2.0 * c3 + 2.0 * c3 + c3)
-                last_event = t
                 block_from = i + scalar_hold
                 col_ev[i] = 1
             elif i >= block_from:
@@ -186,7 +179,7 @@ def run_average_loop(
             col_x[i] = col_xh[i] = x_star + g1
             col_y[i] = col_yh[i] = y_star + g2
             col_th[i] = col_thh[i] = theta_star + g3
-            col_q[i] = q_star - 0.5 * (g1 * g1 + g2 * g2 + g3 * g3)
+            col_q[i] = q
             col_g1[i] = g1
             col_g2[i] = g2
             col_g3[i] = g3
@@ -226,22 +219,18 @@ def run_average_loop(
                     np.float_power(b1, 2.0) + np.float_power(b2, 2.0)
                     + np.float_power(b3, 2.0)
                 ) - floor
-                if not np.isfinite(decision).all():
-                    # A square may overflow in this block: step it in the
-                    # scalar loop, which raises OverflowError where ** 2 does.
-                    block_from = n + 1
-                    break
-                # Every row of a block comes after the last event.  Row n goes
-                # back to the scalar loop too, which never fires it.
-                fires = decision < 0.0
-                k = int(fires.argmax()) if fires.any() else rows
-                stop = start + k
                 sq = b1 * b1 + b2 * b2 + b3 * b3
+                q = q_star - 0.5 * sq
+                # The first row that fires or fails goes back to the scalar
+                # loop, which fires or raises there (or, on row n, records it).
+                back = ~(np.isfinite(decision) & (decision >= 0.0) & (np.abs(q) <= 1e100))
+                k = int(back.argmax()) if back.any() else rows
+                stop = start + k
                 trace.t[start:stop] = np.arange(start, stop) * dt
                 trace.x[start:stop] = trace.xhat[start:stop] = x_star + b1[:k]
                 trace.y[start:stop] = trace.yhat[start:stop] = y_star + b2[:k]
                 trace.theta[start:stop] = trace.thetahat[start:stop] = theta_star + b3[:k]
-                trace.q[start:stop] = q_star - 0.5 * sq[:k]
+                trace.q[start:stop] = q[:k]
                 trace.g1[start:stop] = b1[:k]
                 trace.g2[start:stop] = b2[:k]
                 trace.g3[start:stop] = b3[:k]
@@ -253,8 +242,8 @@ def run_average_loop(
                 g1, g2, g3 = float(gs1[k]), float(gs2[k]), float(gs3[k])
                 start = stop
                 if k < rows:
-                    # Row `stop` fires: the scalar loop takes it from here.
-                    # Should it not fire there, blocks resume a row later.
+                    # The scalar loop takes row `stop`.  Should it not fire
+                    # there, blocks resume a row later.
                     block_from = stop + 1
                     break
                 width = min(2 * width, _MAX_BLOCK)

@@ -16,7 +16,8 @@ from dataclasses import replace
 from etseek.analysis import averaging_error, verify_scenario
 from etseek.bessel import bessel_j
 from etseek.config import ScenarioError, load_scenario, parse_mode, scale_probing_frequency
-from etseek.engine import NonFiniteStateError, run_simulation
+from etseek.engine import run_simulation
+from etseek.trace import NonFiniteStateError
 from etseek.traceio import export_metrics, export_trace
 
 
@@ -32,57 +33,46 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="etseek", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_run_flags(p, with_mode=True):
+    def add_verb(name, cmd, about, metrics, mode=None):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(cmd=cmd, mode=mode)
         p.add_argument("--config", required=True, help="scenario file path or packaged name")
-        p.add_argument("--out", help="write the trace CSV here")
-        p.add_argument("--metrics", help="write the metrics JSON here")
+        p.add_argument("--metrics", help=f"write the {metrics} JSON here")
         p.add_argument("--dt", type=float, help="override the integration step")
         p.add_argument("--t-final", type=float, help="override the horizon")
-        if with_mode:
-            p.add_argument("--mode", help="override the run mode")
+        return p
 
-    add_run_flags(sub.add_parser("simulate", help="run the configured scenario"))
-    add_run_flags(sub.add_parser("average", help="run the averaged loop"), with_mode=False)
-
-    cmp_p = sub.add_parser("compare", help="averaging error across probing frequencies")
-    cmp_p.add_argument("--config", required=True)
-    cmp_p.add_argument("--omega-list", required=True,
-                       help="comma-separated omega3 values, e.g. 20,40")
-    cmp_p.add_argument("--metrics", help="write the comparison JSON here")
-    cmp_p.add_argument("--dt", type=float)
-    cmp_p.add_argument("--t-final", type=float)
-
-    ver_p = sub.add_parser("verify", help="machine-check the theory on a scenario")
-    ver_p.add_argument("--config", required=True)
-    ver_p.add_argument("--metrics", help="write the theory report JSON here")
-    ver_p.add_argument("--dt", type=float)
-    ver_p.add_argument("--t-final", type=float)
+    sim = add_verb("simulate", _cmd_run, "run the configured scenario", "metrics")
+    sim.add_argument("--mode", help="override the run mode")
+    avg = add_verb("average", _cmd_run, "run the averaged loop", "metrics", mode="average")
+    for p in (sim, avg):
+        p.add_argument("--out", help="write the trace CSV here")
+    add_verb(
+        "compare", _cmd_compare, "averaging error across probing frequencies", "comparison"
+    ).add_argument("--omega-list", required=True, help="comma-separated omega3 values, e.g. 20,40")
+    add_verb("verify", _cmd_verify, "machine-check the theory on a scenario", "theory report")
 
     bes_p = sub.add_parser("bessel", help="print J_m(x) in full precision")
+    bes_p.set_defaults(cmd=_cmd_bessel)
     bes_p.add_argument("--order", type=int, required=True)
     bes_p.add_argument("--arg", type=float, required=True)
     return parser
 
 
-def _load_with_overrides(args, force_mode: str | None = None):
+def _load_with_overrides(args):
     sc = load_scenario(args.config)
     updates = {}
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         updates["dt"] = args.dt
-    if getattr(args, "t_final", None) is not None:
+    if args.t_final is not None:
         updates["t_final"] = args.t_final
-    mode_text = force_mode if force_mode else getattr(args, "mode", None)
-    if mode_text:
-        mode, period = parse_mode(mode_text)
-        updates["mode"] = mode
-        updates["sample_period"] = period
-    if updates:
-        sc = replace(sc, **updates)
-    return sc
+    if args.mode:
+        updates["mode"], updates["sample_period"] = parse_mode(args.mode)
+    return replace(sc, **updates) if updates else sc
 
 
-def _cmd_run(args, force_mode: str | None = None) -> int:
-    sc = _load_with_overrides(args, force_mode)
+def _cmd_run(args) -> int:
+    sc = _load_with_overrides(args)
     trace, metrics = run_simulation(sc)
     summary = metrics.as_dict()
     print(
@@ -130,7 +120,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     sc = _load_with_overrides(args)
-    report, _ = verify_scenario(sc, dt=args.dt, t_final=args.t_final)
+    report, _ = verify_scenario(sc)
     payload = report.as_dict()
     for key, value in payload.items():
         print(f"{key} = {value}")
@@ -148,17 +138,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.verb == "simulate":
-            return _cmd_run(args)
-        if args.verb == "average":
-            return _cmd_run(args, force_mode="average")
-        if args.verb == "compare":
-            return _cmd_compare(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "bessel":
-            return _cmd_bessel(args)
-        raise ScenarioError("cli", f"unknown verb {args.verb!r}")
+        return args.cmd(args)
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -191,7 +191,6 @@ def load_scenario(path: str | Path) -> Scenario:
         theta_star=fld.get_angle("theta_star"),
         q_star=fld.get_float("q_star"),
     )
-    fld.seen.update({"theta_star", "theta_star_deg"} & set(fld.raw))
     fld.reject_unknown()
 
     dth = _SectionReader(parser, "dithers")
@@ -234,7 +233,6 @@ def load_scenario(path: str | Path) -> Scenario:
         y=run.get_float("y0"),
         theta=run.get_angle("theta0"),
     )
-    run.seen.update({"theta0", "theta0_deg"} & set(run.raw))
     mode, period = parse_mode(run.get_str("mode", "full"))
     scenario = Scenario(
         field=field,

@@ -2,8 +2,8 @@
 
 One classical RK4 step per grid point with the held control treated as
 constant over the step, which is exactly what the zero-order hold means.
-Event detection is discretized to the same grid: the trigger is evaluated
-once per step and an event fires at the first grid point where Xi < 0.
+Every mode fires at t = 0; then the trigger fires at each grid point where
+Xi < 0, or a sample clock fires (period 0 for ``continuous-control``).
 Identical scenarios therefore produce bit-identical traces.
 
 For speed, the full-plant loop is inlined: RK4, the dithered kinematics,
@@ -27,7 +27,9 @@ import numpy as np
 from etseek.analysis import dwell_time_bound
 from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
-from etseek.trace import TRACE_COLUMNS, RunMetrics, SimulationTrace, inter_event_stats
+from etseek.trace import (
+    TRACE_COLUMNS, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats,
+)
 
 # The building blocks the inlined loop expands, importable from here as its
 # reference.
@@ -35,14 +37,6 @@ from etseek.estimator import demodulation_vector, gradient_estimate  # noqa: F40
 from etseek.field import evaluate  # noqa: F401
 from etseek.trigger import control_input, step_trigger, trigger_value  # noqa: F401
 from etseek.vehicle import VehicleState, dither_velocities, estimator_pose  # noqa: F401
-
-
-class NonFiniteStateError(RuntimeError):
-    """Integration produced a non-finite state; carries the failure time."""
-
-    def __init__(self, t: float):
-        self.t = t
-        super().__init__(f"state became non-finite at t = {t:.6f} s")
 
 
 def integrate_step(derivative, state, t: float, dt: float):
@@ -90,7 +84,6 @@ def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
         min_inter_event=min_gap,
         mean_inter_event=mean_gap,
         final_error_norm=final_error,
-        theory=None,
     )
     return trace, metrics
 
@@ -129,18 +122,14 @@ def _run_average(sc: Scenario) -> tuple[SimulationTrace, float]:
     return trace, final_error
 
 
-_FULL, _CONTINUOUS, _SAMPLED = range(3)
-_POLICY = {"full": _FULL, "continuous-control": _CONTINUOUS, "sampled-data": _SAMPLED}
-
-
 def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
     d = sc.dithers
     field = sc.field
     x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star
     (k00, k01, k02), (k10, k11, k12) = sc.gain.rows
     sigma, alpha, bias = sc.trigger.sigma, sc.trigger.alpha, sc.trigger.bias
-    policy = _POLICY[sc.mode]
-    period = sc.sample_period
+    # None for the event trigger, else the sample clock's period.
+    period = None if sc.mode == "full" else sc.sample_period or 0.0
     dt = sc.dt
     n = round(sc.t_final / dt)
     trace = SimulationTrace.preallocate(n + 1, system="full")
@@ -162,10 +151,9 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
     col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
         col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
     x, y, th = sc.initial.x, sc.initial.y, sc.initial.theta
-    held = False
     h1 = h2 = h3 = 0.0
     u1 = u2 = 0.0
-    last_event = next_sample = 0.0
+    next_sample = 0.0
     for i in range(n + 1):
         t = i * dt
         try:
@@ -184,24 +172,20 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
         g1 = m1 * s1 * q
         g2 = m2 * c2 * q
         g3 = m3 * s3 * q
-        e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if held else 0.0
+        e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
         xi = sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias)
         if i == n:
             fired = False
-        elif policy == _FULL:
-            fired = not held or (xi < 0.0 and t > last_event)
-        elif policy == _CONTINUOUS:
-            fired = True
+        elif period is None:
+            fired = i == 0 or xi < 0.0
         else:
             fired = t >= next_sample - half
             if fired:
                 next_sample += period
         if fired:
-            held = True
             h1, h2, h3 = g1, g2, g3
             u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
             u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
-            last_event = t
             col_ev[i] = 1
         col_t[i] = t
         col_x[i] = x

@@ -1,8 +1,7 @@
 """Quadratic scalar field sensed by the vehicle.
 
 Controller modules never read the field parameters; they only see values
-returned by :func:`evaluate`.  The analytic :func:`gradient` is a
-test-only oracle and must not appear in any production control path.
+returned by :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -35,13 +34,4 @@ def evaluate(field: QuadraticField, pose: VehicleState) -> float:
         - 0.5 * (pose.x - field.x_star) ** 2
         - 0.5 * (pose.y - field.y_star) ** 2
         - 0.5 * (pose.theta - field.theta_star) ** 2
-    )
-
-
-def gradient(field: QuadraticField, pose: VehicleState) -> tuple[float, float, float]:
-    """Analytic field gradient. Test-only oracle for estimator checks."""
-    return (
-        -(pose.x - field.x_star),
-        -(pose.y - field.y_star),
-        -(pose.theta - field.theta_star),
     )

@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from etseek.analysis import TheoryReport
 
 #: Columns of the exported CSV, in order.
 TRACE_COLUMNS = (
@@ -33,6 +29,18 @@ TRACE_COLUMNS = (
 #: caps a trace at 1.2 GB: 1000 s at the default dt = 1e-4, 16 times the
 #: longest shipped run.  Checked before any column is allocated.
 MAX_STEPS = 10_000_000
+
+
+class NonFiniteStateError(RuntimeError):
+    """A run's state became non-finite; carries the failure time.
+
+    Both loops raise it at the first row whose signal q is non-finite or
+    exceeds 1e100 in magnitude, or whose squares overflow.
+    """
+
+    def __init__(self, t: float):
+        self.t = t
+        super().__init__(f"state became non-finite at t = {t:.6f} s")
 
 
 @dataclass
@@ -105,22 +113,24 @@ class RunMetrics:
     min_inter_event: float | None
     mean_inter_event: float | None
     final_error_norm: float
-    theory: "TheoryReport | None" = None
 
     def as_dict(self) -> dict:
-        """Flat mapping with the stable export key names."""
-        th = self.theory
+        """Flat mapping with the stable export key names.
+
+        The five theory keys are always null here; ``verify`` writes the
+        theory report to its own JSON.
+        """
         return {
             "num_steps": self.num_steps,
             "num_events": self.num_events,
             "min_inter_event": self.min_inter_event,
             "mean_inter_event": self.mean_inter_event,
             "final_error_norm": self.final_error_norm,
-            "tau_star": None if th is None else th.tau_star,
-            "alpha_min": None if th is None else th.alpha_min,
-            "hurwitz": None if th is None else th.hurwitz,
-            "decay_violations": None if th is None else th.envelope_violations,
-            "averaging_sup_error": None if th is None else th.averaging_sup_error,
+            "tau_star": None,
+            "alpha_min": None,
+            "hurwitz": None,
+            "decay_violations": None,
+            "averaging_sup_error": None,
         }
 
 

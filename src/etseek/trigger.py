@@ -9,11 +9,12 @@ event and bias the constant a1*omega3*|J_2(a3)| that dominates the norm
 of the averaged disturbance.  Between events the control is held
 constant; t = 0 is always an event.
 
-The full-plant and averaged loops inline this rule over local floats and
-read their event log off the trace's event-flagged rows.
-:class:`TriggerState`, :func:`step_trigger` and :class:`TriggerEvent` are
-the composable form of the same rule: no production loop calls them, and
-the tests check both loops against them bit for bit.
+The full-plant and averaged loops inline this rule over local floats as
+``i == 0 or xi < 0.0`` on grid row i, and read their event log off the
+trace's event-flagged rows.  :class:`TriggerState`, :func:`step_trigger`
+and :class:`TriggerEvent` are the composable form of the same rule: no
+production loop calls them, and the tests check both loops against them
+bit for bit.
 """
 
 from __future__ import annotations

@@ -87,13 +87,6 @@ def dither_velocities(
     return v, omega
 
 
-def state_derivative(
-    s: VehicleState, v: float, omega: float
-) -> tuple[float, float, float]:
-    """Kinematics of the robot center: (v cos theta, v sin theta, omega)."""
-    return v * math.cos(s.theta), v * math.sin(s.theta), omega
-
-
 def estimator_pose(
     s: VehicleState, d: DitherParams, t: float
 ) -> tuple[float, float, float]:
@@ -102,13 +95,4 @@ def estimator_pose(
         s.x - 0.5 * d.a1 * math.sin(d.omega1 * t),
         s.y + 0.5 * d.a2 * math.cos(d.omega2 * t),
         s.theta - 0.5 * d.a3 * math.sin(d.omega3 * t),
-    )
-
-
-def dither_vector(d: DitherParams, t: float) -> tuple[float, float, float]:
-    """Additive dither S(t); pose minus maximizer equals error plus S(t)."""
-    return (
-        0.5 * d.a1 * math.sin(d.omega1 * t),
-        -0.5 * d.a2 * math.cos(d.omega2 * t),
-        0.5 * d.a3 * math.sin(d.omega3 * t),
     )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from etseek.analysis import (
 )
 from etseek.average import build_average_matrices
 from etseek.trace import SimulationTrace
+from etseek.trigger import GainMatrix
 from etseek.vehicle import DitherParams
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
 
@@ -204,7 +206,7 @@ class TestAveragingError:
 
 class TestVerifyScenario:
     def test_siv_report(self, siv_scenario):
-        report, trace = verify_scenario(siv_scenario, t_final=10.0)
+        report, trace = verify_scenario(replace(siv_scenario, t_final=10.0))
         assert report.hurwitz is True
         assert report.alpha_min == pytest.approx(SIV_ALPHA_MIN, abs=1e-9)
         assert report.alpha_ok is False
@@ -219,7 +221,44 @@ class TestVerifyScenario:
         assert trace is not None
 
     def test_smallgain_report_is_compliant(self, smallgain_scenario):
-        report, _ = verify_scenario(smallgain_scenario, t_final=5.0)
+        report, _ = verify_scenario(replace(smallgain_scenario, t_final=5.0))
         assert report.hurwitz is True
         assert report.alpha_ok is True
         assert report.envelope_violations == 0
+
+    def test_siv_report_is_pinned_at_five_seconds(self, siv_scenario):
+        # The exact report of `etseek verify --config paper_siv.cfg
+        # --t-final 5`, as pinned for the benchmark's siv_verify workload.
+        report, _ = verify_scenario(replace(siv_scenario, t_final=5.0))
+        assert report.as_dict() == {
+            "hurwitz": True,
+            "alpha_min": 3.750933537108479,
+            "alpha_ok": False,
+            "tau_star": 0.04786966671118977,
+            "min_inter_event": 0.09530000000000001,
+            "decay_rate": 0.055365887360831235,
+            "envelope_violations": 0,
+            "averaging_sup_error": None,
+            "residual_scale_theorem": 0.75,
+            "residual_scale_appendix": 0.4330127018922193,
+        }
+        assert list(report.as_dict()) == [
+            "hurwitz", "alpha_min", "alpha_ok", "tau_star", "min_inter_event",
+            "decay_rate", "envelope_violations", "averaging_sup_error",
+            "residual_scale_theorem", "residual_scale_appendix",
+        ]
+
+    def test_non_hurwitz_gain_gets_no_certificate(self, siv_scenario):
+        # With K = 0 the closed loop is A itself, whose eigenvalues are all 0.
+        zero = GainMatrix(rows=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        report, trace = verify_scenario(replace(siv_scenario, gain=zero, t_final=0.01))
+        assert trace is None
+        assert report.hurwitz is False
+        assert report.tau_star is not None and report.tau_star > 0.0
+        assert report.residual_scale_theorem == 0.75
+        assert report.residual_scale_appendix == pytest.approx(0.4330127018922193, abs=1e-15)
+        for name in (
+            "alpha_min", "alpha_ok", "min_inter_event", "decay_rate",
+            "envelope_violations", "averaging_sup_error",
+        ):
+            assert getattr(report, name) is None, name

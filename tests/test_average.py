@@ -10,7 +10,6 @@ from etseek import average
 from etseek.analysis import alpha_lower_bound, solve_lyapunov
 from etseek.average import (
     AverageModel,
-    average_derivative,
     build_average_matrices,
     delta_bar_norm_bound,
     run_average_loop,
@@ -18,10 +17,11 @@ from etseek.average import (
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
 from etseek.field import QuadraticField
-from etseek.trace import TRACE_COLUMNS, SimulationTrace
+from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
 from etseek.trigger import TriggerConstants, trigger_floor
 from etseek.vehicle import DitherParams
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
+from tests.reference import average_derivative
 
 # Source at the origin: the pose columns then carry the averaged error itself.
 ORIGIN = QuadraticField(0.0, 0.0, 0.0, 0.0)
@@ -310,9 +310,10 @@ def test_float_power_squares_like_python():
 
 
 def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
-    # From |G| near 1e154 the squares overflow a few hundred steps into the
-    # hold, inside the second block; the loop must fall back to scalar
-    # steps and raise at the same row, with the same rows written.
+    # From |G| near 7e49, |q| passes 1e100 about 565 steps into the hold,
+    # inside the second block; the block must hand that row back to the
+    # scalar loop, which raises there, with the same rows written as the
+    # scalar-only loop.
     traces = []
     allocate = SimulationTrace.preallocate
 
@@ -326,16 +327,20 @@ def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
     monkeypatch.setattr(SimulationTrace, "preallocate", marked)
     model, d = siv_model()
     c = TriggerConstants.from_dithers(0.5, 0.195, d)
-    g0 = (1e154, -1e154, 5e153)
+    g0 = (7e49, -7e49, 3.5e49)
     first_blocks = average._SCALAR_HOLD + average._FIRST_BLOCK
+    failed_at = []
     for hold in (average._SCALAR_HOLD, 10**9):
         monkeypatch.setattr(average, "_SCALAR_HOLD", hold)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
+            with pytest.raises(NonFiniteStateError) as info:
                 run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-4, 0.1, ORIGIN)
+        failed_at.append(info.value.t)
     blocked, scalar = traces
     written = np.count_nonzero(~np.isnan(scalar.t))
     assert written > first_blocks + 1
+    assert failed_at[0] == failed_at[1] == written * 1e-4
+    assert np.all(np.abs(scalar.q[:written]) <= 1e100)
     for column in TRACE_COLUMNS:
         assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column

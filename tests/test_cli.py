@@ -8,6 +8,7 @@ import pytest
 
 import etseek
 from etseek.cli import main
+from etseek.config import packaged_scenario_path
 
 
 def test_bessel_verb(capsys):
@@ -103,7 +104,7 @@ def test_usage_error_exit_code():
                  "--t-final", "0.01"]) == 1
 
 
-def assert_clean_validation_error(*args, timeout=120):
+def run_cli(*args, timeout=120):
     # Run as a separate process so that an uncaught exception shows up as
     # a traceback on stderr instead of failing inside the test runner.
     src = str(Path(etseek.__file__).resolve().parents[1])
@@ -113,8 +114,13 @@ def assert_clean_validation_error(*args, timeout=120):
         [sys.executable, "-m", "etseek.cli", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
-    assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc
+
+
+def assert_clean_validation_error(*args, timeout=120):
+    proc = run_cli(*args, timeout=timeout)
+    assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     return proc.stderr
 
@@ -181,3 +187,16 @@ def test_memory_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("etseek.cli.run_simulation", out_of_memory)
     assert main(["simulate", "--config", "paper_siv.cfg", "--t-final", "0.01"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("verb", ["simulate", "average", "verify"])
+@pytest.mark.parametrize("x0", ["1e154", "1.3e154"])
+def test_huge_initial_state_is_a_numerical_failure(tmp_path, verb, x0):
+    # Squared, 1.3e154 is within 6% of the largest double and 1e154 is
+    # finite; either puts q far beyond 1e100 at t = 0 in both loops.
+    cfg = tmp_path / "huge.cfg"
+    text = packaged_scenario_path("paper_siv.cfg").read_text()
+    cfg.write_text(text.replace("x0 = 12.5", f"x0 = {x0}"))
+    proc = run_cli(verb, "--config", str(cfg), "--t-final", "5")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical failure: state became non-finite at t = 0.000000 s")

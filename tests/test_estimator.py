@@ -4,7 +4,8 @@ import pytest
 
 from etseek.estimator import demodulation_vector, gradient_estimate
 from etseek.field import QuadraticField, evaluate
-from etseek.vehicle import DitherParams, VehicleState, dither_vector
+from etseek.vehicle import DitherParams, VehicleState
+from tests.reference import dither_vector
 
 
 def test_siv_at_time_zero(siv_dithers):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from etseek.field import QuadraticField, evaluate, gradient
+from etseek.field import QuadraticField, evaluate
 from etseek.vehicle import VehicleState
+from tests.reference import gradient
 
 SIV_FIELD = QuadraticField(10.0, 5.0, math.pi / 6, 7.0)
 

@@ -3,14 +3,8 @@ import math
 import pytest
 
 from etseek.engine import integrate_step
-from etseek.vehicle import (
-    DitherParams,
-    VehicleState,
-    dither_vector,
-    dither_velocities,
-    estimator_pose,
-    state_derivative,
-)
+from etseek.vehicle import DitherParams, VehicleState, dither_velocities, estimator_pose
+from tests.reference import dither_vector, state_derivative
 
 
 def equal_freqs(a=0.5):
