@@ -11,26 +11,23 @@ loop is one flat loop over local floats, like the full plant's, and applies
 the same event rule and zero-order hold to the averaged signals.  The
 composable functions of :mod:`etseek.trigger` are its tested reference.
 
-Between events the latched G, u and c are constant, and a hold can last
-for the rest of the run (``paper_siv`` fires twice in 60 s).  Once a hold
-has lasted ``_SCALAR_HOLD`` steps, the loop computes its rows in numpy
-blocks and hands back to the scalar loop at the first row that fires.  A
-block repeats the scalar arithmetic exactly: G is a left fold
-(``np.add.accumulate``) of the same RK4 increments, the other columns are
-elementwise, and every ``** 2`` is ``np.float_power``, libm ``pow`` like
-Python's.  The trace is bit-identical to stepping, which the closed-form
-G(t) of a hold would not be.  A block also hands back the first row whose
-q fails the full plant's finiteness check, so both paths raise
-:class:`~etseek.trace.NonFiniteStateError` at the same row.
+Between events the latched G, u and c are constant, and ``paper_siv``
+holds from its second event (at 0.095 s) to the horizon.  Long holds go
+to the hold-block runner of :mod:`etseek.hold`, which both loops share;
+this module supplies the fold, in which G3 moves by a fixed step and G1
+and G2 are left folds of the scalar loop's RK4 increments.  The closed-form
+G(t) of a hold would not be bit-identical to stepping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from etseek import hold
 from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
 from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
@@ -88,14 +85,6 @@ def initial_error(
     return (hat[0] - field.x_star, hat[1] - field.y_star, hat[2] - field.theta_star)
 
 
-# Hold blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK (under
-# 1 MB of temporaries).  A block costs about as much as 40 scalar steps, so
-# short holds, as inside the trigger-floor ball, stay on the scalar path.
-_SCALAR_HOLD = 128
-_FIRST_BLOCK = 256
-_MAX_BLOCK = 4096
-
-
 def run_average_loop(
     model: AverageModel,
     gain: GainMatrix,
@@ -135,10 +124,10 @@ def run_average_loop(
     h1 = h2 = h3 = 0.0
     u1 = u2 = 0.0
     c1 = c2 = c3 = hc3 = dc3 = step3 = 0.0
-    # Rows from `block_from` on that do not fire go to hold blocks; n + 1
-    # switches blocks off.
+    # Unfired rows from `block_from` on go to hold blocks.
     block_from = n + 1
-    scalar_hold = _SCALAR_HOLD
+    scalar_hold = hold._SCALAR_HOLD
+    block_consts = (a13, a23, sixth, sigma, alpha, bias, x_star, y_star, theta_star, q_star)
     start = 0
     while True:
         for i in range(start, n + 1):
@@ -196,63 +185,46 @@ def run_average_loop(
             km = a23 * (g3 + hc3) + c2
             g2 += sixth * (a23 * g3 + c2 + 2.0 * km + 2.0 * km + (a23 * (g3 + dc3) + c2))
             g3 += step3
-        # The hold has lasted _SCALAR_HOLD steps: go on from row i in blocks
-        # of rows, each the scalar steps' arithmetic done elementwise.
-        start = i
-        width = _FIRST_BLOCK
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                rows = min(width, n + 1 - start)
-                # G at rows start .. start + rows, one past the block.
-                gs3 = np.add.accumulate(np.concatenate(((g3,), np.full(rows, step3))))
-                b3 = gs3[:-1]
-                mid3 = b3 + hc3
-                end3 = b3 + dc3
-                gs1 = _fold(g1, a13, c1, b3, mid3, end3, sixth)
-                gs2 = _fold(g2, a23, c2, b3, mid3, end3, sixth)
-                b1, b2 = gs1[:-1], gs2[:-1]
-                floor = alpha * (np.sqrt(
-                    np.float_power(h1 - b1, 2.0) + np.float_power(h2 - b2, 2.0)
-                    + np.float_power(h3 - b3, 2.0)
-                ) + bias)
-                decision = sigma * np.sqrt(
-                    np.float_power(b1, 2.0) + np.float_power(b2, 2.0)
-                    + np.float_power(b3, 2.0)
-                ) - floor
-                sq = b1 * b1 + b2 * b2 + b3 * b3
-                q = q_star - 0.5 * sq
-                # The first row that fires or fails goes back to the scalar
-                # loop, which fires or raises there (or, on row n, records it).
-                back = ~(np.isfinite(decision) & (decision >= 0.0) & (np.abs(q) <= 1e100))
-                k = int(back.argmax()) if back.any() else rows
-                stop = start + k
-                trace.t[start:stop] = np.arange(start, stop) * dt
-                trace.x[start:stop] = trace.xhat[start:stop] = x_star + b1[:k]
-                trace.y[start:stop] = trace.yhat[start:stop] = y_star + b2[:k]
-                trace.theta[start:stop] = trace.thetahat[start:stop] = theta_star + b3[:k]
-                trace.q[start:stop] = q[:k]
-                trace.g1[start:stop] = b1[:k]
-                trace.g2[start:stop] = b2[:k]
-                trace.g3[start:stop] = b3[:k]
-                trace.u1[start:stop] = u1
-                trace.u2[start:stop] = u2
-                trace.xi[start:stop] = (sigma * np.sqrt(sq) - floor)[:k]
-                if stop > n:
-                    return trace
-                g1, g2, g3 = float(gs1[k]), float(gs2[k]), float(gs3[k])
-                start = stop
-                if k < rows:
-                    # The scalar loop takes row `stop`.  Should it not fire
-                    # there, blocks resume a row later.
-                    block_from = stop + 1
-                    break
-                width = min(2 * width, _MAX_BLOCK)
+        held = (h1, h2, h3, u1, u2, c1, c2, hc3, dc3, step3)
+        resume = hold.run_blocks(
+            trace, i, dt, partial(_hold_block, block_consts, held), (g1, g2, g3)
+        )
+        if resume is None:
+            return trace
+        start, (g1, g2, g3) = resume
+        # The scalar loop takes row `start`.  Should it not fire there,
+        # blocks resume a row later.
+        block_from = start + 1
+
+
+def _hold_block(consts, held, t, g):
+    """One hold block of the averaged loop, a fold for
+    :func:`etseek.hold.run_blocks`; ``t`` only sets its length."""
+    a13, a23, sixth, sigma, alpha, bias, x_star, y_star, theta_star, q_star = consts
+    h1, h2, h3, u1, u2, c1, c2, hc3, dc3, step3 = held
+    g1, g2, g3 = g
+    square = hold.square
+    gs3 = hold.accumulate(g3, np.full(t.shape[0], step3))
+    b3 = gs3[:-1]
+    mid3 = b3 + hc3
+    end3 = b3 + dc3
+    gs1 = _fold(g1, a13, c1, b3, mid3, end3, sixth)
+    gs2 = _fold(g2, a23, c2, b3, mid3, end3, sixth)
+    b1, b2 = gs1[:-1], gs2[:-1]
+    floor = alpha * (np.sqrt(square(h1 - b1) + square(h2 - b2) + square(h3 - b3)) + bias)
+    decision = sigma * np.sqrt(square(b1) + square(b2) + square(b3)) - floor
+    sq = b1 * b1 + b2 * b2 + b3 * b3
+    x, y, th = x_star + b1, y_star + b2, theta_star + b3
+    columns = {
+        "x": x, "y": y, "theta": th, "xhat": x, "yhat": y, "thetahat": th,
+        "q": q_star - 0.5 * sq, "g1": b1, "g2": b2, "g3": b3, "u1": u1, "u2": u2,
+        "xi": sigma * np.sqrt(sq) - floor,
+    }
+    return (gs1, gs2, gs3), columns, decision
 
 
 def _fold(g, a, c, g3, mid3, end3, sixth):
     """G1 or G2 over a hold block: the scalar loop's RK4 increments, with its
-    association, summed left to right from g (so bit-identical to ``+=``)."""
+    association, summed left to right from g."""
     km = a * mid3 + c
-    return np.add.accumulate(
-        np.concatenate(((g,), sixth * (a * g3 + c + 2.0 * km + 2.0 * km + (a * end3 + c))))
-    )
+    return hold.accumulate(g, sixth * (a * g3 + c + 2.0 * km + 2.0 * km + (a * end3 + c)))

@@ -105,9 +105,12 @@ class _SectionReader:
                 return default
             raise ScenarioError(f"{self.section}.{key}", "missing key")
         try:
-            return float(text)
+            value = float(text)
         except ValueError as exc:
             raise ScenarioError(f"{self.section}.{key}", f"not a number: {text!r}") from exc
+        if not math.isfinite(value):
+            raise ScenarioError(f"{self.section}.{key}", f"must be finite, got {text!r}")
+        return value
 
     def get_angle(self, key: str, default: float | None = None) -> float:
         """Radian value of an angle key, accepting a _deg alternative."""
@@ -140,9 +143,12 @@ class _SectionReader:
                 f"{self.section}.{key}", f"expected {width} entries, got {len(parts)}"
             )
         try:
-            return tuple(float(p) for p in parts)
+            row = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ScenarioError(f"{self.section}.{key}", f"not numeric: {text!r}") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise ScenarioError(f"{self.section}.{key}", f"entries must be finite: {text!r}")
+        return row
 
     def get_str(self, key: str, default: str) -> str:
         text = self._fetch(key)

@@ -8,22 +8,32 @@ Identical scenarios therefore produce bit-identical traces.
 
 For speed, the full-plant loop is inlined: RK4, the dithered kinematics,
 field evaluation, demodulation, the trigger with its zero-order hold and
-the estimator pose are written out as one flat loop over local floats.
+the estimator pose are written out as a scalar loop over local floats.
 The composable functions (:func:`integrate_step`,
 :func:`~etseek.vehicle.dither_velocities`, :func:`~etseek.field.evaluate`,
 :func:`~etseek.estimator.demodulation_vector`,
 :func:`~etseek.trigger.step_trigger`, :func:`~etseek.vehicle.estimator_pose`)
 are its tested reference: the loop keeps their float expressions in the
 same evaluation order, so it reproduces them bit for bit.
+
+In ``full`` mode, long holds go to the hold-block runner of
+:mod:`etseek.hold`, which the averaged loop shares.  Under the held
+control the plant's right-hand side reads only theta and t, so a block
+computes the scalar loop's expressions elementwise, with theta, x and y
+as left folds of their RK4 increments; the trace stays bit-identical.
+The sample clocks of ``continuous-control`` and ``sampled-data`` keep
+every row on the scalar loop.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
+from etseek import hold
 from etseek.analysis import dwell_time_bound
 from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
@@ -154,94 +164,184 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
     h1 = h2 = h3 = 0.0
     u1 = u2 = 0.0
     next_sample = 0.0
-    for i in range(n + 1):
-        t = i * dt
-        try:
-            q = q_star - 0.5 * (x - x_star) ** 2 - 0.5 * (y - y_star) ** 2 - 0.5 * (th - theta_star) ** 2
-        except OverflowError:
-            # squaring a huge-but-finite coordinate overflows before the
-            # state itself turns inf/nan; same diagnosis either way
-            raise NonFiniteStateError(t) from None
-        if not isfinite(q) or abs(q) > 1e100:
-            # a non-finite pose makes q non-finite; beyond any physically
-            # meaningful signal level the downstream norms would overflow
-            raise NonFiniteStateError(t)
-        s1 = sin(w1 * t)
-        c2 = cos(w2 * t)
-        s3 = sin(w3 * t)
-        g1 = m1 * s1 * q
-        g2 = m2 * c2 * q
-        g3 = m3 * s3 * q
-        e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
-        xi = sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias)
-        if i == n:
-            fired = False
-        elif period is None:
-            fired = i == 0 or xi < 0.0
-        else:
-            fired = t >= next_sample - half
-            if fired:
-                next_sample += period
-        if fired:
-            h1, h2, h3 = g1, g2, g3
-            u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
-            u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
-            col_ev[i] = 1
-        col_t[i] = t
-        col_x[i] = x
-        col_y[i] = y
-        col_th[i] = th
-        col_xh[i] = x - ha1 * s1
-        col_yh[i] = y + ha2 * c2
-        col_thh[i] = th - ha3 * s3
-        col_q[i] = q
-        col_g1[i] = g1
-        col_g2[i] = g2
-        col_g3[i] = g3
-        col_u1[i] = u1
-        col_u2[i] = u2
-        col_xi[i] = xi
-        if i == n:
-            break
-        # RK4 under the held control.  The right-hand side reads only the
-        # heading, so the mid and end stages need no x/y; the dither terms
-        # at t + dt/2 are shared by k2 and k3.
-        tm = t + half
-        te = t + dt
-        p1 = aw1 * cos(w1 * t) + u1
-        p2 = aw2 * sin(w2 * t) + u1
-        wr1 = aw3 * cos(w3 * t) + u2
-        pm1 = aw1 * cos(w1 * tm) + u1
-        pm2 = aw2 * sin(w2 * tm) + u1
-        wrm = aw3 * cos(w3 * tm) + u2
-        pe1 = aw1 * cos(w1 * te) + u1
-        pe2 = aw2 * sin(w2 * te) + u1
-        wre = aw3 * cos(w3 * te) + u2
-        c = cos(th)
-        s = sin(th)
-        v = c * p1 + s * p2
-        k1x = v * c
-        k1y = v * s
-        thm = th + half * wr1
-        c = cos(thm)
-        s = sin(thm)
-        v = c * pm1 + s * pm2
-        k2x = v * c
-        k2y = v * s
-        thm = th + half * wrm
-        c = cos(thm)
-        s = sin(thm)
-        v = c * pm1 + s * pm2
-        k3x = v * c
-        k3y = v * s
-        the = th + dt * wrm
-        c = cos(the)
-        s = sin(the)
-        v = c * pe1 + s * pe2
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + v * c)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + v * s)
-        th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
-    final_error = math.sqrt(
-        (x - field.x_star) ** 2 + (y - field.y_star) ** 2 + (th - field.theta_star) ** 2
+    # Unfired rows from `block_from` on go to hold blocks.  Only the event
+    # trigger holds for long; a sample clock keeps the scalar path.
+    block_from = n + 1
+    scalar_hold = hold._SCALAR_HOLD if period is None else n + 1
+    block_consts = (
+        w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
+        sigma, alpha, bias, x_star, y_star, theta_star, q_star,
     )
-    return trace, final_error
+    start = 0
+    while True:
+        for i in range(start, n + 1):
+            t = i * dt
+            try:
+                q = q_star - 0.5 * (x - x_star) ** 2 - 0.5 * (y - y_star) ** 2 - 0.5 * (th - theta_star) ** 2
+            except OverflowError:
+                # squaring a huge-but-finite coordinate overflows before the
+                # state itself turns inf/nan; same diagnosis either way
+                raise NonFiniteStateError(t) from None
+            if not isfinite(q) or abs(q) > 1e100:
+                # a non-finite pose makes q non-finite; beyond any physically
+                # meaningful signal level the downstream norms would overflow
+                raise NonFiniteStateError(t)
+            s1 = sin(w1 * t)
+            c2 = cos(w2 * t)
+            s3 = sin(w3 * t)
+            g1 = m1 * s1 * q
+            g2 = m2 * c2 * q
+            g3 = m3 * s3 * q
+            e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
+            xi = sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias)
+            if i == n:
+                fired = False
+            elif period is None:
+                fired = i == 0 or xi < 0.0
+            else:
+                fired = t >= next_sample - half
+                if fired:
+                    next_sample += period
+            if fired:
+                h1, h2, h3 = g1, g2, g3
+                u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
+                u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
+                block_from = i + scalar_hold
+                col_ev[i] = 1
+            elif i >= block_from:
+                break
+            col_t[i] = t
+            col_x[i] = x
+            col_y[i] = y
+            col_th[i] = th
+            col_xh[i] = x - ha1 * s1
+            col_yh[i] = y + ha2 * c2
+            col_thh[i] = th - ha3 * s3
+            col_q[i] = q
+            col_g1[i] = g1
+            col_g2[i] = g2
+            col_g3[i] = g3
+            col_u1[i] = u1
+            col_u2[i] = u2
+            col_xi[i] = xi
+            if i == n:
+                return trace, _final_error(trace, sc.field)
+            # RK4 under the held control.  The right-hand side reads only the
+            # heading, so the mid and end stages need no x/y; the dither terms
+            # at t + dt/2 are shared by k2 and k3.
+            tm = t + half
+            te = t + dt
+            p1 = aw1 * cos(w1 * t) + u1
+            p2 = aw2 * sin(w2 * t) + u1
+            wr1 = aw3 * cos(w3 * t) + u2
+            pm1 = aw1 * cos(w1 * tm) + u1
+            pm2 = aw2 * sin(w2 * tm) + u1
+            wrm = aw3 * cos(w3 * tm) + u2
+            pe1 = aw1 * cos(w1 * te) + u1
+            pe2 = aw2 * sin(w2 * te) + u1
+            wre = aw3 * cos(w3 * te) + u2
+            c = cos(th)
+            s = sin(th)
+            v = c * p1 + s * p2
+            k1x = v * c
+            k1y = v * s
+            thm = th + half * wr1
+            c = cos(thm)
+            s = sin(thm)
+            v = c * pm1 + s * pm2
+            k2x = v * c
+            k2y = v * s
+            thm = th + half * wrm
+            c = cos(thm)
+            s = sin(thm)
+            v = c * pm1 + s * pm2
+            k3x = v * c
+            k3y = v * s
+            the = th + dt * wrm
+            c = cos(the)
+            s = sin(the)
+            v = c * pe1 + s * pe2
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + v * c)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + v * s)
+            th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
+        resume = hold.run_blocks(
+            trace, i, dt, partial(_hold_block, block_consts, (h1, h2, h3, u1, u2)), (x, y, th)
+        )
+        if resume is None:
+            return trace, _final_error(trace, sc.field)
+        start, (x, y, th) = resume
+        # The scalar loop takes row `start`.  Should it not fire there,
+        # blocks resume a row later.
+        block_from = start + 1
+
+
+def _hold_block(consts, held, t, pose):
+    """One hold block of the full loop, a fold for :func:`etseek.hold.run_blocks`.
+
+    The scalar loop's expressions, elementwise over the block's rows.
+    """
+    (w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
+     sigma, alpha, bias, x_star, y_star, theta_star, q_star) = consts
+    h1, h2, h3, u1, u2 = held
+    sin, cos, sqrt, square = np.sin, np.cos, np.sqrt, hold.square
+    xs, ys, ths = _hold_poses(t, pose, w1, w2, w3, aw1, aw2, aw3, u1, u2, half, sixth, dt)
+    x, y, th = xs[:-1], ys[:-1], ths[:-1]
+    q = q_star - 0.5 * square(x - x_star) - 0.5 * square(y - y_star) - 0.5 * square(th - theta_star)
+    s1 = sin(w1 * t)
+    c2 = cos(w2 * t)
+    s3 = sin(w3 * t)
+    g1 = m1 * s1 * q
+    g2 = m2 * c2 * q
+    g3 = m3 * s3 * q
+    e_norm = sqrt(square(h1 - g1) + square(h2 - g2) + square(h3 - g3))
+    xi = sigma * sqrt(square(g1) + square(g2) + square(g3)) - alpha * (e_norm + bias)
+    columns = {
+        "x": x, "y": y, "theta": th,
+        "xhat": x - ha1 * s1, "yhat": y + ha2 * c2, "thetahat": th - ha3 * s3,
+        "q": q, "g1": g1, "g2": g2, "g3": g3, "u1": u1, "u2": u2, "xi": xi,
+    }
+    return (xs, ys, ths), columns, xi
+
+
+def _hold_poses(t, pose, w1, w2, w3, aw1, aw2, aw3, u1, u2, half, sixth, dt):
+    """Pose at each row of a hold block and one row past it.
+
+    Under the held control the heading's RK4 increment depends on t alone,
+    so theta is a left fold of increments, and x and y are left folds of
+    increments that depend on (theta, t).  Their stage sums
+    k1 + 2 k2 + 2 k3 + k4 are added up stage by stage, in the scalar
+    loop's order, and the stage arrays are freed on return, so that few
+    block-length arrays are alive at once: a block's temporaries share the
+    heap with the trace.
+    """
+    sin, cos, accumulate = np.sin, np.cos, hold.accumulate
+
+    def stage(heading, p1, p2):
+        c = cos(heading)
+        s = sin(heading)
+        v = c * p1 + s * p2
+        return v * c, v * s
+
+    tm = t + half
+    te = t + dt
+    wr1 = aw3 * cos(w3 * t) + u2
+    wrm = aw3 * cos(w3 * tm) + u2
+    ths = accumulate(pose[2], sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + (aw3 * cos(w3 * te) + u2)))
+    th = ths[:-1]
+    sum_x, sum_y = stage(th, aw1 * cos(w1 * t) + u1, aw2 * sin(w2 * t) + u1)
+    pm1 = aw1 * cos(w1 * tm) + u1
+    pm2 = aw2 * sin(w2 * tm) + u1
+    for heading in (th + half * wr1, th + half * wrm):
+        kx, ky = stage(heading, pm1, pm2)
+        sum_x += 2.0 * kx
+        sum_y += 2.0 * ky
+    kx, ky = stage(th + dt * wrm, aw1 * cos(w1 * te) + u1, aw2 * sin(w2 * te) + u1)
+    sum_x += kx
+    sum_y += ky
+    return accumulate(pose[0], sixth * sum_x), accumulate(pose[1], sixth * sum_y), ths
+
+
+def _final_error(trace: SimulationTrace, field) -> float:
+    """Distance of the last row's pose from the source."""
+    x, y, th = (float(trace.column(name)[-1]) for name in ("x", "y", "theta"))
+    return math.sqrt((x - field.x_star) ** 2 + (y - field.y_star) ** 2 + (th - field.theta_star) ** 2)

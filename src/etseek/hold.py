@@ -1,0 +1,82 @@
+"""Hold blocks: the rows of a long hold computed in numpy, for both loops.
+
+Between events the latched control is constant, and a hold can last for
+the rest of a run (the 60 s ``paper_siv`` run holds for its last 56 s in
+the full loop, and for its last 59.9 s in the averaged loop).  Once a hold
+has lasted ``_SCALAR_HOLD`` steps, the event-triggered loops hand its
+rows to :func:`run_blocks`, which computes them in blocks of doubling
+width and hands back to the scalar loop at the first row that fires.
+
+Each loop supplies its fold: its scalar step's arithmetic done
+elementwise over a block.  A running state is a left fold
+(``np.add.accumulate``) of the same increments, so it equals ``+=``;
+every ``** 2`` is ``np.float_power``, libm ``pow`` like Python's; sin
+and cos are numpy's, which must give ``math``'s bits (numpy does not
+promise it, so a test checks it).  The trace is therefore bit-identical
+to stepping.  A block also hands back the first row whose q fails the
+loops' finiteness check, so both paths raise
+:class:`~etseek.trace.NonFiniteStateError` at the same row.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from etseek.trace import SimulationTrace
+
+# Hold blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK (about
+# 1 MB of temporaries).  A first block costs about as much as 40 (averaged)
+# to 60 (full) scalar steps, so short holds, as inside the trigger-floor
+# ball, stay on the scalar path.
+_SCALAR_HOLD = 128
+_FIRST_BLOCK = 256
+_MAX_BLOCK = 4096
+
+
+def run_blocks(trace: SimulationTrace, start: int, dt: float, fold, state: tuple):
+    """Fill the rows of a hold from row ``start`` on, block by block.
+
+    ``fold(t, state)`` computes one block from the times ``t`` of its rows
+    and the running state at its first row.  It returns the running state
+    at each row and one row past the block, the block's trace columns by
+    name (a float for a held column), and each row's firing decision,
+    which fires below 0.
+
+    Returns None once the hold reaches the trace's last row.  Otherwise
+    returns the first row that fires (its decision is negative or not
+    finite) or
+    fails (|q| > 1e100 or NaN), where the scalar loop resumes, and the
+    running state there.
+    """
+    n = len(trace) - 1
+    width = _FIRST_BLOCK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rows = min(width, n + 1 - start)
+            t = np.arange(start, start + rows) * dt
+            states, columns, decision = fold(t, state)
+            held = np.isfinite(decision) & (decision >= 0.0) & (np.abs(columns["q"]) <= 1e100)
+            k = rows if held.all() else int(held.argmin())
+            stop = start + k
+            trace.t[start:stop] = t[:k]
+            for name, values in columns.items():
+                trace.column(name)[start:stop] = values if isinstance(values, float) else values[:k]
+            if stop > n:
+                return None
+            state = tuple(float(s[k]) for s in states)
+            if k < rows:
+                return stop, state
+            start = stop
+            width = min(2 * width, _MAX_BLOCK)
+
+
+def accumulate(first: float, increments: np.ndarray) -> np.ndarray:
+    """``first`` and its running sums with ``increments``, added left to
+    right, so bit-identical to ``+=`` in a loop."""
+    return np.add.accumulate(np.concatenate(((first,), increments)))
+
+
+def square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` as Python's float computes it, with libm ``pow``; numpy's
+    ``** 2`` is ``x * x``, which differs in the last bit for some doubles."""
+    return np.float_power(x, 2.0)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etseek import average
+from etseek import hold
 from etseek.analysis import alpha_lower_bound, solve_lyapunov
 from etseek.average import (
     AverageModel,
@@ -240,24 +240,41 @@ class TestRunAverageLoop:
 
 
 # sha256 over the 15 trace columns and the event log of the shipped
-# scenarios' full-horizon averaged runs (60 s and 30 s).  Regrouping one
-# float expression of the loop can move a last bit only once in hundreds of
-# thousands of steps, which the 2 s golden digests and the short reference
-# runs rarely reach.
+# scenarios' full-horizon runs (60 s and 30 s), averaged and full.
+# Regrouping one float expression of a loop, or a last-bit difference
+# between a hold block and the scalar step, can move a last bit only once in
+# hundreds of thousands of steps, which the 2 s golden digests and the
+# short reference runs rarely reach.
 FULL_HORIZON_DIGESTS = {
     "paper_siv.cfg": "b1eb510a4e983324fff19a0e31569fc6423c91f33e4779e36be14e3429162442",
     "smallgain.cfg": "c08f306d8d26872baf4905356aec044b65723711e37e94c5433b0b0b0b250534",
 }
+FULL_LOOP_DIGESTS = {
+    "paper_siv.cfg": "00b55e154c9360eb260c51b077a76fde56e93c5a78d4e99b2d48e4172a9a94d4",
+    "smallgain.cfg": "dbc13286b3250897da9732eb1b14ddb7edb7f9ac1df20495d607705c126cb348",
+}
+
+
+def trace_digest(trace):
+    digest = hashlib.sha256()
+    for column in TRACE_COLUMNS:
+        digest.update(trace.column(column).tobytes())
+    digest.update(trace.events.tobytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(FULL_HORIZON_DIGESTS))
 def test_full_horizon_digests(name):
     trace, _ = run_simulation(replace(load_scenario(name), mode="average"))
-    digest = hashlib.sha256()
-    for column in TRACE_COLUMNS:
-        digest.update(trace.column(column).tobytes())
-    digest.update(trace.events.tobytes())
-    assert digest.hexdigest() == FULL_HORIZON_DIGESTS[name]
+    assert trace_digest(trace) == FULL_HORIZON_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FULL_LOOP_DIGESTS))
+def test_full_loop_full_horizon_digests(name):
+    # paper_siv holds for its last 56 s, almost all of it in hold blocks;
+    # smallgain never holds for long enough to leave the scalar path.
+    trace, _ = run_simulation(load_scenario(name))
+    assert trace_digest(trace) == FULL_LOOP_DIGESTS[name]
 
 
 HOLD_CASES = {
@@ -268,19 +285,22 @@ HOLD_CASES = {
         scale_probing_frequency(load_scenario("smallgain.cfg"), 2.0),
         mode="average", t_final=0.5,
     ),
+    # The full loop: 38 events, holds of 1 to 2,715 steps.
+    "paper_siv-full": replace(load_scenario("paper_siv.cfg"), t_final=0.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOLD_CASES))
-@pytest.mark.parametrize("hold, first, widest", [(1, 2, 3), (0, 1, 1), (3, 1, 2)])
-def test_hold_blocks_of_any_width_match_default(monkeypatch, name, hold, first, widest):
+@pytest.mark.parametrize("scalar_hold, first, widest", [(1, 2, 3), (0, 1, 1), (3, 1, 2)])
+def test_hold_blocks_of_any_width_match_default(monkeypatch, name, scalar_hold, first, widest):
     # Tiny blocks make a hold fire on a block's first row, end a block on
-    # the last row, and carry a hold to the horizon, many times over.
+    # the last row, and carry a hold to the horizon, many times over.  Both
+    # loops read the one set of block constants in etseek.hold.
     sc = HOLD_CASES[name]
     expected, _ = run_simulation(sc)
-    monkeypatch.setattr(average, "_SCALAR_HOLD", hold)
-    monkeypatch.setattr(average, "_FIRST_BLOCK", first)
-    monkeypatch.setattr(average, "_MAX_BLOCK", widest)
+    monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
+    monkeypatch.setattr(hold, "_FIRST_BLOCK", first)
+    monkeypatch.setattr(hold, "_MAX_BLOCK", widest)
     trace, _ = run_simulation(sc)
     for column in TRACE_COLUMNS:
         assert trace.column(column).tobytes() == expected.column(column).tobytes(), column
@@ -288,7 +308,7 @@ def test_hold_blocks_of_any_width_match_default(monkeypatch, name, hold, first, 
 
 
 def test_float_power_squares_like_python():
-    # The averaged loop's firing decision and e_norm square with ** 2, which
+    # Both loops square with ** 2 in q, e_norm and the firing decision, which
     # is libm pow(x, 2.0); x * x is the correctly rounded square and differs
     # in the last bit for a fraction of doubles.  Hold blocks square with
     # np.float_power(x, 2.0), so it must give pow's bits, including where
@@ -304,9 +324,37 @@ def test_float_power_squares_like_python():
         assert mismatched == 0, (
             f"np.float_power(x, 2.0) differs from Python's x ** 2 on {mismatched} of "
             f"{values.size} doubles ({apart.size} of the draws have x * x != x ** 2): "
-            "the averaged loop's hold blocks would no longer reproduce its scalar "
-            "steps bit for bit"
+            "the hold blocks of the full and averaged loops would no longer "
+            "reproduce their scalar steps bit for bit"
         )
+
+
+def test_numpy_trig_matches_math():
+    # The full loop's hold blocks take sin and cos from numpy where the
+    # scalar loop calls math.sin and math.cos.  numpy does not promise the
+    # same bits (its SIMD loops may differ from libm); checked here on every
+    # dither argument w*t, w*(t + dt/2) and w*(t + dt) of the 60 s paper_siv
+    # run and on seeded draws over the headings a run visits.
+    sc = load_scenario("paper_siv.cfg")
+    d = sc.dithers
+    dt = sc.dt
+    t = np.arange(round(sc.t_final / dt) + 1) * dt
+    grid = np.concatenate([
+        w * times
+        for w in sorted({d.omega1, d.omega2, d.omega3})
+        for times in (t, t + 0.5 * dt, t + dt)
+    ])
+    headings = np.random.default_rng(20261018).uniform(-100.0, 100.0, 500_000)
+    for label, values in (("dither arguments", grid), ("headings", headings)):
+        listed = values.tolist()
+        for ours, reference in ((np.sin, math.sin), (np.cos, math.cos)):
+            expected = np.fromiter(map(reference, listed), float, len(listed))
+            mismatched = np.count_nonzero(ours(values) != expected)
+            assert mismatched == 0, (
+                f"np.{ours.__name__} differs from math.{reference.__name__} on "
+                f"{mismatched} of {values.size} {label}: the full loop's hold "
+                "blocks would no longer reproduce its scalar steps bit for bit"
+            )
 
 
 def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
@@ -328,10 +376,10 @@ def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
     model, d = siv_model()
     c = TriggerConstants.from_dithers(0.5, 0.195, d)
     g0 = (7e49, -7e49, 3.5e49)
-    first_blocks = average._SCALAR_HOLD + average._FIRST_BLOCK
+    first_blocks = hold._SCALAR_HOLD + hold._FIRST_BLOCK
     failed_at = []
-    for hold in (average._SCALAR_HOLD, 10**9):
-        monkeypatch.setattr(average, "_SCALAR_HOLD", hold)
+    for scalar_hold in (hold._SCALAR_HOLD, 10**9):
+        monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as info:

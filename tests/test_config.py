@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from etseek.config import (
     Scenario,
@@ -102,6 +104,17 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="dithers.a1"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("field", "q_star", "nan"),
+        ("field", "x_star", "-inf"),
+        ("dithers", "omega3", "inf"),
+        ("gain", "row1", "4.3822 nan 0.1437"),
+    ])
+    def test_non_finite_value_names_the_key(self, tmp_path, section, key, value):
+        path = write_cfg(tmp_path, **{section: {key: value}})
+        with pytest.raises(ScenarioError, match=f"{section}.{key}: .*finite"):
+            load_scenario(path)
+
     def test_zero_amplitude_rejected(self, tmp_path):
         path = write_cfg(tmp_path, dithers={"a2": "0.0"})
         with pytest.raises(ScenarioError, match="dithers.a2"):
@@ -188,3 +201,54 @@ class TestFrequencyScaling:
         assert scaled.trigger.bias == pytest.approx(
             d.a1 * d.omega3 * abs(bessel_j(2, d.a3)), abs=1e-15
         )
+
+
+# Valid [run] and [trigger] values, of which up to three are replaced by
+# any double, written with repr (so "nan", "inf", "-0.0" and "5e-324" occur).
+VALID_VALUES = {
+    "sigma": 0.5, "alpha": 0.195, "x0": 12.5, "y0": 7.5, "theta0": 60.0,
+    "dt": 1e-3, "t_final": 1.0, "period": 0.05,
+}
+
+
+@settings(
+    max_examples=300, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    drawn=st.dictionaries(
+        st.sampled_from(sorted(VALID_VALUES)),
+        st.floats(allow_nan=True, allow_infinity=True),
+        max_size=3,
+    ),
+    in_degrees=st.booleans(),
+    mode=st.sampled_from(["full", "average", "continuous-control", "sampled-data"]),
+)
+def test_run_and_trigger_values_load_or_raise_scenario_error(tmp_path, drawn, in_degrees, mode):
+    v = {**VALID_VALUES, **drawn}
+    run = {
+        "x0": repr(v["x0"]), "y0": repr(v["y0"]), "dt": repr(v["dt"]),
+        "t_final": repr(v["t_final"]), "theta0_deg": None,
+        "theta0_deg" if in_degrees else "theta0": repr(v["theta0"]),
+        "mode": f"sampled-data({v['period']!r})" if mode == "sampled-data" else mode,
+    }
+    trigger = {"sigma": repr(v["sigma"]), "alpha": repr(v["alpha"])}
+    path = write_cfg(tmp_path, trigger=trigger, run=run)
+    theta = math.radians(v["theta0"]) if in_degrees else v["theta0"]
+    period = v["period"] if mode == "sampled-data" else None
+    valid = (
+        all(math.isfinite(v[key]) for key in VALID_VALUES if key != "period")
+        and 0.0 < v["sigma"] < 1.0
+        and v["alpha"] > 0.0
+        and v["dt"] > 0.0
+        and v["t_final"] >= v["dt"]
+        and (period is None or (math.isfinite(period) and period > 0.0))
+    )
+    if not valid:
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+        return
+    sc = load_scenario(path)
+    assert (sc.trigger.sigma, sc.trigger.alpha) == (v["sigma"], v["alpha"])
+    assert (sc.initial.x, sc.initial.y, sc.initial.theta) == (v["x0"], v["y0"], theta)
+    assert (sc.dt, sc.t_final, sc.mode, sc.sample_period) == (v["dt"], v["t_final"], mode, period)

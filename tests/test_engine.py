@@ -1,14 +1,16 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from etseek import hold
 from etseek.config import Scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
 from etseek.field import QuadraticField
-from etseek.trace import TRACE_COLUMNS
-from etseek.trigger import TriggerConstants
+from etseek.trace import TRACE_COLUMNS, SimulationTrace
+from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState
 from tests.conftest import PAPER_SIV_GAIN
 
@@ -175,3 +177,61 @@ class TestRunSimulation:
             trace.y[-1] - smallgain_scenario.field.y_star,
         )
         assert final_xy < 2.0 * start_error
+
+
+def test_overflow_in_a_full_hold_block_raises_at_the_scalar_row(monkeypatch, siv_scenario):
+    # From x0 = -1e50, q is near -5e99.  Row 0 latches u1 of about -7e50
+    # (g1 and g3 vanish at t = 0, and the gain reads only g2), so the
+    # vehicle runs away from the source without firing again, and |q| passes
+    # 1e100 on row 552, inside the second hold block.  The block must hand
+    # that row back to the scalar loop, which raises there, with the same
+    # rows written as the scalar-only loop.
+    traces = []
+    allocate = SimulationTrace.preallocate
+
+    def marked(n_rows, system="full"):
+        trace = allocate(n_rows, system)
+        for column in TRACE_COLUMNS[:-1]:
+            trace.column(column)[:] = np.nan
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(SimulationTrace, "preallocate", marked)
+    sc = replace(
+        siv_scenario,
+        t_final=0.1,
+        gain=GainMatrix(rows=((0.0, -1.7e-50, 0.0), (0.0, 0.0, 0.0))),
+        initial=VehicleState(-1e50, 5.0, 0.0),
+    )
+    first_blocks = hold._SCALAR_HOLD + hold._FIRST_BLOCK
+    failed_at = []
+    for scalar_hold in (hold._SCALAR_HOLD, 10**9):
+        monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as info:
+                run_simulation(sc)
+        failed_at.append(info.value.t)
+    blocked, scalar = traces
+    written = np.count_nonzero(~np.isnan(scalar.t))
+    assert first_blocks + 1 < written < first_blocks + 2 * hold._FIRST_BLOCK
+    assert np.count_nonzero(scalar.event) == 1
+    assert failed_at[0] == failed_at[1] == written * sc.dt
+    assert np.all(np.abs(scalar.q[:written]) <= 1e100)
+    for column in TRACE_COLUMNS:
+        assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column
+
+
+@pytest.mark.parametrize("mode, period", [("continuous-control", None), ("sampled-data", 0.01)])
+def test_sample_clocks_never_enter_hold_blocks(monkeypatch, siv_scenario, mode, period):
+    # paper_siv under a 10 ms clock holds for 100 steps at a time; with
+    # _SCALAR_HOLD = 0 any hold would reach the runner.  The full loop is
+    # the control that shows the stand-in is reachable.
+    def refuse(*args):
+        raise AssertionError("entered the hold-block runner")
+
+    monkeypatch.setattr(hold, "_SCALAR_HOLD", 0)
+    monkeypatch.setattr(hold, "run_blocks", refuse)
+    run_simulation(replace(siv_scenario, mode=mode, sample_period=period, t_final=0.5))
+    with pytest.raises(AssertionError, match="hold-block runner"):
+        run_simulation(replace(siv_scenario, t_final=0.5))

@@ -16,9 +16,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from etseek import hold
 from etseek.average import build_average_matrices
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
@@ -191,11 +192,18 @@ modes = st.one_of(
     mode=modes,
     t_final=st.floats(min_value=1e-3, max_value=0.05),
 )
+# Holds of 1 to 27 steps, so blocks hand back at firing rows.
+@example(name="smallgain.cfg", dx=0.0, dy=0.0, dth=0.0, mode=("full", None), t_final=0.05)
 def test_inlined_loop_matches_reference(name, dx, dy, dth, mode, t_final):
     sc = jittered(
         SCENARIOS[name], dx, dy, dth, mode=mode[0], sample_period=mode[1], t_final=t_final
     )
-    trace, metrics = run_simulation(sc)
+    # Short hold-block thresholds put these runs' holds into blocks of
+    # doubling width, with hand-backs at firing rows and at the horizon.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hold, "_SCALAR_HOLD", 2)
+        patch.setattr(hold, "_FIRST_BLOCK", 4)
+        trace, metrics = run_simulation(sc)
     ref, log = reference_run_full(sc)
     assert_bit_equal(trace, ref, log)
     assert metrics.num_events == len(log)
