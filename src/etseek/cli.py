@@ -3,7 +3,8 @@
 Verbs: ``simulate`` (full plant), ``average`` (averaged loop),
 ``compare`` (averaging-error scaling across probing frequencies),
 ``verify`` (theory report), ``bessel`` (debug utility).  Exit codes:
-0 success, 1 validation error, 2 numerical failure (non-finite state).
+0 success, 1 validation error or a file that cannot be read or written,
+2 numerical failure (non-finite state).
 """
 
 from __future__ import annotations
@@ -142,8 +143,7 @@ def main(argv=None) -> int:
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, FileNotFoundError, ValueError, OverflowError,
-            MemoryError) as exc:
+    except (ScenarioError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -200,3 +200,12 @@ def test_huge_initial_state_is_a_numerical_failure(tmp_path, verb, x0):
     proc = run_cli(verb, "--config", str(cfg), "--t-final", "5")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("numerical failure: state became non-finite at t = 0.000000 s")
+
+
+@pytest.mark.parametrize(("flag", "what"), [("--out", "trace"), ("--metrics", "metrics")])
+def test_unwritable_output_is_a_clean_error(tmp_path, flag, what):
+    # A directory cannot be opened as a file: IsADirectoryError, an OSError.
+    stderr = assert_clean_validation_error(
+        "simulate", "--config", "smallgain.cfg", "--t-final", "0.01", flag, str(tmp_path)
+    )
+    assert stderr.startswith(f"error: cannot write {what} to {tmp_path}")

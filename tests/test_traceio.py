@@ -1,9 +1,15 @@
+import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etseek import traceio
+from etseek.config import load_scenario
 from etseek.engine import run_simulation
 from etseek.trace import TRACE_COLUMNS, RunMetrics, SimulationTrace
 from etseek.traceio import CSV_HEADER, export_metrics, export_trace, import_trace
@@ -71,8 +77,8 @@ def test_single_row_full_precision(tmp_path):
 
 
 def test_held_columns_format_like_the_rest(tmp_path):
-    # u1 is made of constant runs, so its text is formatted once per run;
-    # runs are split on bit patterns, which keeps 0.0 and -0.0 apart.
+    # u1 is made of constant runs of values that take the fallback path
+    # (signed zeros, nan, inf) and of values that the kernel formats.
     u1 = np.repeat([0.0, -0.0, 0.1 + 0.2, float("nan"), float("inf"), -1.0 / 3.0], 8)
     rng = np.random.default_rng(7)
     trace = SimulationTrace.preallocate(len(u1))
@@ -134,3 +140,146 @@ def test_metrics_none_below_two_events():
     payload = m.as_dict()
     assert payload["min_inter_event"] is None
     assert payload["mean_inter_event"] is None
+
+
+#: sha256 of the CSV of 2 s runs, written by the row-at-a-time ``'%.17g'``
+#: exporter that the vectorized kernel replaced.
+GOLDEN_CSV = {
+    ("paper_siv.cfg", "full"): "eb85a99bcc40baace70f21615e297f8b05b720d9d40eb71db4c3870b76ef450f",
+    ("smallgain.cfg", "full"): "7c155d4e5b7d37c228df59c5f1835a6116abda040f48c1f97e516deb3a47473c",
+    ("smallgain.cfg", "average"): "8ddc8420a69bde72854d21e9837cbe63e32e9a236d2a2b4811d29fd3b1bc492c",
+}
+
+
+@pytest.mark.parametrize(("name", "mode"), list(GOLDEN_CSV))
+def test_csv_bytes_are_pinned(tmp_path, name, mode):
+    sc = replace(load_scenario(name), t_final=2.0, mode=mode, sample_period=None)
+    trace, _ = run_simulation(sc)
+    path = tmp_path / "trace.csv"
+    export_trace(trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV[(name, mode)]
+
+
+def kernel_texts(values) -> list[str]:
+    """The exporter's text of each value, one value per row."""
+    v = np.asarray(values, dtype=np.float64)
+    csv = traceio._encode_rows(v.reshape(-1, 1), [b"\n"], np.zeros(v.shape[0], np.int64))
+    return [line[:-1] for line in csv.tobytes().decode().split("\n")[:-1]]
+
+
+def percent_texts(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _edge_values() -> list[float]:
+    values = [0.0, float("nan"), float("inf"), 5e-324, 2.2250738585072009e-308,
+              2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+              100.0, 0.5, 0.001, 123.0, 0.1 + 0.2, 1.0 / 3.0,
+              # exact ties of the 17th digit: to even, down and up
+              12345678901234.0625, 12345678901234.1875]
+    for edge in (1e-4, 1e14):
+        values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    for e in range(-6, 18):
+        p = float(f"1e{e}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    return values + [-v for v in values]
+
+
+def test_kernel_edge_values_match_percent_format():
+    values = _edge_values()
+    assert kernel_texts(values) == percent_texts(values)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_kernel_rejects_a_misjudged_exponent(monkeypatch, off):
+    # Every value the kernel would accept gets a k that is one off, so all
+    # of them must fall back to the scalar path and still be exact.
+    exact = traceio._decimal_exponent
+    monkeypatch.setattr(traceio, "_decimal_exponent", lambda a: exact(a) + off)
+    values = _edge_values() + [0.1 + 0.2, -4.3822, 12345.678, 9.999e-5, 7.5e13]
+    assert kernel_texts(values) == percent_texts(values)
+
+
+def test_kernel_matches_percent_format_on_a_seeded_sweep():
+    rng = np.random.default_rng(20)
+    n = 100_000
+    log_uniform = 10.0 ** rng.uniform(-5.0, 15.0, n) * rng.choice([-1.0, 1.0], n)
+    scale = 10.0 ** rng.integers(0, 9, n)  # few digits: many trailing zeros
+    rounded = np.rint(rng.uniform(-1e6, 1e6, n) * scale) / scale
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    for values in (log_uniform, rounded, bits):
+        assert kernel_texts(values) == percent_texts(values)
+
+
+# Exponent fields of doubles from 2**-14 to 2**47, a superset of the
+# kernel's 1e-4 <= |v| < 1e14.
+_WINDOW = st.tuples(st.integers(0, 1), st.integers(1023 - 14, 1023 + 47), st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_kernel_matches_percent_format_on_any_bits(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert kernel_texts(values) == percent_texts(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WINDOW, min_size=1, max_size=64))
+def test_kernel_matches_percent_format_in_its_window(fields):
+    bits = [(sign << 63) | (exponent << 52) | mantissa for sign, exponent, mantissa in fields]
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert kernel_texts(values) == percent_texts(values)
+
+
+def test_export_memory_is_bounded(tmp_path, siv_scenario):
+    # The 4 s paper_siv trace of the I/O benchmark; the exporter encodes
+    # 1024 rows at a time, so its peak does not grow with the trace.
+    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
+    assert len(trace) == 40_001
+    tracemalloc.start()
+    try:
+        export_trace(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
+def _one_row_csv(tmp_path, header, tail):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n" + ",".join(["0.5"] * 14) + "," + tail + "\n")
+    return path
+
+
+@pytest.mark.parametrize("event", ["nan", "0.7", "2", "-1", "inf"])
+def test_import_rejects_event_values_other_than_0_and_1(tmp_path, event):
+    path = _one_row_csv(tmp_path, CSV_HEADER, event)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            import_trace(path)
+
+
+@pytest.mark.parametrize(
+    ("header", "tail"),
+    [(CSV_HEADER, "1,average"), (CSV_HEADER + ",system", "1")],
+    ids=["marker-under-plain-header", "marker-missing"],
+)
+def test_import_rejects_a_marker_that_does_not_match_the_header(tmp_path, header, tail):
+    with pytest.raises(ValueError, match="does not match its header"):
+        import_trace(_one_row_csv(tmp_path, header, tail))
+
+
+def test_event_and_marker_text_per_row(tmp_path):
+    # One tail text per distinct event value; values of any width and sign.
+    trace = SimulationTrace.preallocate(2500, system="average")
+    for name in TRACE_COLUMNS[:-1]:
+        trace.column(name)[:] = 0.25
+    trace.event[:] = np.resize([0, 1, 12, -3, 1, 1, 0], 2500)
+    path = tmp_path / "events.csv"
+    export_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER + ",system"
+    assert [line.split(",", 14)[14] for line in lines[1:]] == [
+        f"{e},average" for e in trace.event.tolist()
+    ]
