@@ -8,15 +8,17 @@ where A, B and the constant disturbance delta_bar come from averaging the
 dithered plant over one probing period (the 1/omega3 factor of the
 rescaled-time formulation is absorbed by simulating in t).  The averaged
 loop is one flat loop over local floats, like the full plant's, and applies
-the same event rule and zero-order hold to the averaged signals.  The
-composable functions of :mod:`etseek.trigger` are its tested reference.
+the same event rule and zero-order hold to the averaged signals: it fires
+on the Xi it records, at t = 0 and then wherever Xi < 0.
 
 Between events the latched G, u and c are constant, and ``paper_siv``
 holds from its second event (at 0.095 s) to the horizon.  Long holds go
 to the hold-block runner of :mod:`etseek.hold`, which both loops share;
 this module supplies the fold, in which G3 moves by a fixed step and G1
-and G2 are left folds of the scalar loop's RK4 increments.  The closed-form
-G(t) of a hold would not be bit-identical to stepping.
+and G2 are left folds of the scalar loop's RK4 increments.  The fold
+returns the rows' states and trace columns; the runner hands back at the
+first row whose recorded Xi fires.  The closed-form G(t) of a hold would
+not be bit-identical to stepping.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from etseek import hold
 from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
-from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
+from etseek.trace import Q_LIMIT, TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState, estimator_pose
 
@@ -43,13 +45,12 @@ class AverageModel:
 
     a is 3x3 with nonzero entries only in rows 1-2 of column 3; b has
     first column (b11, b21, 0) and second column (0, 0, 1); delta_bar is
-    (d, -d, 0).  period is the probing period 2*pi/omega3.
+    (d, -d, 0).
     """
 
     a: np.ndarray
     b: np.ndarray
     delta_bar: np.ndarray
-    period: float
 
 
 def build_average_matrices(theta_star: float, d: DitherParams) -> AverageModel:
@@ -67,14 +68,7 @@ def build_average_matrices(theta_star: float, d: DitherParams) -> AverageModel:
     b[1, 0] = 0.5 - _SQRT2_2 * plus * j0
     b[2, 1] = 1.0
     delta_bar = np.array([scale * minus, -scale * minus, 0.0])
-    return AverageModel(a=a, b=b, delta_bar=delta_bar, period=d.period)
-
-
-def delta_bar_norm_bound(model: AverageModel, d: DitherParams) -> tuple[float, float]:
-    """(||delta_bar||, a1*omega3*|J_2(a3)|); the bound always dominates."""
-    norm = float(np.linalg.norm(model.delta_bar))
-    bound = d.a1 * d.omega3 * abs(bessel_j(2, d.a3))
-    return norm, bound
+    return AverageModel(a=a, b=b, delta_bar=delta_bar)
 
 
 def initial_error(
@@ -97,11 +91,11 @@ def run_average_loop(
     """Integrate the averaged loop under the average static trigger.
 
     Events fire on the full plant's rule: t = 0, then every grid point
-    where Xi < 0.  Between events the control is held, so the flow is
-    dG/dt = A G + c with c = -B K G(t_k) + delta_bar; RK4 on the uniform
-    grid keeps the trace aligned with full-plant runs.  The
-    pose columns of the returned trace are the source location offset by
-    G_av (the averaged estimate equals the averaged error).
+    where the recorded Xi is negative.  Between events the control is
+    held, so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar;
+    RK4 on the uniform grid keeps the trace aligned with full-plant runs.
+    The pose columns of the returned trace are the source location offset
+    by G_av (the averaged estimate equals the averaged error).
     """
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
@@ -117,7 +111,7 @@ def run_average_loop(
     trace = SimulationTrace.preallocate(n + 1, system="average")
     half = 0.5 * dt
     sixth = dt / 6.0
-    sqrt, isfinite = math.sqrt, math.isfinite
+    sqrt, isfinite, q_limit = math.sqrt, math.isfinite, Q_LIMIT
     col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
         col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
     g1, g2, g3 = (float(v) for v in g0)
@@ -134,23 +128,14 @@ def run_average_loop(
             t = i * dt
             sq = g1 * g1 + g2 * g2 + g3 * g3
             q = q_star - 0.5 * sq
-            if not isfinite(q) or abs(q) > 1e100:
+            if not isfinite(q) or abs(q) > q_limit:
                 raise NonFiniteStateError(t)
-            try:
-                e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
-                # The decision squares with ** 2 like trigger_value, the
-                # recorded Xi below with g * g.  On glibc 2.36, pow(x, 2) and
-                # x * x differ in the last bit for about 0.08% of doubles, so
-                # they stay apart (and hold blocks square with np.float_power,
-                # which is pow as well).
-                fired = i < n and (
-                    i == 0
-                    or sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias) < 0.0
-                )
-            except OverflowError:
-                raise NonFiniteStateError(t) from None
+            # Past that check |G| and the latched H stay below
+            # sqrt(2 * (|q_star| + q_limit)), so no square overflows unless
+            # |q_star| exceeds about 2e307.
+            e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
             xi = sigma * sqrt(sq) - alpha * (e_norm + bias)
-            if fired:
+            if i < n and (i == 0 or xi < 0.0):
                 h1, h2, h3 = g1, g2, g3
                 u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
                 u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
@@ -211,16 +196,15 @@ def _hold_block(consts, held, t, g):
     gs1 = _fold(g1, a13, c1, b3, mid3, end3, sixth)
     gs2 = _fold(g2, a23, c2, b3, mid3, end3, sixth)
     b1, b2 = gs1[:-1], gs2[:-1]
-    floor = alpha * (np.sqrt(square(h1 - b1) + square(h2 - b2) + square(h3 - b3)) + bias)
-    decision = sigma * np.sqrt(square(b1) + square(b2) + square(b3)) - floor
+    e_norm = np.sqrt(square(h1 - b1) + square(h2 - b2) + square(h3 - b3))
     sq = b1 * b1 + b2 * b2 + b3 * b3
     x, y, th = x_star + b1, y_star + b2, theta_star + b3
     columns = {
         "x": x, "y": y, "theta": th, "xhat": x, "yhat": y, "thetahat": th,
         "q": q_star - 0.5 * sq, "g1": b1, "g2": b2, "g3": b3, "u1": u1, "u2": u2,
-        "xi": sigma * np.sqrt(sq) - floor,
+        "xi": sigma * np.sqrt(sq) - alpha * (e_norm + bias),
     }
-    return (gs1, gs2, gs3), columns, decision
+    return (gs1, gs2, gs3), columns
 
 
 def _fold(g, a, c, g3, mid3, end3, sixth):

@@ -1,14 +1,13 @@
-"""Bessel functions of the first kind, J_m, via two independent routes.
+"""Bessel functions of the first kind, J_m, by their power series.
 
 The averaged loop matrices and the trigger bias need J_0 and J_2 at the
-angular dither amplitude (arguments well below 1 in practice).  The power
-series is the production route; a composite-Simpson evaluation of the
-integral representation
+angular dither amplitude (arguments well below 1 in practice).  The tests
+check the series against an independent composite-Simpson evaluation of
+the integral representation
 
     J_m(x) = (1/pi) * integral_0^pi cos(x sin(tau) - m tau) dtau
 
-is kept as an independent cross-check so that neither route has to be
-trusted on its own.
+so that neither route has to be trusted on its own.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ import math
 # Power series terms are capped far beyond what |x| <= 10 needs; the loop
 # normally exits on the magnitude test after ~20 terms for |x| <= 1.
 _MAX_SERIES_TERMS = 200
-
-# Panel count for the Simpson rule.  2048 panels already meet the 1e-10
-# route-agreement budget for |x| <= 5, m <= 4; 8192 gives margin.
-_QUADRATURE_PANELS = 8192
 
 # The series starts from (x/2)^m / m!, and 171! no longer converts to a
 # float; rejecting larger orders up front also keeps math.factorial from
@@ -56,21 +51,3 @@ def bessel_j(order: int, x: float) -> float:
         if abs(term) <= 1e-18 * max(1.0, abs(total)):
             break
     return total
-
-
-def bessel_j_quadrature(order: int, x: float) -> float:
-    """J_order(x) by composite Simpson on the integral representation.
-
-    Fixed, deterministic panel count; exists solely as an independent
-    oracle for :func:`bessel_j`.
-    """
-    _check_args(order, x)
-    m = int(order)
-    n = _QUADRATURE_PANELS
-    h = math.pi / n
-    acc = math.cos(x * math.sin(0.0)) + math.cos(x * math.sin(math.pi) - m * math.pi)
-    for i in range(1, n):
-        tau = i * h
-        weight = 4.0 if i % 2 == 1 else 2.0
-        acc += weight * math.cos(x * math.sin(tau) - m * tau)
-    return acc * h / (3.0 * math.pi)

@@ -38,7 +38,7 @@ from etseek.analysis import dwell_time_bound
 from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
 from etseek.trace import (
-    TRACE_COLUMNS, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats,
+    Q_LIMIT, TRACE_COLUMNS, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats,
 )
 
 # The building blocks the inlined loop expands, importable from here as its
@@ -157,7 +157,7 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
     m3 = -(4.0 / d.a3) if d.a3 > 0.0 else 0.0
     half = 0.5 * dt
     sixth = dt / 6.0
-    sin, cos, sqrt, isfinite = math.sin, math.cos, math.sqrt, math.isfinite
+    sin, cos, sqrt, isfinite, q_limit = math.sin, math.cos, math.sqrt, math.isfinite, Q_LIMIT
     col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
         col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
     x, y, th = sc.initial.x, sc.initial.y, sc.initial.theta
@@ -182,7 +182,7 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
                 # squaring a huge-but-finite coordinate overflows before the
                 # state itself turns inf/nan; same diagnosis either way
                 raise NonFiniteStateError(t) from None
-            if not isfinite(q) or abs(q) > 1e100:
+            if not isfinite(q) or abs(q) > q_limit:
                 # a non-finite pose makes q non-finite; beyond any physically
                 # meaningful signal level the downstream norms would overflow
                 raise NonFiniteStateError(t)
@@ -300,7 +300,7 @@ def _hold_block(consts, held, t, pose):
         "xhat": x - ha1 * s1, "yhat": y + ha2 * c2, "thetahat": th - ha3 * s3,
         "q": q, "g1": g1, "g2": g2, "g3": g3, "u1": u1, "u2": u2, "xi": xi,
     }
-    return (xs, ys, ths), columns, xi
+    return (xs, ys, ths), columns
 
 
 def _hold_poses(t, pose, w1, w2, w3, aw1, aw2, aw3, u1, u2, half, sixth, dt):

@@ -6,23 +6,25 @@ the full loop, and for its last 59.9 s in the averaged loop).  Once a hold
 has lasted ``_SCALAR_HOLD`` steps, the event-triggered loops hand its
 rows to :func:`run_blocks`, which computes them in blocks of doubling
 width and hands back to the scalar loop at the first row that fires.
+Both loops fire on the Xi they record, so the runner reads that rule off
+the block's ``xi`` column.
 
 Each loop supplies its fold: its scalar step's arithmetic done
 elementwise over a block.  A running state is a left fold
 (``np.add.accumulate``) of the same increments, so it equals ``+=``;
-every ``** 2`` is ``np.float_power``, libm ``pow`` like Python's; sin
-and cos are numpy's, which must give ``math``'s bits (numpy does not
-promise it, so a test checks it).  The trace is therefore bit-identical
-to stepping.  A block also hands back the first row whose q fails the
-loops' finiteness check, so both paths raise
-:class:`~etseek.trace.NonFiniteStateError` at the same row.
+every ``** 2`` is ``np.float_power``, libm ``pow`` like Python's, and
+every ``g * g`` stays a product; sin and cos are numpy's, which must
+give ``math``'s bits (numpy does not promise it, so a test checks it).
+The trace is therefore bit-identical to stepping.  A block also hands
+back the first row whose q fails the loops' finiteness check, so both
+paths raise :class:`~etseek.trace.NonFiniteStateError` at the same row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from etseek.trace import SimulationTrace
+from etseek.trace import Q_LIMIT, SimulationTrace
 
 # Hold blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK (about
 # 1 MB of temporaries).  A first block costs about as much as 40 (averaged)
@@ -37,16 +39,14 @@ def run_blocks(trace: SimulationTrace, start: int, dt: float, fold, state: tuple
     """Fill the rows of a hold from row ``start`` on, block by block.
 
     ``fold(t, state)`` computes one block from the times ``t`` of its rows
-    and the running state at its first row.  It returns the running state
-    at each row and one row past the block, the block's trace columns by
-    name (a float for a held column), and each row's firing decision,
-    which fires below 0.
+    and the running state at its first row.  It returns ``(states,
+    columns)``: the running state at each row and one row past the block,
+    and the block's trace columns by name (a float for a held column).
 
     Returns None once the hold reaches the trace's last row.  Otherwise
-    returns the first row that fires (its decision is negative or not
-    finite) or
-    fails (|q| > 1e100 or NaN), where the scalar loop resumes, and the
-    running state there.
+    returns the first row that fires (its ``xi`` is negative or not
+    finite) or fails (its ``|q|`` exceeds ``Q_LIMIT`` or is NaN), where
+    the scalar loop resumes, and the running state there.
     """
     n = len(trace) - 1
     width = _FIRST_BLOCK
@@ -54,8 +54,9 @@ def run_blocks(trace: SimulationTrace, start: int, dt: float, fold, state: tuple
         while True:
             rows = min(width, n + 1 - start)
             t = np.arange(start, start + rows) * dt
-            states, columns, decision = fold(t, state)
-            held = np.isfinite(decision) & (decision >= 0.0) & (np.abs(columns["q"]) <= 1e100)
+            states, columns = fold(t, state)
+            xi = columns["xi"]
+            held = np.isfinite(xi) & (xi >= 0.0) & (np.abs(columns["q"]) <= Q_LIMIT)
             k = rows if held.all() else int(held.argmin())
             stop = start + k
             trace.t[start:stop] = t[:k]

@@ -1,4 +1,10 @@
-"""Time-indexed run records and summary metrics."""
+"""Time-indexed run records and summary metrics.
+
+A trace row's ``xi`` is the trigger value Xi at that row.  The
+event-triggered modes (``full`` and ``average``) fire on exactly that
+value: a row is an event when it is row 0, or when it is not the last
+row and its ``xi`` is negative.
+"""
 
 from __future__ import annotations
 
@@ -31,11 +37,16 @@ TRACE_COLUMNS = (
 MAX_STEPS = 10_000_000
 
 
+#: Largest |q| a run may reach.  Beyond it the downstream norms would
+#: overflow, so both loops treat it like a non-finite state.
+Q_LIMIT = 1e100
+
+
 class NonFiniteStateError(RuntimeError):
     """A run's state became non-finite; carries the failure time.
 
     Both loops raise it at the first row whose signal q is non-finite or
-    exceeds 1e100 in magnitude, or whose squares overflow.
+    exceeds :data:`Q_LIMIT` in magnitude, or whose squares overflow.
     """
 
     def __init__(self, t: float):

@@ -164,35 +164,53 @@ def export_trace(trace: SimulationTrace, path: str | Path) -> None:
 def import_trace(path: str | Path) -> SimulationTrace:
     """Re-parse an exported trace; its event log is the event-flagged rows.
 
-    Raises ValueError for an unknown header, a first data row whose
-    ``system`` marker does not match the header, or an ``event`` value
-    other than 0 or 1.
+    Raises ValueError for an unknown header, a data row whose ``system``
+    marker does not match the header or the first row's, or an ``event``
+    value other than 0 or 1.
     """
     path = Path(path)
+    width = len(TRACE_COLUMNS)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             header = handle.readline().rstrip("\n")
             if header not in (CSV_HEADER, CSV_HEADER + ",system"):
                 raise ValueError(f"unexpected trace header in {path}: {header!r}")
+            marked = header != CSV_HEADER
             first = next((line for line in handle if line.strip()), "")
+            fields = first.rstrip("\n").split(",")
+            system = fields[width] if len(fields) > width else "full"
+            if first and (len(fields) > width) != marked:
+                raise ValueError(
+                    f"data row 1 of {path} does not match its header "
+                    f"({'missing' if marked else 'unexpected'} system marker)"
+                )
+            data = np.empty((0, width + marked))
             if first:
                 handle.seek(0)
-                data = np.loadtxt(
-                    handle, delimiter=",", skiprows=1, usecols=range(len(TRACE_COLUMNS)),
-                    ndmin=2, comments=None,
-                )
-            else:
-                data = np.empty((0, len(TRACE_COLUMNS)))
+                # Without usecols, loadtxt refuses a row whose field count
+                # differs from the first row's; each marker reads as 1.0
+                # where it equals the first row's.
+                try:
+                    data = np.loadtxt(
+                        handle, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                        converters={width: system.__eq__} if marked else None,
+                    )
+                except ValueError as exc:
+                    if "number of columns changed" not in str(exc):
+                        raise
+                    changed = str(exc).split(";")[0]
+                    raise ValueError(
+                        f"a data row of {path} does not match its header: {changed}"
+                    ) from None
     except OSError as exc:
         raise OSError(f"cannot read trace from {path}: {exc}") from exc
-    parts = first.rstrip("\n").split(",")
-    marked = len(parts) > len(TRACE_COLUMNS)
-    if first and marked != (header != CSV_HEADER):
+    if marked and not data[:, width].all():
+        row = int(data[:, width].argmin()) + 1
         raise ValueError(
-            f"first data row of {path} does not match its header "
-            f"({'unexpected' if marked else 'missing'} system marker)"
+            f"data row {row} of {path} does not match its header "
+            f"(system marker differs from row 1's {system!r})"
         )
-    event = data[:, -1]
+    event = data[:, width - 1]
     bad = np.flatnonzero((event != 0.0) & (event != 1.0))
     if bad.size:
         raise ValueError(
@@ -200,7 +218,7 @@ def import_trace(path: str | Path) -> SimulationTrace:
         )
     columns = {name: data[:, j] for j, name in enumerate(TRACE_COLUMNS)}
     columns["event"] = event.astype(np.int64)
-    return SimulationTrace(system=parts[len(TRACE_COLUMNS)] if marked else "full", **columns)
+    return SimulationTrace(system=system, **columns)
 
 
 def export_metrics(metrics: RunMetrics | dict, path: str | Path) -> None:

@@ -10,11 +10,14 @@ of the averaged disturbance.  Between events the control is held
 constant; t = 0 is always an event.
 
 The full-plant and averaged loops inline this rule over local floats as
-``i == 0 or xi < 0.0`` on grid row i, and read their event log off the
-trace's event-flagged rows.  :class:`TriggerState`, :func:`step_trigger`
-and :class:`TriggerEvent` are the composable form of the same rule: no
-production loop calls them, and the tests check both loops against them
-bit for bit.
+``i == 0 or xi < 0.0`` on grid row i: each fires on the Xi it records in
+the trace, and reads its event log off the trace's event-flagged rows.
+:class:`TriggerState`, :func:`step_trigger` and :class:`TriggerEvent` are
+the composable form of the same rule, which no production loop calls.
+The tests check the full loop against :func:`step_trigger` bit for bit.
+The averaged loop's Xi squares G with ``g * g`` where
+:func:`trigger_value` uses ``** 2``, so its reference fires on the Xi it
+records and latches with :func:`control_input`.
 """
 
 from __future__ import annotations

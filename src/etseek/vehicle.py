@@ -69,11 +69,6 @@ class DitherParams:
                         f"2*omega3 = {target}; set frequency_override to relax"
                     )
 
-    @property
-    def period(self) -> float:
-        """Dither period 2*pi/omega3 of the rescaled time axis."""
-        return 2.0 * math.pi / self.omega3
-
 
 def dither_velocities(
     d: DitherParams, t: float, theta: float, u: tuple[float, float]

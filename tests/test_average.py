@@ -8,12 +8,7 @@ import pytest
 
 from etseek import hold
 from etseek.analysis import alpha_lower_bound, solve_lyapunov
-from etseek.average import (
-    AverageModel,
-    build_average_matrices,
-    delta_bar_norm_bound,
-    run_average_loop,
-)
+from etseek.average import AverageModel, build_average_matrices, run_average_loop
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
 from etseek.field import QuadraticField
@@ -21,7 +16,7 @@ from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
 from etseek.trigger import TriggerConstants, trigger_floor
 from etseek.vehicle import DitherParams
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
-from tests.reference import average_derivative
+from tests.reference import average_derivative, delta_bar_norm_bound
 
 # Source at the origin: the pose columns then carry the averaged error itself.
 ORIGIN = QuadraticField(0.0, 0.0, 0.0, 0.0)
@@ -51,7 +46,6 @@ class TestBuildAverageMatrices:
         assert model.delta_bar[0] == pytest.approx(SIV_A23, abs=1e-12)
         assert model.delta_bar[1] == pytest.approx(-SIV_A23, abs=1e-12)
         assert model.delta_bar[2] == 0.0
-        assert model.period == pytest.approx(2.0 * math.pi / 20.0, abs=1e-15)
 
     def test_zero_forward_amplitude_kills_bias(self):
         d = DitherParams(0.0, 0.5, 0.5, 4.0, 4.0, 2.0)
@@ -124,9 +118,7 @@ class TestAverageDerivative:
 
     def test_linear_part_without_bias(self):
         model, _ = siv_model()
-        no_bias = AverageModel(
-            a=model.a, b=model.b, delta_bar=np.zeros(3), period=model.period
-        )
+        no_bias = AverageModel(a=model.a, b=model.b, delta_bar=np.zeros(3))
         k = np.asarray(PAPER_SIV_GAIN.rows)
         g = np.array([0.4, -0.2, 0.9])
         out = average_derivative(g, np.zeros(3), no_bias, PAPER_SIV_GAIN)
@@ -145,9 +137,7 @@ class TestAverageDerivative:
 class TestRunAverageLoop:
     def test_equilibrium_at_origin(self):
         model, _ = siv_model()
-        no_bias = AverageModel(
-            a=model.a, b=model.b, delta_bar=np.zeros(3), period=model.period
-        )
+        no_bias = AverageModel(a=model.a, b=model.b, delta_bar=np.zeros(3))
         c = TriggerConstants(0.5, 0.195, 0.0)
         trace = run_average_loop(
             no_bias, PAPER_SIV_GAIN, c, (0.0, 0.0, 0.0), 1e-3, 0.5, ORIGIN
@@ -164,9 +154,7 @@ class TestRunAverageLoop:
         # run inside the floor ball of radius 2*(alpha/sigma)*bias = 780,
         # where Xi < 0 at every step, so the control is updated every step.
         model, _ = siv_model()
-        no_bias = AverageModel(
-            a=model.a, b=model.b, delta_bar=np.zeros(3), period=model.period
-        )
+        no_bias = AverageModel(a=model.a, b=model.b, delta_bar=np.zeros(3))
         c = TriggerConstants(0.5, 0.195, 1e3)
         trace = run_average_loop(
             no_bias, PAPER_SIV_GAIN, c, (1.0, -0.5, 0.3), 1e-3, 12.0, ORIGIN
@@ -308,9 +296,10 @@ def test_hold_blocks_of_any_width_match_default(monkeypatch, name, scalar_hold, 
 
 
 def test_float_power_squares_like_python():
-    # Both loops square with ** 2 in q, e_norm and the firing decision, which
-    # is libm pow(x, 2.0); x * x is the correctly rounded square and differs
-    # in the last bit for a fraction of doubles.  Hold blocks square with
+    # The full loop squares with ** 2 in q, e_norm and Xi; the averaged loop
+    # only in e_norm (its q and Xi square G with g * g).  ** 2 is libm
+    # pow(x, 2.0); x * x is the correctly rounded square and differs in the
+    # last bit for a fraction of doubles.  Hold blocks square with
     # np.float_power(x, 2.0), so it must give pow's bits, including where
     # x * x does not.
     rng = np.random.default_rng(20261018)

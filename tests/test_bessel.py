@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from etseek.bessel import bessel_j, bessel_j_quadrature
+from etseek.bessel import bessel_j
+from tests.reference import bessel_j_quadrature
 
 # Reference values frozen from an independent power-series evaluation
 # (cross-checked against scipy.special.jv to 1e-15).

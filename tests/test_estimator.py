@@ -62,7 +62,7 @@ def test_one_period_average_recovers_error():
     field = QuadraticField(1.0, -2.0, 0.3, 5.0)
     d = DitherParams(0.2, 0.2, 0.04, 20.0, 20.0, 10.0)
     err = (0.05, -0.06, 0.08)
-    period = d.period
+    period = 2.0 * math.pi / d.omega3
     n = 4000  # even panel count for composite Simpson
     h = period / n
     acc = [0.0, 0.0, 0.0]

@@ -245,15 +245,15 @@ def test_export_memory_is_bounded(tmp_path, siv_scenario):
     assert peak < 3.5e6
 
 
-def _one_row_csv(tmp_path, header, tail):
+def _csv(tmp_path, header, *tails):
     path = tmp_path / "bad.csv"
-    path.write_text(header + "\n" + ",".join(["0.5"] * 14) + "," + tail + "\n")
+    path.write_text(header + "\n" + "".join(",".join(["0.5"] * 14) + "," + tail + "\n" for tail in tails))
     return path
 
 
 @pytest.mark.parametrize("event", ["nan", "0.7", "2", "-1", "inf"])
 def test_import_rejects_event_values_other_than_0_and_1(tmp_path, event):
-    path = _one_row_csv(tmp_path, CSV_HEADER, event)
+    path = _csv(tmp_path, CSV_HEADER, event)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be 0 or 1"):
@@ -261,13 +261,25 @@ def test_import_rejects_event_values_other_than_0_and_1(tmp_path, event):
 
 
 @pytest.mark.parametrize(
-    ("header", "tail"),
-    [(CSV_HEADER, "1,average"), (CSV_HEADER + ",system", "1")],
-    ids=["marker-under-plain-header", "marker-missing"],
+    ("header", "tails"),
+    [
+        (CSV_HEADER, ["1,average"]),
+        (CSV_HEADER + ",system", ["1"]),
+        (CSV_HEADER, ["1", "0,average"]),
+        (CSV_HEADER + ",system", ["1,average", "0"]),
+        (CSV_HEADER + ",system", ["1,average", "0,full"]),
+    ],
+    ids=[
+        "marker-under-plain-header",
+        "marker-missing",
+        "row-2-marker-under-plain-header",
+        "row-2-marker-missing",
+        "row-2-marker-differs",
+    ],
 )
-def test_import_rejects_a_marker_that_does_not_match_the_header(tmp_path, header, tail):
+def test_import_rejects_a_marker_that_does_not_match_the_header(tmp_path, header, tails):
     with pytest.raises(ValueError, match="does not match its header"):
-        import_trace(_one_row_csv(tmp_path, header, tail))
+        import_trace(_csv(tmp_path, header, *tails))
 
 
 def test_event_and_marker_text_per_row(tmp_path):

@@ -1,7 +1,14 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etseek import hold
+from etseek.config import load_scenario, scale_probing_frequency
+from etseek.engine import run_simulation
 from etseek.trigger import (
     GainMatrix,
     TriggerConstants,
@@ -12,6 +19,7 @@ from etseek.trigger import (
     trigger_floor,
     trigger_value,
 )
+from etseek.vehicle import VehicleState
 from tests.conftest import PAPER_SIV_GAIN
 
 SIV_BIAS = 0.3060402345868264
@@ -153,3 +161,49 @@ def test_gain_matrix_validation():
         GainMatrix(rows=((1.0, 2.0), (3.0, 4.0)))
     with pytest.raises(ValueError):
         GainMatrix(rows=((1.0, 2.0, math.nan), (3.0, 4.0, 5.0)))
+
+
+# paper_siv holds after its second event, smallgain fires on every step,
+# and smallgain at omega3 = 40 mixes runs of events with long holds.
+SMALLGAIN = load_scenario("smallgain.cfg")
+INVARIANT_SCENARIOS = {
+    "paper_siv": load_scenario("paper_siv.cfg"),
+    "smallgain": SMALLGAIN,
+    "smallgain@40": scale_probing_frequency(SMALLGAIN, 2.0),
+}
+jitter = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+@settings(deadline=None, database=None, max_examples=30)
+@given(
+    name=st.sampled_from(sorted(INVARIANT_SCENARIOS)),
+    mode=st.sampled_from(["full", "average"]),
+    dx=jitter,
+    dy=jitter,
+    dth=jitter,
+    t_final=st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_trigger_invariants_on_every_row(name, mode, dx, dy, dth, t_final):
+    # Both event-triggered loops fire on the Xi they record and hold the
+    # control between events, on scalar rows and in hold blocks alike.
+    sc = INVARIANT_SCENARIOS[name]
+    pose = VehicleState(sc.initial.x + dx, sc.initial.y + dy, sc.initial.theta + dth)
+    sc = replace(sc, initial=pose, mode=mode, t_final=t_final)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hold, "_SCALAR_HOLD", 2)
+        patch.setattr(hold, "_FIRST_BLOCK", 4)
+        trace, _ = run_simulation(sc)
+    n = len(trace) - 1
+    rows = np.arange(n + 1)
+    event = trace.event == 1
+    assert np.array_equal(event, (rows == 0) | ((rows < n) & (trace.xi < 0.0)))
+    for u in (trace.u1, trace.u2):
+        changed = np.flatnonzero(bits(u[1:]) != bits(u[:-1])) + 1
+        assert event[changed].all()
+    g1, g2, g3 = trace.g1[event], trace.g2[event], trace.g3[event]
+    for u, (k0, k1, k2) in zip((trace.u1, trace.u2), sc.gain.rows):
+        assert np.array_equal(bits(u[event]), bits(-(k0 * g1 + k1 * g2 + k2 * g3)))

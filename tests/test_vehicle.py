@@ -29,10 +29,6 @@ class TestDitherParams:
         with pytest.raises(ValueError):
             DitherParams(0.1, 0.1, 0.1, 4.0, 4.0, 0.0)
 
-    def test_period(self):
-        d = DitherParams(0.1, 0.1, 0.1, 4.0, 4.0, 2.0)
-        assert d.period == pytest.approx(math.pi, abs=1e-15)
-
 
 class TestDitherVelocities:
     def test_siv_at_time_zero(self, siv_dithers):
@@ -117,7 +113,7 @@ class TestIntegration:
 
     def test_heading_returns_after_one_period(self):
         d = DitherParams(0.3, 0.3, 0.3, 10.0, 10.0, 5.0)
-        period = d.period
+        period = 2.0 * math.pi / d.omega3
         n = 2000
         dt = period / n
 
