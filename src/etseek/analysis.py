@@ -206,5 +206,5 @@ def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]
     report.envelope_violations = decay_envelope_check(
         avg_trace, cert.p, report.decay_rate, 0.05, floor=trigger_floor(sc.trigger)
     )
-    report.min_inter_event, _ = inter_event_stats(avg_trace.events[:, 0])
+    report.min_inter_event, _ = inter_event_stats(avg_trace)
     return report, avg_trace

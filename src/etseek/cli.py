@@ -83,7 +83,7 @@ def _cmd_run(args) -> int:
     if args.out:
         export_trace(trace, args.out)
     if args.metrics:
-        export_metrics(metrics, args.metrics)
+        export_metrics(summary, args.metrics)
     return 0
 
 

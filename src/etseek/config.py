@@ -126,12 +126,10 @@ class _SectionReader:
         text = self._fetch(key)
         if text is None:
             return default
-        lowered = text.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ScenarioError(f"{self.section}.{key}", f"not a boolean: {text!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+        except KeyError:
+            raise ScenarioError(f"{self.section}.{key}", f"not a boolean: {text!r}") from None
 
     def get_row(self, key: str, width: int) -> tuple[float, ...]:
         text = self._fetch(key)

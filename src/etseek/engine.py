@@ -1,10 +1,15 @@
 """Fixed-step integration engine and run orchestration.
 
+:func:`run_simulation` is the one reader of a scenario's mode.  It runs
+the event trigger on the full plant (``full``) or on the averaged loop
+(``average``), or the full plant updated every step
+(``continuous-control``) or every sample period (``sampled-data``).
+
 One classical RK4 step per grid point with the held control treated as
 constant over the step, which is exactly what the zero-order hold means.
 Every mode fires at t = 0; then the trigger fires at each grid point where
-Xi < 0, or a sample clock fires (period 0 for ``continuous-control``).
-Identical scenarios therefore produce bit-identical traces.
+Xi < 0, or the sample clock fires.  Identical scenarios therefore produce
+bit-identical traces.
 
 For speed, the full-plant loop is inlined: RK4, the dithered kinematics,
 field evaluation, demodulation, the trigger with its zero-order hold and
@@ -35,7 +40,7 @@ import numpy as np
 
 from etseek import hold
 from etseek.analysis import dwell_time_bound
-from etseek.average import build_average_matrices, initial_error, run_average_loop
+from etseek.average import AverageModel, build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
 from etseek.trace import (
     Q_LIMIT, TRACE_COLUMNS, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats,
@@ -79,33 +84,40 @@ def integrate_step(derivative, state, t: float, dt: float):
 def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     """Run one scenario and return its trace and metrics.
 
-    In ``average`` mode this delegates to the averaged loop; otherwise the
-    full nonlinear plant is integrated with the control update policy set
-    by the mode (event trigger, every step, or a fixed sampling period).
+    The mode picks the loop and its control update policy:
+
+    - ``full``: the full plant under the event trigger;
+    - ``continuous-control``: the full plant, updated every step (a sample
+      clock of period 0);
+    - ``sampled-data``: the full plant, updated every ``sample_period``;
+    - ``average``: the averaged loop under the event trigger.
+
+    The final error is the last pose's distance from the source, which on
+    the averaged loop is the norm of the last G.
     """
-    _check_grid_resolution(sc)
-    run = _run_average if sc.mode == "average" else _run_full
-    trace, final_error = run(sc)
-    events = trace.events
-    min_gap, mean_gap = inter_event_stats(events[:, 0])
-    metrics = RunMetrics(
-        num_steps=len(trace) - 1,
-        num_events=int(events.shape[0]),
-        min_inter_event=min_gap,
-        mean_inter_event=mean_gap,
-        final_error_norm=final_error,
-    )
-    return trace, metrics
+    f = sc.field
+    model = build_average_matrices(f.theta_star, sc.dithers)
+    _check_grid_resolution(sc, model)
+    if sc.mode == "average":
+        g0 = initial_error(sc.initial, sc.dithers, f)
+        trace = run_average_loop(model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=f)
+        final_error = math.sqrt(trace.g1[-1] ** 2 + trace.g2[-1] ** 2 + trace.g3[-1] ** 2)
+    else:
+        period = {"full": None, "continuous-control": 0.0, "sampled-data": sc.sample_period}[sc.mode]
+        trace = _run_full(sc, period)
+        x, y, th = float(trace.x[-1]), float(trace.y[-1]), float(trace.theta[-1])
+        final_error = math.sqrt((x - f.x_star) ** 2 + (y - f.y_star) ** 2 + (th - f.theta_star) ** 2)
+    num_events = int(np.count_nonzero(trace.event))
+    return trace, RunMetrics(len(trace) - 1, num_events, *inter_event_stats(trace), final_error)
 
 
-def _check_grid_resolution(sc: Scenario) -> None:
+def _check_grid_resolution(sc: Scenario, model: AverageModel) -> None:
     """Warn when the grid is too coarse for the dwell-time bound.
 
     Trigger monitoring is discretized to the grid, so events can overshoot
     their continuous-time instant by one step; that is negligible only
     while dt stays well below the guaranteed inter-event time.
     """
-    model = build_average_matrices(sc.field.theta_star, sc.dithers)
     k = np.asarray(sc.gain.rows, dtype=float)
     try:
         tau_star = dwell_time_bound(sc.trigger.sigma, model.a - model.b @ k, model.b @ k)
@@ -120,26 +132,14 @@ def _check_grid_resolution(sc: Scenario) -> None:
         )
 
 
-def _run_average(sc: Scenario) -> tuple[SimulationTrace, float]:
-    model = build_average_matrices(sc.field.theta_star, sc.dithers)
-    g0 = initial_error(sc.initial, sc.dithers, sc.field)
-    trace = run_average_loop(
-        model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=sc.field
-    )
-    final_error = math.sqrt(
-        trace.g1[-1] ** 2 + trace.g2[-1] ** 2 + trace.g3[-1] ** 2
-    )
-    return trace, final_error
-
-
-def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
+def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
+    """The full plant's loop; ``period`` is None for the event trigger, else
+    the sample clock's period."""
     d = sc.dithers
     field = sc.field
     x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star
     (k00, k01, k02), (k10, k11, k12) = sc.gain.rows
     sigma, alpha, bias = sc.trigger.sigma, sc.trigger.alpha, sc.trigger.bias
-    # None for the event trigger, else the sample clock's period.
-    period = None if sc.mode == "full" else sc.sample_period or 0.0
     dt = sc.dt
     n = round(sc.t_final / dt)
     trace = SimulationTrace.preallocate(n + 1, system="full")
@@ -178,22 +178,24 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
             t = i * dt
             try:
                 q = q_star - 0.5 * (x - x_star) ** 2 - 0.5 * (y - y_star) ** 2 - 0.5 * (th - theta_star) ** 2
+                if not isfinite(q) or abs(q) > q_limit:
+                    # a non-finite pose makes q non-finite; beyond any
+                    # physically meaningful signal level the downstream
+                    # norms would overflow
+                    raise NonFiniteStateError(t)
+                s1 = sin(w1 * t)
+                c2 = cos(w2 * t)
+                s3 = sin(w3 * t)
+                g1 = m1 * s1 * q
+                g2 = m2 * c2 * q
+                g3 = m3 * s3 * q
+                e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
+                xi = sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias)
             except OverflowError:
-                # squaring a huge-but-finite coordinate overflows before the
-                # state itself turns inf/nan; same diagnosis either way
+                # a square overflows before the state itself turns inf/nan:
+                # of a huge-but-finite coordinate in q, or of G, whose
+                # demodulation gain 4/a is huge for a tiny dither amplitude
                 raise NonFiniteStateError(t) from None
-            if not isfinite(q) or abs(q) > q_limit:
-                # a non-finite pose makes q non-finite; beyond any physically
-                # meaningful signal level the downstream norms would overflow
-                raise NonFiniteStateError(t)
-            s1 = sin(w1 * t)
-            c2 = cos(w2 * t)
-            s3 = sin(w3 * t)
-            g1 = m1 * s1 * q
-            g2 = m2 * c2 * q
-            g3 = m3 * s3 * q
-            e_norm = sqrt((h1 - g1) ** 2 + (h2 - g2) ** 2 + (h3 - g3) ** 2) if i else 0.0
-            xi = sigma * sqrt(g1 ** 2 + g2 ** 2 + g3 ** 2) - alpha * (e_norm + bias)
             if i == n:
                 fired = False
             elif period is None:
@@ -225,7 +227,7 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
             col_u2[i] = u2
             col_xi[i] = xi
             if i == n:
-                return trace, _final_error(trace, sc.field)
+                return trace
             # RK4 under the held control.  The right-hand side reads only the
             # heading, so the mid and end stages need no x/y; the dither terms
             # at t + dt/2 are shared by k2 and k3.
@@ -268,7 +270,7 @@ def _run_full(sc: Scenario) -> tuple[SimulationTrace, float]:
             trace, i, dt, partial(_hold_block, block_consts, (h1, h2, h3, u1, u2)), (x, y, th)
         )
         if resume is None:
-            return trace, _final_error(trace, sc.field)
+            return trace
         start, (x, y, th) = resume
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
@@ -340,8 +342,3 @@ def _hold_poses(t, pose, w1, w2, w3, aw1, aw2, aw3, u1, u2, half, sixth, dt):
     sum_y += ky
     return accumulate(pose[0], sixth * sum_x), accumulate(pose[1], sixth * sum_y), ths
 
-
-def _final_error(trace: SimulationTrace, field) -> float:
-    """Distance of the last row's pose from the source."""
-    x, y, th = (float(trace.column(name)[-1]) for name in ("x", "y", "theta"))
-    return math.sqrt((x - field.x_star) ** 2 + (y - field.y_star) ** 2 + (th - field.theta_star) ** 2)

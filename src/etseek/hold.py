@@ -16,8 +16,9 @@ every ``** 2`` is ``np.float_power``, libm ``pow`` like Python's, and
 every ``g * g`` stays a product; sin and cos are numpy's, which must
 give ``math``'s bits (numpy does not promise it, so a test checks it).
 The trace is therefore bit-identical to stepping.  A block also hands
-back the first row whose q fails the loops' finiteness check, so both
-paths raise :class:`~etseek.trace.NonFiniteStateError` at the same row.
+back the first row whose q fails the loops' finiteness check, or whose
+Xi is not finite because a square overflowed, so both paths raise
+:class:`~etseek.trace.NonFiniteStateError` at the same row.
 """
 
 from __future__ import annotations

@@ -145,8 +145,9 @@ class RunMetrics:
         }
 
 
-def inter_event_stats(event_times: np.ndarray) -> tuple[float | None, float | None]:
-    """(min, mean) gap between consecutive events; None with < 2 events."""
+def inter_event_stats(trace: SimulationTrace) -> tuple[float | None, float | None]:
+    """(min, mean) gap between the trace's consecutive events; None with < 2 events."""
+    event_times = trace.t[trace.event_indices()]
     if event_times.shape[0] < 2:
         return None, None
     gaps = np.diff(event_times)

@@ -11,6 +11,7 @@ naming them.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -79,3 +80,43 @@ def test_reference_walk_skips_own_body_imports_and_docstrings():
     assert "helper" not in found
     assert "Box" not in found
     assert {"other", "value"} <= found
+
+
+def _assigned(tree, name):
+    """The literal value assigned to the top-level ``name`` in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no top-level {name} assignment")
+
+
+def _rebound_attributes(tree):
+    """Every ``etseek.<module>.<name>`` that ``tree`` assigns to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Attribute)
+                    and isinstance(target.value.value, ast.Name)
+                    and target.value.value.id == "etseek"
+                ):
+                    yield f"etseek.{target.value.attr}", target.attr
+
+
+def test_every_benchmark_binding_resolves():
+    # The benchmark rebinds these names to timers and fails if one is gone.
+    def parse(name):
+        return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+    bindings = [(module, attr) for module, attr, _ in _assigned(parse("tracing.py"), "BINDINGS")]
+    rebound = list(_rebound_attributes(parse("worker.py")))
+    assert ("etseek.engine", "run_average_loop") in rebound
+    missing = sorted({
+        f"{module}.{attr}"
+        for module, attr in bindings + rebound
+        if not hasattr(importlib.import_module(module), attr)
+    })
+    assert not missing, f"names the benchmark rebinds but the package lacks: {missing}"

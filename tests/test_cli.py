@@ -209,3 +209,14 @@ def test_unwritable_output_is_a_clean_error(tmp_path, flag, what):
         "simulate", "--config", "smallgain.cfg", "--t-final", "0.01", flag, str(tmp_path)
     )
     assert stderr.startswith(f"error: cannot write {what} to {tmp_path}")
+
+
+def test_tiny_dither_amplitude_is_a_numerical_failure(tmp_path):
+    # The demodulation gain is 4/a1 = 4e160, so G1 squared overflows on
+    # row 1, where the pose and q are still ordinary.
+    cfg = tmp_path / "tiny_a1.cfg"
+    text = packaged_scenario_path("paper_siv.cfg").read_text()
+    cfg.write_text(text.replace("a1 = 0.5", "a1 = 1e-160"))
+    proc = run_cli("simulate", "--config", str(cfg), "--t-final", "0.01")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical failure: state became non-finite at t = 0.000100 s")

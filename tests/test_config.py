@@ -94,6 +94,19 @@ class TestValidation:
                                             "frequency_override": "true"})
         assert load_scenario(path).dithers.frequency_override is True
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [(" TRUE", True), ("Yes", True), ("on", True), ("1", True),
+         ("False ", False), ("no", False), ("OFF", False), ("0", False), ("maybe", None)],
+    )
+    def test_boolean_words(self, tmp_path, text, value):
+        path = write_cfg(tmp_path, dithers={"frequency_override": text})
+        if value is None:
+            with pytest.raises(ScenarioError, match="dithers.frequency_override: not a boolean"):
+                load_scenario(path)
+        else:
+            assert load_scenario(path).dithers.frequency_override is value
+
     def test_missing_key_is_contextual(self, tmp_path):
         path = write_cfg(tmp_path, field={"q_star": None})
         with pytest.raises(ScenarioError, match="field.q_star"):

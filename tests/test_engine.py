@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etseek import hold
+from etseek import analysis, engine, hold
 from etseek.config import Scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
 from etseek.field import QuadraticField
@@ -222,6 +222,57 @@ def test_overflow_in_a_full_hold_block_raises_at_the_scalar_row(monkeypatch, siv
         assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column
 
 
+def test_overflowing_estimate_raises_at_the_same_row_in_blocks(monkeypatch, siv_scenario):
+    # With a1 = 3e-155 the demodulation gain 4/a1 makes |G1| pass
+    # sqrt(max double) on row 190, while q stays near its start value.  The
+    # zero gain keeps the vehicle on its dither, and row 0 is the only
+    # event, so from row 2 the hold goes to blocks.  The scalar loop raises
+    # where G1 squared overflows; a block's Xi is not finite there, so it
+    # hands that row back and the scalar loop raises at the same time.
+    traces, entered = [], []
+    allocate = SimulationTrace.preallocate
+    run_blocks = hold.run_blocks
+
+    def marked(n_rows, system="full"):
+        trace = allocate(n_rows, system)
+        for column in TRACE_COLUMNS[:-1]:
+            trace.column(column)[:] = np.nan
+        traces.append(trace)
+        return trace
+
+    def recorded(trace, start, *args):
+        resume = run_blocks(trace, start, *args)
+        entered.append((start, resume and resume[0]))
+        return resume
+
+    monkeypatch.setattr(SimulationTrace, "preallocate", marked)
+    monkeypatch.setattr(hold, "run_blocks", recorded)
+    monkeypatch.setattr(hold, "_FIRST_BLOCK", 4)
+    sc = replace(
+        siv_scenario,
+        t_final=0.1,
+        gain=GainMatrix(rows=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+        dithers=replace(siv_scenario.dithers, a1=3e-155),
+    )
+    failed_at = []
+    for scalar_hold in (2, 10**9):
+        monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as info:
+                run_simulation(sc)
+        failed_at.append(info.value.t)
+    blocked, scalar = traces
+    written = np.count_nonzero(~np.isnan(scalar.t))
+    assert entered == [(2, written)]
+    assert failed_at[0] == failed_at[1] == written * sc.dt
+    assert np.count_nonzero(scalar.event) == 1
+    assert np.all(np.abs(scalar.q[:written]) < 1.0)
+    assert np.all(np.isfinite(scalar.xi[:written]))
+    for column in TRACE_COLUMNS:
+        assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column
+
+
 @pytest.mark.parametrize("mode, period", [("continuous-control", None), ("sampled-data", 0.01)])
 def test_sample_clocks_never_enter_hold_blocks(monkeypatch, siv_scenario, mode, period):
     # paper_siv under a 10 ms clock holds for 100 steps at a time; with
@@ -235,3 +286,31 @@ def test_sample_clocks_never_enter_hold_blocks(monkeypatch, siv_scenario, mode, 
     run_simulation(replace(siv_scenario, mode=mode, sample_period=period, t_final=0.5))
     with pytest.raises(AssertionError, match="hold-block runner"):
         run_simulation(replace(siv_scenario, t_final=0.5))
+
+
+def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_scenario):
+    # perfbench times the averaged loop by rebinding `run_average_loop` in
+    # both modules, so each must call it through its own module global.
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module, name in [(engine, "build_average_matrices"), (engine, "run_average_loop"),
+                         (analysis, "build_average_matrices"), (analysis, "run_average_loop")]:
+        spy(module, name)
+    for mode in ("full", "continuous-control", "average"):
+        run_simulation(replace(siv_scenario, mode=mode, t_final=0.01))
+    analysis.verify_scenario(replace(siv_scenario, t_final=0.01))
+    assert calls == ["etseek.engine.build_average_matrices"] * 2 + [
+        "etseek.engine.build_average_matrices",
+        "etseek.engine.run_average_loop",
+        "etseek.analysis.build_average_matrices",
+        "etseek.analysis.run_average_loop",
+    ]

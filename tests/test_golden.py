@@ -152,3 +152,36 @@ def test_golden_digests(config, mode):
     observed = {column: _sha256(trace.column(column)) for column in TRACE_COLUMNS}
     observed["events"] = _sha256(trace.events)
     assert observed == expected
+
+
+#: ``RunMetrics.as_dict()`` of every case that runs to its horizon:
+#: (num_steps, num_events, min_inter_event, mean_inter_event,
+#: final_error_norm), the five theory keys being null.
+GOLDEN_METRICS = {
+    ("paper_siv.cfg", "full"): (20000, 38, 9.999999999998899e-05, 0.009564864864864865, 3.16456310089469),
+    ("paper_siv.cfg", "average"): (20000, 2, 0.09530000000000001, 0.09530000000000001, 27.5962927541568),
+    ("smallgain.cfg", "full"): (
+        20000, 10827, 9.999999999998899e-05, 0.00018473120266026234, 0.3531132547274388
+    ),
+    ("smallgain.cfg", "average"): (20000, 20000, 9.999999999998899e-05, 0.0001, 0.1943832984495061),
+    ("smallgain.cfg", "continuous-control"): (
+        20000, 20000, 9.999999999998899e-05, 0.0001, 0.3252255545406437
+    ),
+    ("smallgain.cfg", "sampled-data(0.01)"): (
+        20000, 200, 0.009999999999999787, 0.009999999999999998, 0.4005682046041331
+    ),
+}
+
+METRIC_KEYS = ("num_steps", "num_events", "min_inter_event", "mean_inter_event", "final_error_norm")
+THEORY_KEYS = ("tau_star", "alpha_min", "hurwitz", "decay_violations", "averaging_sup_error")
+
+
+@pytest.mark.parametrize(
+    "config, mode", sorted(case for case, expected in GOLDEN.items() if not isinstance(expected, float))
+)
+def test_golden_metrics(config, mode):
+    name, period = parse_mode(mode)
+    sc = replace(load_scenario(config), t_final=T_FINAL, mode=name, sample_period=period)
+    _, metrics = run_simulation(sc)
+    expected = dict(zip(METRIC_KEYS, GOLDEN_METRICS[(config, mode)]), **dict.fromkeys(THEORY_KEYS))
+    assert metrics.as_dict() == expected
