@@ -137,22 +137,42 @@ def decay_envelope_check(
     V(t_k+1) <= exp(-rate*(t_k+1 - t_k)) * V(t_k); a pair counts as a
     violation when it exceeds that envelope by more than the relative
     tolerance.  Pairs are only checked while the estimate norm stays
-    above ``floor`` (inside the trigger floor ball the constant bias
+    above ``floor`` on the whole closed window [t_k, t_k+1], both event
+    rows included (inside the trigger floor ball the constant bias
     dominates and no decay is claimed).
+
+    The cost grows with the events, not with the trace: norms are taken
+    on the rows from the first event to the last, V and the envelope
+    factor only for the pairs that pass the floor.  The factor comes from
+    ``math.exp``, called once per checked pair: numpy's vectorized
+    ``exp`` may differ from it in the last bit, which could flip a tie.
     """
-    p = np.asarray(p, dtype=float)
-    g = np.stack([trace.g1, trace.g2, trace.g3], axis=1)
-    v = np.einsum("ij,jk,ik->i", g, p, g)
-    norms = np.linalg.norm(g, axis=1)
     idx = trace.event_indices()
-    violations = 0
-    for a, b in zip(idx[:-1], idx[1:]):
-        if norms[a : b + 1].min() <= floor:
-            continue
-        dt_pair = trace.t[b] - trace.t[a]
-        if v[b] > math.exp(-rate * dt_pair) * v[a] * (1.0 + tolerance):
-            violations += 1
-    return violations
+    if idx.shape[0] < 2:
+        return 0
+    span = slice(idx[0], idx[-1] + 1)
+    g1, g2, g3 = trace.g1[span], trace.g2[span], trace.g3[span]
+    norms = np.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
+    window_min = np.minimum(
+        np.minimum.reduceat(norms, idx[:-1] - idx[0]), norms[idx[1:] - idx[0]]
+    )
+    # Negated so that a NaN minimum keeps its pair checked.
+    pairs = np.flatnonzero(~(window_min <= floor))
+    start, end = idx[pairs], idx[pairs + 1]
+    decay = np.fromiter(
+        map(math.exp, (-rate * (trace.t[end] - trace.t[start])).tolist()),
+        dtype=float,
+        count=pairs.shape[0],
+    )
+    v_end = _quadratic_form(trace, end, p)
+    bound = decay * _quadratic_form(trace, start, p) * (1.0 + tolerance)
+    return int(np.count_nonzero(v_end > bound))
+
+
+def _quadratic_form(trace: SimulationTrace, rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """V = g'Pg on the given trace rows, as one (rows, 3) einsum."""
+    g = np.column_stack((trace.g1[rows], trace.g2[rows], trace.g3[rows]))
+    return np.einsum("ij,jk,ik->i", g, np.asarray(p, dtype=float), g)
 
 
 def averaging_error(trace_full: SimulationTrace, trace_avg: SimulationTrace) -> float:

@@ -43,7 +43,13 @@ def bessel_j(order: int, x: float) -> float:
     _check_args(order, x)
     m = int(order)
     half = 0.5 * x
-    term = half**m / math.factorial(m)
+    try:
+        term = half**m / math.factorial(m)
+    except OverflowError:
+        raise ValueError(
+            f"Bessel series overflows for order {m} at argument {x!r}: "
+            f"(x/2)**{m} exceeds the float range"
+        ) from None
     total = term
     for k in range(1, _MAX_SERIES_TERMS + 1):
         term *= -(half * half) / (k * (k + m))

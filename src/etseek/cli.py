@@ -10,6 +10,7 @@ Verbs: ``simulate`` (full plant), ``average`` (averaged loop),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -30,6 +31,10 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError("cli", message)
 
 
+# Built on the first call and reused: the verb functions look up the
+# run entry points as module globals when they run, so rebinding those
+# still takes effect.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="etseek", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -101,9 +106,16 @@ def _cmd_compare(args) -> int:
                 "cli.omega-list", f"--omega-list values must be finite and > 0, got {omega}"
             )
     base = sc.dithers.omega3
-    deviations: dict[str, float] = {}
+    lanes = []
     for omega in omegas:
-        scaled = scale_probing_frequency(sc, omega / base)
+        try:
+            lanes.append((omega, scale_probing_frequency(sc, omega / base)))
+        except ValueError as exc:
+            raise ScenarioError(
+                "cli.omega-list", f"--omega-list value {omega} cannot scale the scenario: {exc}"
+            ) from exc
+    deviations: dict[str, float] = {}
+    for omega, scaled in lanes:
         full_trace, _ = run_simulation(replace(scaled, mode="full", sample_period=None))
         avg_trace, _ = run_simulation(replace(scaled, mode="average", sample_period=None))
         dev = averaging_error(full_trace, avg_trace)

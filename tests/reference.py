@@ -11,6 +11,7 @@ import numpy as np
 from etseek.average import AverageModel
 from etseek.bessel import _check_args, bessel_j
 from etseek.field import QuadraticField
+from etseek.trace import SimulationTrace
 from etseek.trigger import GainMatrix
 from etseek.vehicle import DitherParams, VehicleState
 
@@ -77,3 +78,28 @@ def delta_bar_norm_bound(model: AverageModel, d: DitherParams) -> tuple[float, f
     norm = float(np.linalg.norm(model.delta_bar))
     bound = d.a1 * d.omega3 * abs(bessel_j(2, d.a3))
     return norm, bound
+
+
+def decay_envelope_violations(
+    trace: SimulationTrace, p: np.ndarray, rate: float, tolerance: float, floor: float = 0.0
+) -> int:
+    """Per-pair count of :func:`etseek.analysis.decay_envelope_check`.
+
+    Evaluates V and the norm on every row, then walks the event pairs one
+    by one: a pair whose closed window [t_k, t_k+1] keeps the norm above
+    ``floor`` is a violation when V(t_k+1) exceeds
+    exp(-rate*(t_k+1 - t_k)) * V(t_k) * (1 + tolerance).
+    """
+    p = np.asarray(p, dtype=float)
+    g = np.stack([trace.g1, trace.g2, trace.g3], axis=1)
+    v = np.einsum("ij,jk,ik->i", g, p, g)
+    norms = np.linalg.norm(g, axis=1)
+    idx = trace.event_indices()
+    violations = 0
+    for a, b in zip(idx[:-1], idx[1:]):
+        if norms[a : b + 1].min() <= floor:
+            continue
+        dt_pair = trace.t[b] - trace.t[a]
+        if v[b] > math.exp(-rate * dt_pair) * v[a] * (1.0 + tolerance):
+            violations += 1
+    return violations

@@ -1,8 +1,12 @@
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etseek.analysis import (
     alpha_lower_bound,
@@ -14,10 +18,12 @@ from etseek.analysis import (
     verify_scenario,
 )
 from etseek.average import build_average_matrices
-from etseek.trace import SimulationTrace
-from etseek.trigger import GainMatrix
+from etseek.config import load_scenario
+from etseek.trace import TRACE_COLUMNS, SimulationTrace
+from etseek.trigger import GainMatrix, trigger_floor
 from etseek.vehicle import DitherParams
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
+from tests.reference import decay_envelope_violations
 
 # Certificate for the published setup with Q = I, frozen once computed.
 SIV_P = np.array(
@@ -155,6 +161,17 @@ def _toy_trace(times, g_values, event_indices):
     )
 
 
+@functools.cache
+def _verify_trace(config, t_final):
+    """(averaged trace, P, decay rate, trigger floor) of a verify run."""
+    sc = replace(load_scenario(config), t_final=t_final)
+    report, trace = verify_scenario(sc)
+    model = build_average_matrices(sc.field.theta_star, sc.dithers)
+    k = np.asarray(sc.gain.rows, dtype=float)
+    p = solve_lyapunov(model.a - model.b @ k, np.eye(3)).p
+    return trace, p, report.decay_rate, trigger_floor(sc.trigger)
+
+
 class TestDecayEnvelope:
     def test_exact_decay_passes(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -175,6 +192,120 @@ class TestDecayEnvelope:
         trace = _toy_trace(times, g, [0, 2])
         assert decay_envelope_check(trace, np.eye(3), 1.0, 1e-6, floor=0.5) == 0
         assert decay_envelope_check(trace, np.eye(3), 1.0, 1e-6, floor=0.0) == 1
+
+    def test_fewer_than_two_events_count_nothing(self):
+        times = np.array([0.0, 0.5, 1.0])
+        g = np.array([[1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]])
+        for events in ([], [0], [2]):
+            trace = _toy_trace(times, g, events)
+            assert decay_envelope_check(trace, np.eye(3), 1.0, 0.0) == 0
+
+    def test_floor_window_is_closed_at_both_events(self):
+        # With rate 0, a pair violates whenever V grows by more than the
+        # tolerance; the floor skips a pair when any row of its closed
+        # window, event rows included, has a norm at or below it.
+        times = np.arange(7.0)
+        norms = [1.0, 1.0, 1.0, math.sqrt(2.0), 3.0, 0.5, 2.0]
+        g = np.array([[n, 0.0, 0.0] for n in norms])
+
+        def counts(events, tolerance, floors):
+            trace = _toy_trace(times, g, events)
+            return [decay_envelope_check(trace, np.eye(3), 0.0, tolerance, f) for f in floors]
+
+        # V goes 1 -> 2 -> 4; the second window dips to 0.5 strictly inside.
+        assert counts([0, 3, 6], 0.0, (0.4, 0.5, 0.9, 1.0)) == [2, 1, 1, 0]
+        # V goes 1 -> 0.25 -> 4; the 0.5 row closes one window and opens the next.
+        assert counts([0, 5, 6], -0.9, (0.4, 0.5)) == [2, 0]
+
+    def test_ties_at_the_envelope_are_decided_like_math_exp(self):
+        # V(t_1) is the envelope exp(-dt) * V(t_0) = exp(-dt) exactly, or
+        # the next float above it, so the last bit of exp decides the pair.
+        # numpy's vectorized exp differs from math.exp in that bit for some
+        # arguments on some CPUs.
+        for dt in np.random.default_rng(5).uniform(1e-4, 2.0, 200):
+            trace = _toy_trace([0.0, dt], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0, 1])
+            envelope = math.exp(-dt)
+            counts = [
+                decay_envelope_check(trace, np.diag([1.0, v_end, 0.0]), 1.0, 0.0)
+                for v_end in (envelope, np.nextafter(envelope, math.inf))
+            ]
+            assert counts == [0, 1]
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(data=st.data())
+    def test_matches_the_per_pair_oracle(self, data):
+        n = data.draw(st.integers(1, 24), label="rows")
+        coord = st.one_of(st.sampled_from([0.0, 1.0, -1.0, math.nan]), st.floats(-10.0, 10.0))
+        gaps = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n - 1, max_size=n - 1))
+        g = np.array(
+            data.draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)),
+            dtype=float,
+        ).reshape(n, 3)
+        events = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="events")
+        trace = _toy_trace(np.concatenate([[0.0], np.cumsum(gaps)]), g, np.flatnonzero(events))
+        # A floor drawn from the rows' own norms can equal a window's minimum.
+        row_norms = np.linalg.norm(g, axis=1).tolist()
+        floor = data.draw(
+            st.one_of(st.sampled_from(row_norms), st.sampled_from([0.0, -1.0]), st.floats(0.0, 20.0)),
+            label="floor",
+        )
+        tolerance = data.draw(
+            st.one_of(st.sampled_from([0.05, 0.0, -0.5, -1.0]), st.floats(-2.0, 2.0)),
+            label="tolerance",
+        )
+        rate = data.draw(st.one_of(st.just(0.0), st.floats(-5.0, 20.0)), label="rate")
+        p = data.draw(
+            st.one_of(
+                st.just(np.eye(3)),
+                st.lists(coord, min_size=9, max_size=9).map(lambda e: np.reshape(e, (3, 3))),
+            ),
+            label="P",
+        )
+        assert decay_envelope_check(trace, p, rate, tolerance, floor) == (
+            decay_envelope_violations(trace, p, rate, tolerance, floor)
+        )
+
+    @pytest.mark.parametrize(
+        ("config", "t_final", "floor", "tolerance", "rate_scale", "expected"),
+        [
+            ("paper_siv.cfg", 5.0, "trigger", 0.05, 1.0, 0),
+            ("paper_siv.cfg", 5.0, "trigger", -0.5, 1.0, 1),
+            ("smallgain.cfg", 1.0, "trigger", 0.05, 1.0, 0),
+            ("smallgain.cfg", 1.0, "zero", -1e-3, 1.0, 9999),
+            ("smallgain.cfg", 1.0, "median", -1e-3, 1.0, 4999),
+            ("smallgain.cfg", 1.0, "zero", -1e-4, 10.0, 487),
+        ],
+    )
+    def test_matches_the_oracle_on_verify_traces(
+        self, config, t_final, floor, tolerance, rate_scale, expected
+    ):
+        trace, p, rate, trigger_level = _verify_trace(config, t_final)
+        levels = {
+            "trigger": trigger_level,
+            "zero": 0.0,
+            "median": float(np.median(np.sqrt(trace.g1**2 + trace.g2**2 + trace.g3**2))),
+        }
+        args = (trace, p, rate * rate_scale, tolerance, levels[floor])
+        assert decay_envelope_check(*args) == decay_envelope_violations(*args) == expected
+
+    def test_memory_scales_with_events_not_rows(self):
+        # 600,001 rows with both events in the first 1,000: stacking G for
+        # every row alone would take 14.4 MB.
+        n = 600_001
+        zeros = np.zeros(n)
+        cols = {name: zeros for name in TRACE_COLUMNS if name != "event"}
+        cols.update(t=np.arange(n) * 1e-4, g1=np.linspace(2.0, 1.0, n))
+        event = np.zeros(n, dtype=np.int64)
+        event[[0, 999]] = 1
+        trace = SimulationTrace(event=event, **cols)
+        tracemalloc.start()
+        try:
+            count = decay_envelope_check(trace, np.eye(3), 50.0, 0.0, floor=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert count == decay_envelope_violations(trace, np.eye(3), 50.0, 0.0, floor=0.5) == 1
 
 
 class TestAveragingError:

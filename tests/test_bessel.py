@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,3 +76,9 @@ def test_rejects_bad_arguments():
             bessel_j(order, 1.0)
         with pytest.raises(ValueError, match="order"):
             bessel_j_quadrature(order, 1.0)
+
+
+@pytest.mark.parametrize(("order", "x"), [(2, 1e308), (170, 700.0), (3, -1e200)])
+def test_overflowing_series_names_its_input(order, x):
+    with pytest.raises(ValueError, match=re.escape(f"order {order} at argument {x!r}")):
+        bessel_j(order, x)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import etseek
-from etseek.cli import main
+from etseek import engine
+from etseek.cli import _build_parser, main
 from etseek.config import packaged_scenario_path
 
 
@@ -104,6 +105,23 @@ def test_usage_error_exit_code():
                  "--t-final", "0.01"]) == 1
 
 
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # The parser is built once per process; each call still resolves the
+    # run entry points through the module's globals.
+    assert main(["simulate"]) == 1
+    assert main(["verify", "--config", "paper_siv.cfg", "--t-final", "0.5"]) == 0
+    calls = []
+
+    def counted_run(sc):
+        calls.append(sc.mode)
+        return engine.run_simulation(sc)
+
+    monkeypatch.setattr("etseek.cli.run_simulation", counted_run)
+    assert main(["simulate", "--config", "smallgain.cfg", "--t-final", "0.01"]) == 0
+    assert calls == ["full"]
+    assert _build_parser() is _build_parser()
+
+
 def run_cli(*args, timeout=120):
     # Run as a separate process so that an uncaught exception shows up as
     # a traceback on stderr instead of failing inside the test runner.
@@ -176,6 +194,31 @@ def test_compare_rejects_bad_omega(capsys, token):
     err = capsys.readouterr().err
     assert err.startswith("error: cli.omega-list: ")
     assert "--omega-list" in err
+
+
+@pytest.mark.parametrize(
+    ("args", "names"),
+    [
+        (["bessel", "--order", "2", "--arg", "1e308"], ["order 2", "argument 1e+308"]),
+        (["bessel", "--order", "170", "--arg", "700"], ["order 170", "argument 700.0"]),
+        (
+            ["compare", "--config", "smallgain.cfg", "--omega-list", "20,1e-300",
+             "--t-final", "0.01"],
+            ["cli.omega-list", "--omega-list value 1e-300"],
+        ),
+    ],
+    ids=["bessel-1e308", "bessel-order-170", "compare-omega-1e-300"],
+)
+def test_overflow_names_the_input(args, names):
+    # Each of these overflows a float in the Bessel series; compare scales
+    # every lane before it runs one, so it prints nothing before the error.
+    proc = run_cli(*args)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "(34," not in proc.stderr
+    for name in names:
+        assert name in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_memory_error_exit_code(monkeypatch, capsys):
