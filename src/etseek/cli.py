@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 
@@ -100,11 +99,6 @@ def _cmd_compare(args) -> int:
         raise ScenarioError("cli.omega-list", f"not numeric: {args.omega_list!r}") from exc
     if len(omegas) < 2:
         raise ScenarioError("cli.omega-list", "need at least two omega3 values")
-    for omega in omegas:
-        if not (math.isfinite(omega) and omega > 0.0):
-            raise ScenarioError(
-                "cli.omega-list", f"--omega-list values must be finite and > 0, got {omega}"
-            )
     base = sc.dithers.omega3
     lanes = []
     for omega in omegas:

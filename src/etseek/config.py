@@ -260,8 +260,8 @@ def scale_probing_frequency(sc: Scenario, factor: float) -> Scenario:
     divided by the same factor, preserving the frequency pattern and all
     a_i*omega_i products; the trigger bias is re-derived accordingly.
     """
-    if factor <= 0.0:
-        raise ValueError("frequency scale factor must be > 0")
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"frequency scale factor must be finite and > 0, got {factor}")
     d = sc.dithers
     scaled = DitherParams(
         a1=d.a1 / factor,

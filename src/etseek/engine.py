@@ -281,42 +281,18 @@ def _hold_block(consts, held, t, pose):
     """One hold block of the full loop, a fold for :func:`etseek.hold.run_blocks`.
 
     The scalar loop's expressions, elementwise over the block's rows.
-    """
-    (w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
-     sigma, alpha, bias, x_star, y_star, theta_star, q_star) = consts
-    h1, h2, h3, u1, u2 = held
-    sin, cos, sqrt, square = np.sin, np.cos, np.sqrt, hold.square
-    xs, ys, ths = _hold_poses(t, pose, w1, w2, w3, aw1, aw2, aw3, u1, u2, half, sixth, dt)
-    x, y, th = xs[:-1], ys[:-1], ths[:-1]
-    q = q_star - 0.5 * square(x - x_star) - 0.5 * square(y - y_star) - 0.5 * square(th - theta_star)
-    s1 = sin(w1 * t)
-    c2 = cos(w2 * t)
-    s3 = sin(w3 * t)
-    g1 = m1 * s1 * q
-    g2 = m2 * c2 * q
-    g3 = m3 * s3 * q
-    e_norm = sqrt(square(h1 - g1) + square(h2 - g2) + square(h3 - g3))
-    xi = sigma * sqrt(square(g1) + square(g2) + square(g3)) - alpha * (e_norm + bias)
-    columns = {
-        "x": x, "y": y, "theta": th,
-        "xhat": x - ha1 * s1, "yhat": y + ha2 * c2, "thetahat": th - ha3 * s3,
-        "q": q, "g1": g1, "g2": g2, "g3": g3, "u1": u1, "u2": u2, "xi": xi,
-    }
-    return (xs, ys, ths), columns
-
-
-def _hold_poses(t, pose, w1, w2, w3, aw1, aw2, aw3, u1, u2, half, sixth, dt):
-    """Pose at each row of a hold block and one row past it.
-
     Under the held control the heading's RK4 increment depends on t alone,
     so theta is a left fold of increments, and x and y are left folds of
     increments that depend on (theta, t).  Their stage sums
     k1 + 2 k2 + 2 k3 + k4 are added up stage by stage, in the scalar
-    loop's order, and the stage arrays are freed on return, so that few
-    block-length arrays are alive at once: a block's temporaries share the
-    heap with the trace.
+    loop's order, and the stage arrays are freed once the poses are
+    folded, so that few block-length arrays are alive at once: a block's
+    temporaries share the heap with the trace.
     """
-    sin, cos, accumulate = np.sin, np.cos, hold.accumulate
+    (w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
+     sigma, alpha, bias, x_star, y_star, theta_star, q_star) = consts
+    h1, h2, h3, u1, u2 = held
+    sin, cos, sqrt, square, accumulate = np.sin, np.cos, np.sqrt, hold.square, hold.accumulate
 
     def stage(heading, p1, p2):
         c = cos(heading)
@@ -340,5 +316,22 @@ def _hold_poses(t, pose, w1, w2, w3, aw1, aw2, aw3, u1, u2, half, sixth, dt):
     kx, ky = stage(th + dt * wrm, aw1 * cos(w1 * te) + u1, aw2 * sin(w2 * te) + u1)
     sum_x += kx
     sum_y += ky
-    return accumulate(pose[0], sixth * sum_x), accumulate(pose[1], sixth * sum_y), ths
-
+    xs = accumulate(pose[0], sixth * sum_x)
+    ys = accumulate(pose[1], sixth * sum_y)
+    del tm, te, wr1, wrm, pm1, pm2, heading, kx, ky, sum_x, sum_y
+    x, y = xs[:-1], ys[:-1]
+    q = q_star - 0.5 * square(x - x_star) - 0.5 * square(y - y_star) - 0.5 * square(th - theta_star)
+    s1 = sin(w1 * t)
+    c2 = cos(w2 * t)
+    s3 = sin(w3 * t)
+    g1 = m1 * s1 * q
+    g2 = m2 * c2 * q
+    g3 = m3 * s3 * q
+    e_norm = sqrt(square(h1 - g1) + square(h2 - g2) + square(h3 - g3))
+    xi = sigma * sqrt(square(g1) + square(g2) + square(g3)) - alpha * (e_norm + bias)
+    columns = {
+        "x": x, "y": y, "theta": th,
+        "xhat": x - ha1 * s1, "yhat": y + ha2 * c2, "thetahat": th - ha3 * s3,
+        "q": q, "g1": g1, "g2": g2, "g3": g3, "u1": u1, "u2": u2, "xi": xi,
+    }
+    return (xs, ys, ths), columns

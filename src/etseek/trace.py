@@ -8,28 +8,9 @@ row and its ``xi`` is negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-
-#: Columns of the exported CSV, in order.
-TRACE_COLUMNS = (
-    "t",
-    "x",
-    "y",
-    "theta",
-    "xhat",
-    "yhat",
-    "thetahat",
-    "q",
-    "g1",
-    "g2",
-    "g3",
-    "u1",
-    "u2",
-    "xi",
-    "event",
-)
 
 #: Most grid steps one run may take.  A trace row is 120 bytes, so this
 #: caps a trace at 1.2 GB: 1000 s at the default dt = 1e-4, 16 times the
@@ -115,6 +96,10 @@ class SimulationTrace:
         return np.column_stack([col[idx] for col in cols])
 
 
+#: Columns of the exported CSV, in order: the trace's array fields.
+TRACE_COLUMNS = tuple(f.name for f in fields(SimulationTrace) if f.name != "system")
+
+
 @dataclass
 class RunMetrics:
     """Summary of a completed run; inter-event times are None below two events."""
@@ -131,18 +116,8 @@ class RunMetrics:
         The five theory keys are always null here; ``verify`` writes the
         theory report to its own JSON.
         """
-        return {
-            "num_steps": self.num_steps,
-            "num_events": self.num_events,
-            "min_inter_event": self.min_inter_event,
-            "mean_inter_event": self.mean_inter_event,
-            "final_error_norm": self.final_error_norm,
-            "tau_star": None,
-            "alpha_min": None,
-            "hurwitz": None,
-            "decay_violations": None,
-            "averaging_sup_error": None,
-        }
+        theory = ("tau_star", "alpha_min", "hurwitz", "decay_violations", "averaging_sup_error")
+        return asdict(self) | dict.fromkeys(theory)
 
 
 def inter_event_stats(trace: SimulationTrace) -> tuple[float | None, float | None]:

@@ -36,8 +36,10 @@ class DitherParams:
     literal published values omega1 = omega2 = 10, omega3 = 20).
 
     Amplitudes are allowed to be zero here so that dither-free plants can
-    be constructed in tests; scenario loading and the demodulation path
-    both insist on strictly positive amplitudes.
+    be constructed in tests; the full loop pins an undithered channel's
+    gradient estimate to zero.  Only scenario loading and the reference
+    :func:`~etseek.estimator.demodulation_vector` insist on strictly
+    positive amplitudes.
     """
 
     a1: float

@@ -8,6 +8,10 @@ attribute in the code of some ``etseek`` module other than
 docstrings and comments do not count.  The composable building blocks
 that ``perfbench`` rebinds by name are kept until the benchmark stops
 naming them.
+
+The README's "Model" section names, for each equation, the code that
+computes it, its reference and the test that pins the two; every one of
+those names must exist.
 """
 
 import ast
@@ -19,6 +23,8 @@ import etseek
 
 PACKAGE = Path(etseek.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
+README = PACKAGE.parents[1] / "README.md"
+TESTS = Path(__file__).parent
 
 
 def _references(node, enclosing, found):
@@ -120,3 +126,43 @@ def test_every_benchmark_binding_resolves():
         if not hasattr(importlib.import_module(module), attr)
     })
     assert not missing, f"names the benchmark rebinds but the package lacks: {missing}"
+
+
+def _defines(tree, chain):
+    """Whether ``tree`` defines ``chain``: a top-level def or class, then
+    the members nested in it, one name per level."""
+    body = tree.body
+    for name in chain:
+        defs = {
+            node.name: node
+            for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        if name not in defs:
+            return False
+        body = defs[name].body
+    return True
+
+
+def test_every_name_in_the_readme_model_exists():
+    text = README.read_text(encoding="utf-8")
+    assert "\n## Model\n" in text
+    model = text.split("\n## Model\n", 1)[1].split("\n## ", 1)[0]
+    code = set(re.findall(r"`(etseek(?:\.\w+)+)`", model))
+    tests = set(re.findall(r"`tests/(\w+\.py)((?:::\w+)+)`", model))
+    assert code and tests
+    missing = []
+    for dotted in sorted(code):
+        module, *attrs = dotted.split(".")[1:]
+        try:
+            obj = importlib.import_module(f"etseek.{module}")
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            missing.append(dotted)
+    for file, chain in sorted(tests):
+        path = TESTS / file
+        tree = ast.parse(path.read_text(encoding="utf-8")) if path.exists() else ast.Module([], [])
+        if not _defines(tree, chain.split("::")[1:]):
+            missing.append(f"tests/{file}{chain}")
+    assert not missing, f"names the README model gives that do not exist: {missing}"

@@ -57,6 +57,9 @@ def test_accuracy_up_to_ten():
     # Spot values from Abramowitz & Stegun tables.
     assert bessel_j(0, 10.0) == pytest.approx(-0.2459357644513483, abs=1e-12)
     assert bessel_j(1, 5.0) == pytest.approx(-0.3275791375914652, abs=1e-12)
+    # The domain's edge is accepted on both sides.
+    assert bessel_j(2, 10.0) == pytest.approx(0.2546303136851206, abs=1e-12)
+    assert bessel_j(2, -10.0) == bessel_j(2, 10.0)
 
 
 def test_rejects_bad_arguments():
@@ -78,7 +81,10 @@ def test_rejects_bad_arguments():
             bessel_j_quadrature(order, 1.0)
 
 
-@pytest.mark.parametrize(("order", "x"), [(2, 1e308), (170, 700.0), (3, -1e200)])
+@pytest.mark.parametrize(
+    ("order", "x"), [(2, 1e308), (170, 700.0), (3, -1e200), (0, 50.0), (2, -10.5)]
+)
 def test_overflowing_series_names_its_input(order, x):
+    # Past |x| = 10 the series loses its digits well before it overflows.
     with pytest.raises(ValueError, match=re.escape(f"order {order} at argument {x!r}")):
         bessel_j(order, x)

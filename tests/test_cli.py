@@ -206,12 +206,22 @@ def test_compare_rejects_bad_omega(capsys, token):
              "--t-final", "0.01"],
             ["cli.omega-list", "--omega-list value 1e-300"],
         ),
+        (["bessel", "--order", "0", "--arg", "50"], ["order 0", "argument 50.0"]),
+        (
+            # a3 = 16 on the slower lane
+            ["compare", "--config", "smallgain.cfg", "--omega-list", "0.5,20",
+             "--t-final", "0.01"],
+            ["cli.omega-list", "--omega-list value 0.5"],
+        ),
     ],
-    ids=["bessel-1e308", "bessel-order-170", "compare-omega-1e-300"],
+    ids=["bessel-1e308", "bessel-order-170", "compare-omega-1e-300", "bessel-50",
+         "compare-omega-0.5"],
 )
 def test_overflow_names_the_input(args, names):
-    # Each of these overflows a float in the Bessel series; compare scales
-    # every lane before it runs one, so it prints nothing before the error.
+    # Each of these puts a Bessel argument outside the series' |x| <= 10
+    # domain, where it would overflow a float or sum to a wrong value;
+    # compare scales every lane before it runs one, so it prints nothing
+    # before the error.
     proc = run_cli(*args)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
