@@ -19,6 +19,12 @@ and G2 are left folds of the scalar loop's RK4 increments.  The fold
 returns the rows' states and trace columns; the runner hands back at the
 first row whose recorded Xi fires.  The closed-form G(t) of a hold would
 not be bit-identical to stepping.
+
+The averaged estimate equals the averaged pose, the source location
+offset by G_av, so the averaged trace stores it once: its ``xhat``,
+``yhat`` and ``thetahat`` are its ``x``, ``y`` and ``theta`` arrays (see
+:meth:`~etseek.trace.SimulationTrace.preallocate`), and neither the loop
+nor the fold writes them.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ def run_average_loop(
     held, so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar;
     RK4 on the uniform grid keeps the trace aligned with full-plant runs.
     The pose columns of the returned trace are the source location offset
-    by G_av (the averaged estimate equals the averaged error).
+    by G_av, and its estimate columns are the same arrays.
     """
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
@@ -112,8 +118,9 @@ def run_average_loop(
     half = 0.5 * dt
     sixth = dt / 6.0
     sqrt, isfinite, q_limit = math.sqrt, math.isfinite, Q_LIMIT
-    col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
-        col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
+    col_t, col_x, col_y, col_th, col_q, col_g1, col_g2, col_g3, col_u1, col_u2, col_xi, col_ev = (
+        memoryview(trace.column(name)) for name in TRACE_COLUMNS if not name.endswith("hat")
+    )
     g1, g2, g3 = (float(v) for v in g0)
     h1 = h2 = h3 = 0.0
     u1 = u2 = 0.0
@@ -150,9 +157,9 @@ def run_average_loop(
             elif i >= block_from:
                 break
             col_t[i] = t
-            col_x[i] = col_xh[i] = x_star + g1
-            col_y[i] = col_yh[i] = y_star + g2
-            col_th[i] = col_thh[i] = theta_star + g3
+            col_x[i] = x_star + g1
+            col_y[i] = y_star + g2
+            col_th[i] = theta_star + g3
             col_q[i] = q
             col_g1[i] = g1
             col_g2[i] = g2
@@ -198,9 +205,8 @@ def _hold_block(consts, held, t, g):
     b1, b2 = gs1[:-1], gs2[:-1]
     e_norm = np.sqrt(square(h1 - b1) + square(h2 - b2) + square(h3 - b3))
     sq = b1 * b1 + b2 * b2 + b3 * b3
-    x, y, th = x_star + b1, y_star + b2, theta_star + b3
     columns = {
-        "x": x, "y": y, "theta": th, "xhat": x, "yhat": y, "thetahat": th,
+        "x": x_star + b1, "y": y_star + b2, "theta": theta_star + b3,
         "q": q_star - 0.5 * sq, "g1": b1, "g2": b2, "g3": b3, "u1": u1, "u2": u2,
         "xi": sigma * np.sqrt(sq) - alpha * (e_norm + bias),
     }

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState
@@ -215,6 +216,11 @@ def load_scenario(path: str | Path) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError("dithers", str(exc)) from exc
+    # The trigger bias below needs J_2(a3), which refuses |a3| > 10.
+    try:
+        bessel_j(2, dithers.a3)
+    except ValueError as exc:
+        raise ScenarioError("dithers.a3", str(exc)) from exc
     dth.reject_unknown()
 
     gn = _SectionReader(parser, "gain")

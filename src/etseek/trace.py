@@ -41,7 +41,9 @@ class SimulationTrace:
 
     ``event`` flags the rows where the control was updated; those rows are
     the event log (see :attr:`events`).  ``system`` is "full" for the
-    nonlinear plant and "average" for the averaged loop.
+    nonlinear plant and "average" for the averaged loop.  :meth:`preallocate`
+    puts the float columns in one block, and an averaged trace's estimate
+    columns are its pose columns (see there).
     """
 
     t: np.ndarray
@@ -63,13 +65,25 @@ class SimulationTrace:
 
     @classmethod
     def preallocate(cls, n_rows: int, system: str = "full") -> "SimulationTrace":
-        """Empty trace of ``n_rows`` rows; more than ``MAX_STEPS + 1`` is refused."""
+        """Empty trace of ``n_rows`` rows; more than ``MAX_STEPS + 1`` is refused.
+
+        The float columns are the rows of one C-order ``(k, n_rows)``
+        block, each a contiguous 1-D view, so a run makes one allocation
+        (glibc can reuse it for the next run, and numpy asks for huge
+        pages from 4 MB on) instead of k.  An averaged trace's estimate is
+        its pose, so there ``xhat``, ``yhat`` and ``thetahat`` are ``x``,
+        ``y`` and ``theta`` and k is 11, not 14.  ``event`` is an array of
+        its own.  A view kept from any column keeps the whole block alive.
+        """
         if n_rows > MAX_STEPS + 1:
             raise ValueError(
                 f"{n_rows - 1} steps (t_final / dt) exceed the cap of {MAX_STEPS}; "
                 "raise dt or shorten t_final"
             )
-        cols = {name: np.empty(n_rows) for name in TRACE_COLUMNS if name != "event"}
+        alias = {"xhat": "x", "yhat": "y", "thetahat": "theta"} if system == "average" else {}
+        own = [name for name in TRACE_COLUMNS if name != "event" and name not in alias]
+        cols = dict(zip(own, np.empty((len(own), n_rows))))
+        cols.update((hat, cols[pose]) for hat, pose in alias.items())
         return cls(event=np.zeros(n_rows, dtype=np.int64), system=system, **cols)
 
     def __len__(self) -> int:

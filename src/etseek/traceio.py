@@ -45,94 +45,163 @@ _ZERO, _COMMA, _DOT, _MINUS = (ord(c) for c in "0,.-")
 _PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]
 
 
+def _work(work: dict, slot: int, count: int, dtype=np.uint64) -> np.ndarray:
+    """``count`` uninitialised items of ``dtype`` in an export's work array ``slot``.
+
+    One export keeps its work arrays in ``work`` from chunk to chunk, so
+    each is allocated once (and again only if a later chunk needs more
+    bytes) instead of once per chunk, which glibc would return to the OS
+    and fault in again.  Arrays that are never live at the same time
+    share a slot.
+    """
+    size = count * np.dtype(dtype).itemsize
+    if slot not in work or work[slot].shape[0] < size:
+        work[slot] = np.empty(size, dtype=np.uint8)
+    return work[slot][:size].view(dtype)
+
+
 def _decimal_exponent(a: np.ndarray) -> np.ndarray:
-    """floor(log10(a)); ``log10`` may make it one off next to a power of ten."""
-    return np.floor(np.log10(a)).astype(np.int64)
+    """floor(log10(a)) as floats; ``log10`` may make it one off next to a power of ten."""
+    e = np.log10(a)
+    return np.floor(e, out=e)
 
 
-def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _digits17(v: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``%.17g`` significand and exponent of each value: (ok, q, k).
 
     Where ``ok``, ``v`` rounds to ``q * 10**(k - 16)`` with ``10**16 <= q <
-    10**17``; elsewhere ``q`` and ``k`` are 0.
+    10**17``; elsewhere ``q`` and ``k`` are 0.  The three arrays live in
+    slots 9, 5 and 4 of ``work``; slots 0-8 are free again on return.
     """
-    a = np.abs(v)
-    ok = (a >= 1e-4) & (a < 1e14)
-    a = np.where(ok, a, 1.0)
-    frac, e = np.frexp(a)
-    m = np.ldexp(frac, 53).astype(np.uint64)
+    n = v.shape[0]
+
+    def out(slot, dtype=np.uint64):
+        return _work(work, slot, n, dtype)
+
+    a = np.abs(v, out=out(0, np.float64))
+    ok = np.greater_equal(a, 1e-4, out=out(9, bool))
+    ok &= a < 1e14
+    a[~ok] = 1.0
+    frac, e = np.frexp(a, out=(out(1, np.float64), out(2, np.int32)))
+    m = out(3)
+    m[:] = np.ldexp(frac, 53, out=frac)
     # A k that is one off gives a q of 16 or 18 digits, which the length
     # checks below reject.  With k within one, p = 16 - k lies in [2, 21],
     # the shift in [2, 48] and q below 10**18.
-    k = _decimal_exponent(a)
-    p = 16 - k
-    shift = (53 - e - p).astype(np.uint64)
+    k = out(4, np.int64)
+    k[:] = _decimal_exponent(a)
+    p = np.subtract(16, k, out=out(0, np.int64))
+    shift = np.subtract(53, e, out=out(1, np.int64))
+    shift -= p
+    shift = shift.view(np.uint64)  # as ``astype`` would convert it
     # m * 5**p as (hi, lo) 64-bit words; every limb product fits 64 bits.
-    scale = _POW5.take(p)
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    s_lo, s_hi = scale & 0xFFFFFFFF, scale >> 32
-    low = m_lo * s_lo
-    mid = m_lo * s_hi + m_hi * s_lo
-    lo = low + (mid << 32)
-    hi = m_hi * s_hi + (mid >> 32) + (lo < low)
+    s_lo = _POW5.take(p, out=out(2))
+    m_hi = np.right_shift(m, 32, out=out(0))
+    m_lo = np.bitwise_and(m, 0xFFFFFFFF, out=m)
+    hi = np.right_shift(s_lo, 32, out=out(5))  # s_hi until the high word
+    s_lo &= 0xFFFFFFFF
+    low = np.multiply(m_lo, s_lo, out=out(6))
+    mid = np.multiply(m_lo, hi, out=out(7))
+    mid += np.multiply(m_hi, s_lo, out=s_lo)
+    lo = np.left_shift(mid, 32, out=m_lo)
+    lo += low
+    np.multiply(m_hi, hi, out=hi)
+    hi += np.right_shift(mid, 32, out=mid)
+    hi += np.less(lo, low, out=out(8, bool))
     # Shift right by ``shift``; ``dropped`` holds the dropped bits at the
     # top of a word, so a tie is 2**63 and rounds to the even q.
-    left = 64 - shift
-    q = (hi << left) | (lo >> shift)
-    dropped = lo << left
+    left = np.subtract(64, shift, out=out(0))
+    q = np.left_shift(hi, left, out=hi)
+    q |= np.right_shift(lo, shift, out=out(6))
+    dropped = np.left_shift(lo, left, out=lo)
     ok &= q >= 10 ** 16
-    q += dropped > (2 ** 63 - (q & 1))
+    half = np.subtract(2 ** 63, np.bitwise_and(q, 1, out=out(6)), out=out(6))
+    q += np.greater(dropped, half, out=out(8, bool))
     ok &= q < 10 ** 17
-    return ok, np.where(ok, q, 0), np.where(ok, k, 0)
+    rejected = np.logical_not(ok, out=out(8, bool))
+    np.copyto(q, 0, where=rejected)
+    np.copyto(k, 0, where=rejected)
+    return ok, q, k
 
 
-def _encode_rows(fields: np.ndarray, tails: list[bytes], tail_of: np.ndarray) -> np.ndarray:
+def _encode_rows(
+    fields: np.ndarray, tails: list[bytes], tail_of: np.ndarray, work: dict | None = None
+) -> np.ndarray:
     """CSV bytes of rows: the ``%.17g`` text of each field, then a tail.
 
     ``fields`` is (rows, cols) float64; every field is followed by a
-    comma.  Row ``r`` ends with the bytes ``tails[tail_of[r]]``.
+    comma.  Row ``r`` ends with the bytes ``tails[tail_of[r]]``.  The
+    result is a view into ``work`` (see :func:`_work`), valid until the
+    next call with it; without ``work`` the call allocates its own.
     """
+    work = {} if work is None else work
     rows, cols = fields.shape
     v = fields.ravel()
-    ok, q, k = _digits17(v)
-    digits = np.empty((17, v.shape[0]), dtype=np.uint8)
-    high9 = q // 10 ** 8
-    low8 = (q - high9 * 10 ** 8).astype(np.uint32)
-    high9 = high9.astype(np.uint32)
+    n = v.shape[0]
+
+    def out(slot, dtype=np.int64, count=n):
+        return _work(work, slot, count, dtype)
+
+    ok, q, k = _digits17(v, work)
+    digits = out(10, np.uint8, 17 * n).reshape(17, n)
+    high = np.floor_divide(q, 10 ** 8, out=out(0, np.uint64))
+    q -= np.multiply(high, 10 ** 8, out=out(1, np.uint64))
+    low8, high9 = out(2, np.uint32), out(3, np.uint32)
+    low8[:], high9[:] = q, high
+    rest, tens = out(0, np.uint32), out(1, np.uint32)
     for i in range(16, -1, -1):  # numpy's ``//`` by a scalar is much faster than ``%``
         part = low8 if i > 8 else high9
-        rest = part // 10
-        digits[i] = part - rest * 10
+        np.floor_divide(part, 10, out=rest)
+        digits[i] = np.subtract(part, np.multiply(rest, 10, out=tens), out=tens)
         part[:] = rest
     # Significant digits, up to the last nonzero one; 0 outside ``ok``.
-    nz = ((digits != 0) * _PLACES).max(axis=0)
+    places = out(11, np.uint8, 17 * n).reshape(17, n)
+    np.not_equal(digits, 0, out=places.view(bool))
+    places *= _PLACES
+    nz = places.max(axis=0, out=out(12, np.uint8))
     digits += _ZERO
-    neg = ok & (v < 0.0)
-    lead = np.maximum(-k, 0)  # "0." and the zeros before the first digit
-    length = neg + lead + np.maximum(nz, k + 1) + (nz > k + 1)
+    neg = np.less(v, 0.0, out=out(13, bool))
+    neg &= ok
+    lead = np.negative(k, out=out(0))  # "0." and the zeros before the first digit
+    np.maximum(lead, 0, out=lead)
+    k1 = np.add(k, 1, out=out(1))
+    length = np.maximum(nz, k1, out=out(2))
+    dot = np.greater(nz, k1, out=out(14, bool))
+    length += dot
+    length += lead
+    length += neg
     slow = np.flatnonzero(~ok)
     texts = [("%.17g" % x).encode() for x in v[slow].tolist()]
     length[slow] = [len(t) for t in texts]
 
-    width = np.empty((rows, cols + 1), dtype=np.int64)
-    width[:, :cols] = (length + 1).reshape(rows, cols)
+    width = out(3, count=rows * (cols + 1)).reshape(rows, cols + 1)
+    np.add(length.reshape(rows, cols), 1, out=width[:, :cols])
     width[:, cols] = np.array([len(t) for t in tails], dtype=np.int64)[tail_of]
-    start = np.cumsum(width.ravel()).reshape(rows, cols + 1) - width
-    total = int(start[-1, -1] + width[-1, -1])
-    tail_start = start[:, cols]
-    start = start[:, :cols].ravel()
+    ends = np.cumsum(width, out=out(5, count=rows * (cols + 1))).reshape(rows, cols + 1)
+    total = int(ends[-1, -1])
+    tail_start = np.subtract(ends[:, cols], width[:, cols], out=out(6, count=rows))
+    start = out(7).reshape(rows, cols)
+    np.subtract(ends[:, :cols], width[:, :cols], out=start)
+    start = start.ravel()
 
     # Slots left unwritten stay "0" (leading and integer zeros).  Digits
     # past a field's last significant one land on its comma slot, which is
     # written afterwards.
-    buf = np.full(total, _ZERO, dtype=np.uint8)
-    base = start + neg + lead
-    comma = start + length
+    buf = out(15, np.uint8, total)
+    buf[:] = _ZERO
+    base = np.add(start, lead, out=lead)
+    base += neg
+    comma = np.add(start, length, out=length)
+    at = out(1)
     for i in range(17):
-        buf[np.minimum(base + i + (k < i), comma)] = digits[i]
+        np.add(base, i, out=at)
+        at += np.less(k, i, out=out(8, bool))
+        buf[np.minimum(at, comma, out=at)] = digits[i]
     buf[comma] = _COMMA
     buf[start[neg]] = _MINUS
-    buf[(base + k + 1)[nz > k + 1]] = _DOT
+    np.add(base, k, out=at)
+    at += 1
+    buf[at[dot]] = _DOT
     for j, text in zip(slow.tolist(), texts):
         buf[start[j]:start[j] + len(text)] = np.frombuffer(text, dtype=np.uint8)
     for u, text in enumerate(tails):
@@ -150,13 +219,17 @@ def export_trace(trace: SimulationTrace, path: str | Path) -> None:
     values, tail_of = np.unique(trace.event, return_inverse=True)
     tails = [("%d" % v + marker + "\n").encode() for v in values.tolist()]
     columns = [trace.column(name) for name in TRACE_COLUMNS[:-1]]
+    work: dict = {}
     try:
         with open(path, "wb") as handle:
             handle.write(header.encode())
             for a in range(0, len(trace), _CHUNK_ROWS):
-                b = a + _CHUNK_ROWS
-                fields = np.column_stack([col[a:b] for col in columns])
-                handle.write(_encode_rows(fields, tails, tail_of[a:b]))
+                b = min(a + _CHUNK_ROWS, len(trace))
+                fields = _work(work, 16, (b - a) * len(columns), np.float64)
+                fields = fields.reshape(b - a, len(columns))
+                for j, col in enumerate(columns):
+                    fields[:, j] = col[a:b]
+                handle.write(_encode_rows(fields, tails, tail_of[a:b], work))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

@@ -91,6 +91,22 @@ def test_sigma_bound_exit_code(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 1
 
 
+def test_bessel_domain_in_a_scenario_exits_1_naming_the_key(tmp_path, capsys):
+    cfg = tmp_path / "a3.cfg"
+    cfg.write_text(
+        "[field]\nx_star=10\ny_star=5\ntheta_star_deg=30\nq_star=7\n"
+        "[dithers]\na1=0.5\na2=0.5\na3=12.0\nomega1=4\nomega2=4\nomega3=2\n"
+        "[gain]\nrow1=1 0 0\nrow2=0 0 1\n"
+        "[trigger]\nsigma=0.5\nalpha=0.195\n"
+        "[run]\nx0=12.5\ny0=7.5\ntheta0_deg=60\n"
+    )
+    assert main(["verify", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: dithers.a3: Bessel series is accurate only for |x| <= 10")
+    assert "argument 12.0" in err
+
+
 def test_numerical_failure_exit_code():
     code = main([
         "simulate", "--config", "paper_siv.cfg",

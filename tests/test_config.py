@@ -133,6 +133,12 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="dithers.a2"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("a3", ["12.0", "10.5"])
+    def test_a3_outside_the_bessel_domain_names_the_key(self, tmp_path, a3):
+        path = write_cfg(tmp_path, dithers={"a3": a3})
+        with pytest.raises(ScenarioError, match=r"^dithers\.a3: Bessel series is accurate only"):
+            load_scenario(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, run={"warp": "9"})
         with pytest.raises(ScenarioError, match="run.warp"):

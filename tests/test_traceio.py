@@ -27,6 +27,9 @@ METRIC_KEYS = [
     "averaging_sup_error",
 ]
 
+#: The averaged loop's estimate columns and the pose columns they equal.
+POSE_OF_ESTIMATE = {"xhat": "x", "yhat": "y", "thetahat": "theta"}
+
 
 def test_header_is_exact(tmp_path, smallgain_scenario):
     sc = replace(smallgain_scenario, t_final=0.01)
@@ -119,7 +122,38 @@ def test_average_trace_carries_marker(tmp_path, smallgain_scenario):
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER + ",system"
     assert lines[1].endswith(",average")
-    assert import_trace(path).system == "average"
+    back = import_trace(path)
+    assert back.system == "average"
+    for hat, pose in POSE_OF_ESTIMATE.items():
+        assert back.column(hat).tobytes() == back.column(pose).tobytes(), hat
+
+
+@pytest.mark.parametrize("system, blocked", [("full", 14), ("average", 11)])
+def test_preallocated_float_columns_are_rows_of_one_block(system, blocked):
+    trace = SimulationTrace.preallocate(1000, system)
+    floats = [trace.column(name) for name in TRACE_COLUMNS if name != "event"]
+    block = floats[0].base
+    assert block.shape == (blocked, 1000) and block.flags.c_contiguous
+    for column in floats:
+        assert column.base is block
+        assert column.shape == (1000,) and column.flags.c_contiguous
+    assert len({id(column) for column in floats}) == blocked
+    assert trace.event.dtype == np.int64 and trace.event.base is None
+    assert not trace.event.any()
+
+
+def test_averaged_estimate_columns_are_the_pose_columns():
+    trace = SimulationTrace.preallocate(10, "average")
+    for hat, pose in POSE_OF_ESTIMATE.items():
+        assert trace.column(hat) is trace.column(pose)
+
+
+def test_full_estimate_columns_are_their_own():
+    trace = SimulationTrace.preallocate(10, "full")
+    for hat, pose in POSE_OF_ESTIMATE.items():
+        trace.column(hat)[:] = 1.0
+        trace.column(pose)[:] = 2.0
+        assert (trace.column(hat) == 1.0).all(), hat
 
 
 def test_metrics_keys_and_round_trip(tmp_path, smallgain_scenario):
