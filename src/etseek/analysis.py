@@ -11,11 +11,12 @@ immutable traces.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from etseek.average import build_average_matrices, initial_error, run_average_loop
+from etseek.average import AverageModel, build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
 from etseek.trace import SimulationTrace, inter_event_stats
 from etseek.trigger import TriggerConstants, trigger_floor
@@ -124,6 +125,27 @@ def dwell_time_bound(sigma: float, acl: np.ndarray, bk: np.ndarray) -> float:
     return (1.0 / norm_sum) * m_over_n / (1.0 + math.sqrt(m_over_n))
 
 
+def check_grid_resolution(sc: Scenario, model: AverageModel) -> None:
+    """Warn when the grid is too coarse for the dwell-time bound.
+
+    Trigger monitoring is discretized to the grid, so events can overshoot
+    their continuous-time instant by one step; that is negligible only
+    while dt stays well below the guaranteed inter-event time.
+    """
+    k = np.asarray(sc.gain.rows, dtype=float)
+    try:
+        tau_star = dwell_time_bound(sc.trigger.sigma, model.a - model.b @ k, model.b @ k)
+    except ValueError:
+        return
+    if sc.dt > tau_star / 10.0:
+        warnings.warn(
+            f"integration step dt = {sc.dt:g} exceeds tau*/10 = {tau_star / 10.0:g}; "
+            "grid-sampled trigger events may overshoot",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def decay_envelope_check(
     trace: SimulationTrace,
     p: np.ndarray,
@@ -219,6 +241,7 @@ def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]
     lam_q_min = float(np.linalg.eigvalsh(cert.q)[0])
     lam_p_max = float(np.linalg.eigvalsh(cert.p)[-1])
     report.decay_rate = lam_q_min * (1.0 - sc.trigger.sigma) / lam_p_max
+    check_grid_resolution(sc, model)
     g0 = initial_error(sc.initial, d, sc.field)
     avg_trace = run_average_loop(
         model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=sc.field

@@ -11,7 +11,7 @@ loop is one flat loop over local floats, like the full plant's, and applies
 the same event rule and zero-order hold to the averaged signals: it fires
 on the Xi it records, at t = 0 and then wherever Xi < 0.
 
-Between events the latched G, u and c are constant, and ``paper_siv``
+Between events the latched G and c are constant, and ``paper_siv``
 holds from its second event (at 0.095 s) to the horizon.  Long holds go
 to the hold-block runner of :mod:`etseek.hold`, which both loops share;
 this module supplies the fold, in which G3 moves by a fixed step and G1
@@ -20,11 +20,11 @@ returns the rows' states and trace columns; the runner hands back at the
 first row whose recorded Xi fires.  The closed-form G(t) of a hold would
 not be bit-identical to stepping.
 
-The averaged estimate equals the averaged pose, the source location
-offset by G_av, so the averaged trace stores it once: its ``xhat``,
-``yhat`` and ``thetahat`` are its ``x``, ``y`` and ``theta`` arrays (see
-:meth:`~etseek.trace.SimulationTrace.preallocate`), and neither the loop
-nor the fold writes them.
+The loop and the fold store per row only q, G and Xi.  ``t`` is filled
+before the run, and u and the pose, the source offset by G_av, after it.
+The averaged estimate equals that pose, so its ``xhat``, ``yhat`` and
+``thetahat`` are its ``x``, ``y`` and ``theta`` arrays (see
+:meth:`~etseek.trace.SimulationTrace.preallocate`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from etseek import hold
 from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
-from etseek.trace import Q_LIMIT, TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
+from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState, estimator_pose
 
@@ -100,43 +100,37 @@ def run_average_loop(
     where the recorded Xi is negative.  Between events the control is
     held, so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar;
     RK4 on the uniform grid keeps the trace aligned with full-plant runs.
-    The pose columns of the returned trace are the source location offset
-    by G_av, and its estimate columns are the same arrays.
     """
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
-    (k00, k01, k02), (k10, k11, k12) = gain.rows
     bk = model.b @ np.asarray(gain.rows, dtype=float)
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = bk.tolist()
     a13 = float(model.a[0, 2])
     a23 = float(model.a[1, 2])
     d1, d2, d3 = model.delta_bar.tolist()
-    sigma, alpha, bias = consts.sigma, consts.alpha, consts.bias
-    x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star
+    sigma, alpha, bias, q_star = consts.sigma, consts.alpha, consts.bias, field.q_star
     n = round(t_final / dt)
     trace = SimulationTrace.preallocate(n + 1, system="average")
+    np.multiply(np.arange(n + 1), dt, out=trace.t)
     half = 0.5 * dt
     sixth = dt / 6.0
     sqrt, isfinite, q_limit = math.sqrt, math.isfinite, Q_LIMIT
-    col_t, col_x, col_y, col_th, col_q, col_g1, col_g2, col_g3, col_u1, col_u2, col_xi, col_ev = (
-        memoryview(trace.column(name)) for name in TRACE_COLUMNS if not name.endswith("hat")
-    )
+    col_q, col_g1, col_g2, col_g3, col_xi, col_ev = map(
+        memoryview, (trace.q, trace.g1, trace.g2, trace.g3, trace.xi, trace.event))
     g1, g2, g3 = (float(v) for v in g0)
     h1 = h2 = h3 = 0.0
-    u1 = u2 = 0.0
     c1 = c2 = c3 = hc3 = dc3 = step3 = 0.0
     # Unfired rows from `block_from` on go to hold blocks.
     block_from = n + 1
     scalar_hold = hold._SCALAR_HOLD
-    block_consts = (a13, a23, sixth, sigma, alpha, bias, x_star, y_star, theta_star, q_star)
+    block_consts = (a13, a23, sixth, sigma, alpha, bias, q_star)
     start = 0
     while True:
         for i in range(start, n + 1):
-            t = i * dt
             sq = g1 * g1 + g2 * g2 + g3 * g3
             q = q_star - 0.5 * sq
             if not isfinite(q) or abs(q) > q_limit:
-                raise NonFiniteStateError(t)
+                raise NonFiniteStateError(i * dt)
             # Past that check |G| and the latched H stay below
             # sqrt(2 * (|q_star| + q_limit)), so no square overflows unless
             # |q_star| exceeds about 2e307.
@@ -144,8 +138,6 @@ def run_average_loop(
             xi = sigma * sqrt(sq) - alpha * (e_norm + bias)
             if i < n and (i == 0 or xi < 0.0):
                 h1, h2, h3 = g1, g2, g3
-                u1 = -(k00 * g1 + k01 * g2 + k02 * g3)
-                u2 = -(k10 * g1 + k11 * g2 + k12 * g3)
                 c1 = -(b00 * g1 + b01 * g2 + b02 * g3) + d1
                 c2 = -(b10 * g1 + b11 * g2 + b12 * g3) + d2
                 c3 = -(b20 * g1 + b21 * g2 + b22 * g3) + d3
@@ -156,19 +148,13 @@ def run_average_loop(
                 col_ev[i] = 1
             elif i >= block_from:
                 break
-            col_t[i] = t
-            col_x[i] = x_star + g1
-            col_y[i] = y_star + g2
-            col_th[i] = theta_star + g3
             col_q[i] = q
             col_g1[i] = g1
             col_g2[i] = g2
             col_g3[i] = g3
-            col_u1[i] = u1
-            col_u2[i] = u2
             col_xi[i] = xi
             if i == n:
-                return trace
+                continue  # no step past the last row
             # RK4 on dG/dt = A G + c.  A acts through G3 only and dG3/dt = c3
             # is constant, so the k2 and k3 stages coincide and G3 moves by a
             # fixed step between events.
@@ -177,23 +163,27 @@ def run_average_loop(
             km = a23 * (g3 + hc3) + c2
             g2 += sixth * (a23 * g3 + c2 + 2.0 * km + 2.0 * km + (a23 * (g3 + dc3) + c2))
             g3 += step3
-        held = (h1, h2, h3, u1, u2, c1, c2, hc3, dc3, step3)
-        resume = hold.run_blocks(
-            trace, i, dt, partial(_hold_block, block_consts, held), (g1, g2, g3)
+        else:
+            break  # the scalar loop wrote the last row
+        held = (h1, h2, h3, c1, c2, hc3, dc3, step3)
+        start, (g1, g2, g3) = hold.run_blocks(
+            trace, i, partial(_hold_block, block_consts, held), (g1, g2, g3)
         )
-        if resume is None:
-            return trace
-        start, (g1, g2, g3) = resume
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
         block_from = start + 1
+    hold.fill_control(trace, gain)
+    np.add(field.x_star, trace.g1, out=trace.x)
+    np.add(field.y_star, trace.g2, out=trace.y)
+    np.add(field.theta_star, trace.g3, out=trace.theta)
+    return trace
 
 
 def _hold_block(consts, held, t, g):
     """One hold block of the averaged loop, a fold for
     :func:`etseek.hold.run_blocks`; ``t`` only sets its length."""
-    a13, a23, sixth, sigma, alpha, bias, x_star, y_star, theta_star, q_star = consts
-    h1, h2, h3, u1, u2, c1, c2, hc3, dc3, step3 = held
+    a13, a23, sixth, sigma, alpha, bias, q_star = consts
+    h1, h2, h3, c1, c2, hc3, dc3, step3 = held
     g1, g2, g3 = g
     square = hold.square
     gs3 = hold.accumulate(g3, np.full(t.shape[0], step3))
@@ -206,8 +196,7 @@ def _hold_block(consts, held, t, g):
     e_norm = np.sqrt(square(h1 - b1) + square(h2 - b2) + square(h3 - b3))
     sq = b1 * b1 + b2 * b2 + b3 * b3
     columns = {
-        "x": x_star + b1, "y": y_star + b2, "theta": theta_star + b3,
-        "q": q_star - 0.5 * sq, "g1": b1, "g2": b2, "g3": b3, "u1": u1, "u2": u2,
+        "q": q_star - 0.5 * sq, "g1": b1, "g2": b2, "g3": b3,
         "xi": sigma * np.sqrt(sq) - alpha * (e_norm + bias),
     }
     return (gs1, gs2, gs3), columns

@@ -234,7 +234,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("trigger.sigma", f"must lie in (0, 1), got {sigma}")
     if alpha <= 0.0:
         raise ScenarioError("trigger.alpha", f"must be > 0, got {alpha}")
-    trigger = TriggerConstants.from_dithers(sigma, alpha, dithers)
+    try:
+        trigger = TriggerConstants.from_dithers(sigma, alpha, dithers)
+    except ValueError as exc:  # sigma and alpha passed above: the bias failed
+        raise ScenarioError("dithers", f"trigger bias a1*omega3*|J_2(a3)|: {exc}") from exc
     trg.reject_unknown()
 
     run = _SectionReader(parser, "run")

@@ -13,10 +13,10 @@ bit-identical traces.
 
 For speed, the full-plant loop is inlined: RK4, the dithered kinematics,
 field evaluation, demodulation, the trigger with its zero-order hold and
-the estimator pose are written out as a scalar loop over local floats.
-The composable functions (:func:`integrate_step`,
-:func:`~etseek.vehicle.dither_velocities`, :func:`~etseek.field.evaluate`,
-:func:`~etseek.estimator.demodulation_vector`,
+the estimator pose are written out as a scalar loop over local floats
+that stores neither ``t`` nor u per row (see :mod:`etseek.hold`).  The
+composable functions (:func:`integrate_step`, :func:`~etseek.vehicle.dither_velocities`,
+:func:`~etseek.field.evaluate`, :func:`~etseek.estimator.demodulation_vector`,
 :func:`~etseek.trigger.step_trigger`, :func:`~etseek.vehicle.estimator_pose`)
 are its tested reference: the loop keeps their float expressions in the
 same evaluation order, so it reproduces them bit for bit.
@@ -33,18 +33,15 @@ every row on the scalar loop.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import partial
 
 import numpy as np
 
 from etseek import hold
-from etseek.analysis import dwell_time_bound
-from etseek.average import AverageModel, build_average_matrices, initial_error, run_average_loop
+from etseek.analysis import check_grid_resolution
+from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
-from etseek.trace import (
-    Q_LIMIT, TRACE_COLUMNS, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats,
-)
+from etseek.trace import Q_LIMIT, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats
 
 # The building blocks the inlined loop expands, importable from here as its
 # reference.
@@ -97,7 +94,7 @@ def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     """
     f = sc.field
     model = build_average_matrices(f.theta_star, sc.dithers)
-    _check_grid_resolution(sc, model)
+    check_grid_resolution(sc, model)
     if sc.mode == "average":
         g0 = initial_error(sc.initial, sc.dithers, f)
         trace = run_average_loop(model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=f)
@@ -111,27 +108,6 @@ def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     return trace, RunMetrics(len(trace) - 1, num_events, *inter_event_stats(trace), final_error)
 
 
-def _check_grid_resolution(sc: Scenario, model: AverageModel) -> None:
-    """Warn when the grid is too coarse for the dwell-time bound.
-
-    Trigger monitoring is discretized to the grid, so events can overshoot
-    their continuous-time instant by one step; that is negligible only
-    while dt stays well below the guaranteed inter-event time.
-    """
-    k = np.asarray(sc.gain.rows, dtype=float)
-    try:
-        tau_star = dwell_time_bound(sc.trigger.sigma, model.a - model.b @ k, model.b @ k)
-    except ValueError:
-        return
-    if sc.dt > tau_star / 10.0:
-        warnings.warn(
-            f"integration step dt = {sc.dt:g} exceeds tau*/10 = {tau_star / 10.0:g}; "
-            "grid-sampled trigger events may overshoot",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     """The full plant's loop; ``period`` is None for the event trigger, else
     the sample clock's period."""
@@ -143,6 +119,7 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     dt = sc.dt
     n = round(sc.t_final / dt)
     trace = SimulationTrace.preallocate(n + 1, system="full")
+    np.multiply(np.arange(n + 1), dt, out=trace.t)
     # Constant prefixes of the building blocks' expressions, grouped the way
     # left-to-right evaluation already groups them there.
     w1, w2, w3 = d.omega1, d.omega2, d.omega3
@@ -158,8 +135,9 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     half = 0.5 * dt
     sixth = dt / 6.0
     sin, cos, sqrt, isfinite, q_limit = math.sin, math.cos, math.sqrt, math.isfinite, Q_LIMIT
-    col_t, col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, \
-        col_u1, col_u2, col_xi, col_ev = (memoryview(trace.column(name)) for name in TRACE_COLUMNS)
+    col_x, col_y, col_th, col_xh, col_yh, col_thh, col_q, col_g1, col_g2, col_g3, col_xi, col_ev = map(
+        memoryview, (trace.x, trace.y, trace.theta, trace.xhat, trace.yhat, trace.thetahat,
+                     trace.q, trace.g1, trace.g2, trace.g3, trace.xi, trace.event))
     x, y, th = sc.initial.x, sc.initial.y, sc.initial.theta
     h1 = h2 = h3 = 0.0
     u1 = u2 = 0.0
@@ -212,7 +190,6 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
                 col_ev[i] = 1
             elif i >= block_from:
                 break
-            col_t[i] = t
             col_x[i] = x
             col_y[i] = y
             col_th[i] = th
@@ -223,11 +200,9 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
             col_g1[i] = g1
             col_g2[i] = g2
             col_g3[i] = g3
-            col_u1[i] = u1
-            col_u2[i] = u2
             col_xi[i] = xi
             if i == n:
-                return trace
+                continue  # no step past the last row
             # RK4 under the held control.  The right-hand side reads only the
             # heading, so the mid and end stages need no x/y; the dither terms
             # at t + dt/2 are shared by k2 and k3.
@@ -266,15 +241,16 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
             x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + v * c)
             y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + v * s)
             th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
-        resume = hold.run_blocks(
-            trace, i, dt, partial(_hold_block, block_consts, (h1, h2, h3, u1, u2)), (x, y, th)
+        else:
+            break  # the scalar loop wrote the last row
+        start, (x, y, th) = hold.run_blocks(
+            trace, i, partial(_hold_block, block_consts, (h1, h2, h3, u1, u2)), (x, y, th)
         )
-        if resume is None:
-            return trace
-        start, (x, y, th) = resume
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
         block_from = start + 1
+    hold.fill_control(trace, sc.gain)
+    return trace
 
 
 def _hold_block(consts, held, t, pose):
@@ -332,6 +308,6 @@ def _hold_block(consts, held, t, pose):
     columns = {
         "x": x, "y": y, "theta": th,
         "xhat": x - ha1 * s1, "yhat": y + ha2 * c2, "thetahat": th - ha3 * s3,
-        "q": q, "g1": g1, "g2": g2, "g3": g3, "u1": u1, "u2": u2, "xi": xi,
+        "q": q, "g1": g1, "g2": g2, "g3": g3, "xi": xi,
     }
     return (xs, ys, ths), columns

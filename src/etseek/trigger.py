@@ -42,7 +42,7 @@ class TriggerConstants:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not (math.isfinite(self.bias) and self.bias >= 0.0):
-            raise ValueError(f"bias must be >= 0, got {self.bias}")
+            raise ValueError(f"bias must be finite and >= 0, got {self.bias}")
 
     @classmethod
     def from_dithers(

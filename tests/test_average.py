@@ -375,7 +375,7 @@ def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
                 run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-4, 0.1, ORIGIN)
         failed_at.append(info.value.t)
     blocked, scalar = traces
-    written = np.count_nonzero(~np.isnan(scalar.t))
+    written = np.count_nonzero(~np.isnan(scalar.q))
     assert written > first_blocks + 1
     assert failed_at[0] == failed_at[1] == written * 1e-4
     assert np.all(np.abs(scalar.q[:written]) <= 1e100)

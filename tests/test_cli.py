@@ -107,6 +107,23 @@ def test_bessel_domain_in_a_scenario_exits_1_naming_the_key(tmp_path, capsys):
     assert "argument 12.0" in err
 
 
+@pytest.mark.parametrize("verb", ["verify", "simulate"])
+def test_overflowing_trigger_bias_exits_1_naming_the_section(tmp_path, capsys, verb):
+    cfg = tmp_path / "bias.cfg"
+    cfg.write_text(
+        "[field]\nx_star=10\ny_star=5\ntheta_star_deg=30\nq_star=7\n"
+        "[dithers]\na1=1e200\na2=0.5\na3=0.5\nomega1=2e200\nomega2=2e200\nomega3=1e200\n"
+        "[gain]\nrow1=1 0 0\nrow2=0 0 1\n"
+        "[trigger]\nsigma=0.5\nalpha=0.195\n"
+        "[run]\nx0=12.5\ny0=7.5\ntheta0_deg=60\n"
+    )
+    assert main([verb, "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: dithers: trigger bias a1*omega3*|J_2(a3)|: ")
+    assert err.rstrip().endswith("got inf")
+
+
 def test_numerical_failure_exit_code():
     code = main([
         "simulate", "--config", "paper_siv.cfg",

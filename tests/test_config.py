@@ -133,6 +133,13 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="dithers.a2"):
             load_scenario(path)
 
+    def test_overflowing_trigger_bias_names_the_dithers(self, tmp_path):
+        # Every key is finite, but a1*omega3*|J_2(a3)| overflows to inf.
+        path = write_cfg(tmp_path, dithers={"a1": "1e200", "omega1": "2e200",
+                                            "omega2": "2e200", "omega3": "1e200"})
+        with pytest.raises(ScenarioError, match=r"^dithers: trigger bias .*got inf"):
+            load_scenario(path)
+
     @pytest.mark.parametrize("a3", ["12.0", "10.5"])
     def test_a3_outside_the_bessel_domain_names_the_key(self, tmp_path, a3):
         path = write_cfg(tmp_path, dithers={"a3": a3})

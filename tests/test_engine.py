@@ -149,6 +149,17 @@ class TestRunSimulation:
         with pytest.warns(RuntimeWarning, match="tau"):
             run_simulation(coarse)
 
+    def test_verify_warns_on_the_same_coarse_grid(self, smallgain_scenario):
+        # verify runs the averaged loop on the same grid, so one rule warns
+        # for both, at the caller's line; the default dt stays silent.
+        coarse = replace(smallgain_scenario, dt=0.05, t_final=0.2)
+        with pytest.warns(RuntimeWarning, match="tau") as record:
+            analysis.verify_scenario(coarse)
+        assert record[0].filename == __file__
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analysis.verify_scenario(replace(smallgain_scenario, t_final=0.2))
+
     def test_non_finite_state_aborts(self, siv_scenario):
         # The published gain under continuous updates of the raw demodulated
         # estimate escapes in finite time; the engine must turn the overflow
@@ -213,7 +224,7 @@ def test_overflow_in_a_full_hold_block_raises_at_the_scalar_row(monkeypatch, siv
                 run_simulation(sc)
         failed_at.append(info.value.t)
     blocked, scalar = traces
-    written = np.count_nonzero(~np.isnan(scalar.t))
+    written = np.count_nonzero(~np.isnan(scalar.q))
     assert first_blocks + 1 < written < first_blocks + 2 * hold._FIRST_BLOCK
     assert np.count_nonzero(scalar.event) == 1
     assert failed_at[0] == failed_at[1] == written * sc.dt
@@ -263,7 +274,7 @@ def test_overflowing_estimate_raises_at_the_same_row_in_blocks(monkeypatch, siv_
                 run_simulation(sc)
         failed_at.append(info.value.t)
     blocked, scalar = traces
-    written = np.count_nonzero(~np.isnan(scalar.t))
+    written = np.count_nonzero(~np.isnan(scalar.q))
     assert entered == [(2, written)]
     assert failed_at[0] == failed_at[1] == written * sc.dt
     assert np.count_nonzero(scalar.event) == 1

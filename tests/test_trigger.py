@@ -189,7 +189,9 @@ def bits(values):
 )
 def test_trigger_invariants_on_every_row(name, mode, dx, dy, dth, t_final):
     # Both event-triggered loops fire on the Xi they record and hold the
-    # control between events, on scalar rows and in hold blocks alike.
+    # control between events, on scalar rows and in hold blocks alike.  The
+    # time column is the grid i*dt, and the averaged pose is the source
+    # offset by G.
     sc = INVARIANT_SCENARIOS[name]
     pose = VehicleState(sc.initial.x + dx, sc.initial.y + dy, sc.initial.theta + dth)
     sc = replace(sc, initial=pose, mode=mode, t_final=t_final)
@@ -201,6 +203,11 @@ def test_trigger_invariants_on_every_row(name, mode, dx, dy, dth, t_final):
     rows = np.arange(n + 1)
     event = trace.event == 1
     assert np.array_equal(event, (rows == 0) | ((rows < n) & (trace.xi < 0.0)))
+    assert np.array_equal(bits(trace.t), bits(rows * sc.dt))
+    if mode == "average":
+        source = (sc.field.x_star, sc.field.y_star, sc.field.theta_star)
+        for pose, star, g in zip((trace.x, trace.y, trace.theta), source, (trace.g1, trace.g2, trace.g3)):
+            assert np.array_equal(bits(pose), bits(star + g))
     for u in (trace.u1, trace.u2):
         changed = np.flatnonzero(bits(u[1:]) != bits(u[:-1])) + 1
         assert event[changed].all()
