@@ -21,8 +21,8 @@ from etseek.analysis import (
     solve_lyapunov,
     verify_scenario,
 )
-from etseek.trace import NonFiniteStateError, RunMetrics, SimulationTrace
-from etseek.config import Scenario, ScenarioError, load_scenario, packaged_scenario_path
+from etseek.trace import NonFiniteStateError, RunMetrics, ScenarioError, SimulationTrace
+from etseek.config import Scenario, load_scenario, packaged_scenario_path
 from etseek.engine import run_simulation
 
 __all__ = [

@@ -125,8 +125,8 @@ def dwell_time_bound(sigma: float, acl: np.ndarray, bk: np.ndarray) -> float:
     return (1.0 / norm_sum) * m_over_n / (1.0 + math.sqrt(m_over_n))
 
 
-def check_grid_resolution(sc: Scenario, model: AverageModel) -> None:
-    """Warn when the grid is too coarse for the dwell-time bound.
+def check_grid_resolution(sc: Scenario, model: AverageModel) -> float | None:
+    """Warn when dt exceeds tau*/10; return the dwell-time bound tau* (None if undefined).
 
     Trigger monitoring is discretized to the grid, so events can overshoot
     their continuous-time instant by one step; that is negligible only
@@ -136,7 +136,7 @@ def check_grid_resolution(sc: Scenario, model: AverageModel) -> None:
     try:
         tau_star = dwell_time_bound(sc.trigger.sigma, model.a - model.b @ k, model.b @ k)
     except ValueError:
-        return
+        return None
     if sc.dt > tau_star / 10.0:
         warnings.warn(
             f"integration step dt = {sc.dt:g} exceeds tau*/10 = {tau_star / 10.0:g}; "
@@ -144,6 +144,7 @@ def check_grid_resolution(sc: Scenario, model: AverageModel) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+    return tau_star
 
 
 def decay_envelope_check(
@@ -226,10 +227,9 @@ def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]
     model = build_average_matrices(sc.field.theta_star, d)
     k = np.asarray(sc.gain.rows, dtype=float)
     acl = model.a - model.b @ k
-    bk = model.b @ k
     report = TheoryReport(
         hurwitz=hurwitz_check(acl),
-        tau_star=dwell_time_bound(sc.trigger.sigma, acl, bk),
+        tau_star=check_grid_resolution(sc, model),
         residual_scale_theorem=1.5 * d.a3,
         residual_scale_appendix=0.5 * math.sqrt(d.a1**2 + d.a2**2 + d.a3**2),
     )
@@ -241,7 +241,6 @@ def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]
     lam_q_min = float(np.linalg.eigvalsh(cert.q)[0])
     lam_p_max = float(np.linalg.eigvalsh(cert.p)[-1])
     report.decay_rate = lam_q_min * (1.0 - sc.trigger.sigma) / lam_p_max
-    check_grid_resolution(sc, model)
     g0 = initial_error(sc.initial, d, sc.field)
     avg_trace = run_average_loop(
         model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=sc.field

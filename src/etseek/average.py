@@ -101,15 +101,15 @@ def run_average_loop(
     held, so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar;
     RK4 on the uniform grid keeps the trace aligned with full-plant runs.
     """
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError("dt and t_final must be positive")
+    n = round(t_final / dt) if dt > 0.0 else 0
+    if n < 1:
+        raise ValueError(f"dt = {dt}, t_final = {t_final}: need dt > 0 and at least one step")
     bk = model.b @ np.asarray(gain.rows, dtype=float)
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = bk.tolist()
     a13 = float(model.a[0, 2])
     a23 = float(model.a[1, 2])
     d1, d2, d3 = model.delta_bar.tolist()
     sigma, alpha, bias, q_star = consts.sigma, consts.alpha, consts.bias, field.q_star
-    n = round(t_final / dt)
     trace = SimulationTrace.preallocate(n + 1, system="average")
     np.multiply(np.arange(n + 1), dt, out=trace.t)
     half = 0.5 * dt

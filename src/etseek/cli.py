@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import replace
 
 from etseek.analysis import averaging_error, verify_scenario
 from etseek.bessel import bessel_j
-from etseek.config import ScenarioError, load_scenario, parse_mode, scale_probing_frequency
+from etseek.config import load_scenario, parse_mode, scale_probing_frequency
 from etseek.engine import run_simulation
-from etseek.trace import NonFiniteStateError
+from etseek.trace import NonFiniteStateError, ScenarioError
 from etseek.traceio import export_metrics, export_trace
 
 
@@ -144,8 +145,10 @@ def _cmd_bessel(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.cmd(args)
+        with warnings.catch_warnings():  # also resets the once-per-location registry
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            args = parser.parse_args(argv)
+            return args.cmd(args)
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,10 @@ A scenario file is an INI document with flat sections [field], [dithers],
 [gain], [trigger] and [run]; see the shipped ``paper_siv.cfg`` for the
 full key set.  Angle-valued keys accept a ``_deg`` variant that is
 converted to radians at load.  The trigger bias is never configured
-directly; it is derived from the dithers as a1*omega3*|J_2(a3)|.
+directly; it is derived from the dithers as a1*omega3*|J_2(a3)|.  The
+reader checks only what a file alone states (syntax, finiteness, unknown
+keys, ``_deg`` conflicts, a_i > 0); the value types check every other
+rule, each raising :class:`ScenarioError` under the value's file key.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
+from etseek.trace import ScenarioError
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState
 
@@ -27,14 +30,6 @@ _SAMPLED_RE = re.compile(r"^sampled-data\(([^)]+)\)$")
 
 _DEFAULT_DT = 1e-4
 _DEFAULT_T_FINAL = 60.0
-
-
-class ScenarioError(ValueError):
-    """Configuration problem, annotated with section.key context."""
-
-    def __init__(self, context: str, message: str):
-        self.context = context
-        super().__init__(f"{context}: {message}")
 
 
 @dataclass(frozen=True)
@@ -203,24 +198,13 @@ def load_scenario(path: str | Path) -> Scenario:
     for name, value in amplitudes.items():
         if value <= 0.0:
             raise ScenarioError(f"dithers.{name}", "must be > 0")
-    override = dth.get_bool("frequency_override", False)
-    try:
-        dithers = DitherParams(
-            a1=amplitudes["a1"],
-            a2=amplitudes["a2"],
-            a3=amplitudes["a3"],
-            omega1=dth.get_float("omega1"),
-            omega2=dth.get_float("omega2"),
-            omega3=dth.get_float("omega3"),
-            frequency_override=override,
-        )
-    except ValueError as exc:
-        raise ScenarioError("dithers", str(exc)) from exc
-    # The trigger bias below needs J_2(a3), which refuses |a3| > 10.
-    try:
-        bessel_j(2, dithers.a3)
-    except ValueError as exc:
-        raise ScenarioError("dithers.a3", str(exc)) from exc
+    dithers = DitherParams(
+        **amplitudes,
+        omega1=dth.get_float("omega1"),
+        omega2=dth.get_float("omega2"),
+        omega3=dth.get_float("omega3"),
+        frequency_override=dth.get_bool("frequency_override", False),
+    )
     dth.reject_unknown()
 
     gn = _SectionReader(parser, "gain")
@@ -228,16 +212,8 @@ def load_scenario(path: str | Path) -> Scenario:
     gn.reject_unknown()
 
     trg = _SectionReader(parser, "trigger")
-    sigma = trg.get_float("sigma")
-    alpha = trg.get_float("alpha")
-    if not (0.0 < sigma < 1.0):
-        raise ScenarioError("trigger.sigma", f"must lie in (0, 1), got {sigma}")
-    if alpha <= 0.0:
-        raise ScenarioError("trigger.alpha", f"must be > 0, got {alpha}")
-    try:
-        trigger = TriggerConstants.from_dithers(sigma, alpha, dithers)
-    except ValueError as exc:  # sigma and alpha passed above: the bias failed
-        raise ScenarioError("dithers", f"trigger bias a1*omega3*|J_2(a3)|: {exc}") from exc
+    sigma, alpha = trg.get_float("sigma"), trg.get_float("alpha")
+    trigger = TriggerConstants.from_dithers(sigma, alpha, dithers)
     trg.reject_unknown()
 
     run = _SectionReader(parser, "run")

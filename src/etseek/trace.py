@@ -1,4 +1,4 @@
-"""Time-indexed run records and summary metrics.
+"""Time-indexed run records, summary metrics, and the errors a run raises.
 
 A trace row's ``xi`` is the trigger value Xi at that row.  The
 event-triggered modes (``full`` and ``average``) fire on exactly that
@@ -22,6 +22,14 @@ MAX_STEPS = 10_000_000
 #: Largest |q| a run may reach.  Beyond it the downstream norms would
 #: overflow, so both loops treat it like a non-finite state.
 Q_LIMIT = 1e100
+
+
+class ScenarioError(ValueError):
+    """Invalid scenario value, annotated with its scenario-file key (section.key)."""
+
+    def __init__(self, context: str, message: str):
+        self.context = context
+        super().__init__(f"{context}: {message}")
 
 
 class NonFiniteStateError(RuntimeError):

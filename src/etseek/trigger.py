@@ -27,29 +27,37 @@ from dataclasses import dataclass, field
 
 from etseek.bessel import bessel_j
 from etseek.estimator import GradientEstimate
+from etseek.trace import ScenarioError
 from etseek.vehicle import DitherParams
 
 
 @dataclass(frozen=True)
 class TriggerConstants:
+    """sigma in (0, 1), alpha > 0 and bias >= 0, each refused under its file key."""
+
     sigma: float
     alpha: float
     bias: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.sigma < 1.0):
-            raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
+            raise ScenarioError("trigger.sigma", f"must lie in (0, 1), got {self.sigma}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            raise ScenarioError("trigger.alpha", f"must be > 0, got {self.alpha}")
         if not (math.isfinite(self.bias) and self.bias >= 0.0):
-            raise ValueError(f"bias must be finite and >= 0, got {self.bias}")
+            msg = f"trigger bias a1*omega3*|J_2(a3)|: must be finite and >= 0, got {self.bias}"
+            raise ScenarioError("dithers", msg)
 
     @classmethod
     def from_dithers(
         cls, sigma: float, alpha: float, d: DitherParams
     ) -> "TriggerConstants":
-        """Derive the bias term a1*omega3*|J_2(a3)| from the dither choice."""
-        return cls(sigma, alpha, d.a1 * d.omega3 * abs(bessel_j(2, d.a3)))
+        """Derive the bias a1*omega3*|J_2(a3)|; J_2 refuses |a3| > 10 as ``dithers.a3``."""
+        try:
+            j2 = bessel_j(2, d.a3)
+        except ValueError as exc:
+            raise ScenarioError("dithers.a3", str(exc)) from exc
+        return cls(sigma, alpha, d.a1 * d.omega3 * abs(j2))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from etseek.trace import ScenarioError
+
 _FREQ_RTOL = 1e-9
 
 
@@ -39,7 +41,7 @@ class DitherParams:
     be constructed in tests; the full loop pins an undithered channel's
     gradient estimate to zero.  Only scenario loading and the reference
     :func:`~etseek.estimator.demodulation_vector` insist on strictly
-    positive amplitudes.
+    positive amplitudes.  A broken rule raises ``dithers.<name>``.
     """
 
     a1: float
@@ -54,21 +56,22 @@ class DitherParams:
         for name in ("a1", "a2", "a3"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"DitherParams.{name} must be finite and >= 0")
+                raise ScenarioError(f"dithers.{name}", "must be finite and >= 0")
         for name in ("omega1", "omega2", "omega3"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"DitherParams.{name} must be finite")
+                raise ScenarioError(f"dithers.{name}", "must be finite")
         if self.omega3 <= 0.0:
-            raise ValueError("DitherParams.omega3 must be > 0")
+            raise ScenarioError("dithers.omega3", "must be > 0")
         if not self.frequency_override:
             target = 2.0 * self.omega3
             for name in ("omega1", "omega2"):
                 value = getattr(self, name)
                 if abs(value - target) > _FREQ_RTOL * max(1.0, abs(target)):
-                    raise ValueError(
-                        f"DitherParams.{name} = {value} violates omega1 = omega2 = "
-                        f"2*omega3 = {target}; set frequency_override to relax"
+                    raise ScenarioError(
+                        f"dithers.{name}",
+                        f"{value} violates omega1 = omega2 = 2*omega3 = {target}; "
+                        "set frequency_override to relax",
                     )
 
 

@@ -147,6 +147,18 @@ class TestRunAverageLoop:
         assert np.all(trace.g1 == 0.0) and np.all(trace.g2 == 0.0)
         assert np.all(trace.g3 == 0.0)
 
+    def test_horizon_must_hold_a_step(self):
+        # t_final < dt/2 rounds to zero steps, which would leave row 0 as
+        # the last row and so not an event.
+        model, d = siv_model()
+        c = TriggerConstants.from_dithers(0.5, 0.195, d)
+        g0 = (2.5, 2.75, math.pi / 6)
+        with pytest.raises(ValueError, match="at least one step"):
+            run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-3, 3e-4, ORIGIN)
+        trace = run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-3, 1e-3, ORIGIN)
+        assert len(trace) == 2
+        assert trace.event_indices().tolist() == [0]
+
     def test_continuous_decay(self):
         # The Euclidean norm of a non-normal stable system is not monotone
         # (it transiently grows here); the Lyapunov-weighted norm is, and

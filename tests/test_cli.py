@@ -124,6 +124,23 @@ def test_overflowing_trigger_bias_exits_1_naming_the_section(tmp_path, capsys, v
     assert err.rstrip().endswith("got inf")
 
 
+GRID_WARNING = (
+    "warning: integration step dt = 0.01 exceeds tau*/10 = 0.00478697; "
+    "grid-sampled trigger events may overshoot\n"
+)
+
+
+@pytest.mark.parametrize("verb", ["verify", "simulate", "average"])
+def test_grid_warning_is_one_plain_line_per_run(capsys, verb):
+    # No source path or code line, and a second run in the same process
+    # warns again.
+    args = [verb, "--config", "paper_siv.cfg", "--dt", "0.01", "--t-final", "1"]
+    for _ in range(2):
+        assert main(args) == 0
+        assert capsys.readouterr().err == GRID_WARNING
+    assert run_cli(*args).stderr == GRID_WARNING
+
+
 def test_numerical_failure_exit_code():
     code = main([
         "simulate", "--config", "paper_siv.cfg",

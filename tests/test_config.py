@@ -80,6 +80,12 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="trigger.sigma"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("alpha", ["0.0", "-1.0"])
+    def test_alpha_not_positive_names_the_key(self, tmp_path, alpha):
+        path = write_cfg(tmp_path, trigger={"alpha": alpha})
+        with pytest.raises(ScenarioError, match=rf"^trigger\.alpha: must be > 0, got {alpha}$"):
+            load_scenario(path)
+
     def test_compliant_frequencies_accepted(self, tmp_path):
         sc = load_scenario(write_cfg(tmp_path))
         assert (sc.dithers.omega1, sc.dithers.omega3) == (4.0, 2.0)
@@ -87,7 +93,7 @@ class TestValidation:
     def test_frequency_mismatch_needs_override(self, tmp_path):
         path = write_cfg(tmp_path, dithers={"omega1": "10.0", "omega2": "10.0",
                                             "omega3": "20.0"})
-        with pytest.raises(ScenarioError, match="omega1"):
+        with pytest.raises(ScenarioError, match=r"^dithers\.omega1: 10\.0 violates"):
             load_scenario(path)
         path = write_cfg(tmp_path, dithers={"omega1": "10.0", "omega2": "10.0",
                                             "omega3": "20.0",

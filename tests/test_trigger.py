@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from etseek import hold
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
+from etseek.trace import ScenarioError
 from etseek.trigger import (
     GainMatrix,
     TriggerConstants,
@@ -31,13 +32,16 @@ class TestConstants:
         c = TriggerConstants.from_dithers(0.5, 0.195, siv_dithers)
         assert c.bias == pytest.approx(SIV_BIAS, abs=1e-15)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
+    def test_validation(self, siv_dithers):
+        # Each rule names the scenario-file key of its value.
+        with pytest.raises(ScenarioError, match=r"^trigger\.sigma: must lie in \(0, 1\), got 1.2$"):
             TriggerConstants(sigma=1.2, alpha=0.1, bias=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match=r"^trigger\.alpha: must be > 0, got 0\.0$"):
             TriggerConstants(sigma=0.5, alpha=0.0, bias=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match=r"^dithers: trigger bias .*got -1\.0$"):
             TriggerConstants(sigma=0.5, alpha=0.1, bias=-1.0)
+        with pytest.raises(ScenarioError, match=r"^dithers\.a3: Bessel series is accurate only"):
+            TriggerConstants.from_dithers(0.5, 0.195, replace(siv_dithers, a3=12.0))
 
     def test_floor(self):
         assert trigger_floor(SIV_CONSTS) == pytest.approx(0.2387113829777246, abs=1e-12)

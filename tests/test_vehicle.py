@@ -3,6 +3,7 @@ import math
 import pytest
 
 from etseek.engine import integrate_step
+from etseek.trace import ScenarioError
 from etseek.vehicle import DitherParams, VehicleState, dither_velocities, estimator_pose
 from tests.reference import dither_vector, state_derivative
 
@@ -17,16 +18,17 @@ class TestDitherParams:
         DitherParams(0.1, 0.1, 0.1, 4.0, 4.0, 2.0)
 
     def test_rejects_frequency_mismatch_without_override(self):
-        with pytest.raises(ValueError, match="frequency_override"):
+        expected = r"^dithers\.omega1: 10\.0 violates .*; set frequency_override to relax$"
+        with pytest.raises(ScenarioError, match=expected):
             DitherParams(0.1, 0.1, 0.1, 10.0, 10.0, 20.0)
 
     def test_override_accepts_any_pattern(self):
         DitherParams(0.1, 0.1, 0.1, 10.0, 10.0, 20.0, frequency_override=True)
 
     def test_rejects_negative_amplitude_and_bad_omega3(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match=r"^dithers\.a1: must be finite and >= 0$"):
             DitherParams(-0.1, 0.1, 0.1, 4.0, 4.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match=r"^dithers\.omega3: must be > 0$"):
             DitherParams(0.1, 0.1, 0.1, 4.0, 4.0, 0.0)
 
 
