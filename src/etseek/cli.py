@@ -94,8 +94,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     sc = _load_with_overrides(args)
+    tokens = args.omega_list.split(",")
+    empty = [i for i, tok in enumerate(tokens, 1) if not tok.strip()]
+    if empty:
+        raise ScenarioError(
+            "cli.omega-list", f"entry {empty[0]} of {args.omega_list!r} is empty"
+        )
     try:
-        omegas = [float(tok) for tok in args.omega_list.split(",") if tok.strip()]
+        omegas = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ScenarioError("cli.omega-list", f"not numeric: {args.omega_list!r}") from exc
     if len(omegas) < 2:
@@ -152,7 +158,8 @@ def main(argv=None) -> int:
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, OSError, ValueError, OverflowError, MemoryError) as exc:
+    except (ScenarioError, OSError, ValueError, OverflowError, MemoryError, Warning) as exc:
+        # A Warning arrives here only when a -W error filter raises it.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -86,8 +86,8 @@ class SimulationTrace:
         """
         if n_rows > MAX_STEPS + 1:
             raise ValueError(
-                f"{n_rows - 1} steps (t_final / dt) exceed the cap of {MAX_STEPS}; "
-                "raise dt or shorten t_final"
+                f"run.t_final / run.dt = {n_rows - 1:.3g} steps exceed the cap of {MAX_STEPS}; "
+                "raise run.dt or shorten run.t_final"
             )
         alias = {"xhat": "x", "yhat": "y", "thetahat": "theta"} if system == "average" else {}
         own = [name for name in TRACE_COLUMNS if name != "event" and name not in alias]

@@ -18,13 +18,25 @@ power of ten).  The digits are laid out as ``%g`` lays them out: trailing
 zeros dropped, ``0.`` and leading zeros below 1.  Every other value
 (zeros, nan, infinities, subnormals, other magnitudes, rejected ``k``)
 falls back to ``'%.17g' % v``.  The ``event`` column and the marker are
-one text per distinct event value.  Traces are read back with
-:func:`numpy.loadtxt`, whose float parser is correctly rounded.
+one text per distinct event value.
+
+Traces are read back with :func:`numpy.loadtxt`, whose float parser is
+correctly rounded; at 17 digits a field, that parse is nearly all of an
+import.  So the importer scans the file once for its newlines, cuts the
+rows into one part per usable CPU (at least ``_MIN_PART_ROWS`` rows
+each), and parses each part after the first in a forked child, which
+sends the float64 bytes through a pipe into the parent's table.  A file
+that is not LF-only or has a blank line, or a part that fails, is
+parsed again in one ``loadtxt`` call, so every error is the one that
+call raises.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +47,13 @@ CSV_HEADER = "t,x,y,theta,xhat,yhat,thetahat,Q,G1,G2,G3,u1,u2,xi,event"
 
 #: Rows encoded per write; bounds the memory the exporter holds at once.
 _CHUNK_ROWS = 1024
+
+#: Bytes the importer's row scan reads at a time.
+_SCAN_BYTES = 1 << 20
+
+#: Fewest rows the importer gives a process to parse, and the rows the
+#: parent parses per ``loadtxt`` call.
+_MIN_PART_ROWS = 4096
 
 #: 5**p for the scales p = 16 - k the kernel can ask for (p <= 21 < 23).
 _POW5 = np.array([5 ** p for p in range(23)], dtype=np.uint64)
@@ -234,12 +253,149 @@ def export_trace(trace: SimulationTrace, path: str | Path) -> None:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
+def _row_ends(raw) -> np.ndarray | None:
+    """Byte offset of the end of the header and of every row, read from a file's start.
+
+    A row ends at its ``\\n``, or at the last byte if it has none.  None
+    for a file that is not LF-only or that has a blank line, whose rows
+    the newlines do not count.  The file is read ``_SCAN_BYTES`` at a
+    time into one reused buffer.
+    """
+    buf = bytearray(_SCAN_BYTES)
+    codes = np.frombuffer(buf, dtype=np.uint8)
+    ends, at = [], 0
+    while size := raw.readinto(buf):
+        if buf.find(b"\r", 0, size) >= 0:
+            return None
+        found = np.flatnonzero(codes[:size] == 10)
+        found += at
+        ends.append(found)
+        at += size
+    ends = np.concatenate(ends)
+    if (np.diff(ends) == 1).any():
+        return None
+    if ends[-1] != at - 1:
+        ends = np.append(ends, at - 1)
+    return ends
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork() -> int:
+    # Python 3.12+ warns when a process with more than one thread forks,
+    # and numpy's OpenBLAS starts a worker thread at import.  The child
+    # only parses text with numpy and leaves through os._exit, so it
+    # takes no lock that another thread could hold.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
+def _send_part(path: Path, start: int, rows: int, cols: int, load, pipe_ends) -> None:
+    """In a forked child: parse ``rows`` rows from byte ``start``, write their bytes, exit.
+
+    Exits 0 only after writing a (rows, cols) float64 table.  It leaves
+    through ``os._exit`` whatever happens, so it flushes no stdio buffer
+    copied from the parent and never returns into the parent's code.
+    """
+    status = 1
+    try:
+        read_end, write_end = pipe_ends
+        os.close(read_end)
+        raw = open(path, "rb")
+        raw.seek(start)
+        with io.TextIOWrapper(raw, encoding="utf-8") as lines:
+            block = load(lines, rows)
+        if block.shape == (rows, cols):
+            with open(write_end, "wb") as pipe:
+                pipe.write(block)
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _parse_in_parts(path: Path, handle, cols: int, load) -> np.ndarray | None:
+    """The data rows of ``path`` as a (rows, cols) table, parsed in parts (see the module).
+
+    ``handle`` is ``path`` open as text; ``load(lines, rows)`` parses the
+    next ``rows`` rows of ``lines``.  The parent parses the first part
+    ``_MIN_PART_ROWS`` rows at a time, so it holds one block beside the
+    table, not a second table.  Returns None, with every child reaped, if
+    the file cannot be split (see :func:`_row_ends`) or if a part fails.
+    """
+    with open(path, "rb") as raw:
+        ends = _row_ends(raw)
+    if ends is None:
+        return None
+    rows = ends.size - 1
+    parts = max(1, min(_usable_cpus(), rows // _MIN_PART_ROWS))
+    firsts = [rows * i // parts for i in range(parts + 1)]
+    starts = (ends[firsts[:-1]] + 1).tolist()
+    del ends
+    children = []  # (pid, read end, first row, end row)
+    try:
+        for start, first, end in zip(starts[1:], firsts[1:-1], firsts[2:]):
+            read_end, write_end = os.pipe()
+            try:
+                pid = _fork()
+                if pid == 0:
+                    _send_part(path, start, end - first, cols, load, (read_end, write_end))
+            except OSError:
+                os.close(read_end)
+                raise
+            finally:
+                os.close(write_end)
+            children.append((pid, read_end, first, end))
+        table = np.empty((rows, cols))
+        handle.seek(0)
+        handle.readline()
+        for first in range(0, firsts[1], _MIN_PART_ROWS):
+            end = min(first + _MIN_PART_ROWS, firsts[1])
+            block = load(handle, end - first)
+            if block.shape != (end - first, cols):
+                return None
+            table[first:end] = block
+            del block  # before the next call allocates its own
+        for _, read_end, first, end in children:
+            # A child that stops short exits non-zero, which fails the table.
+            view = memoryview(table[first:end]).cast("B")
+            with open(read_end, "rb", buffering=0, closefd=False) as pipe:
+                while view and (got := pipe.readinto(view)):
+                    view = view[got:]
+    except (ValueError, OSError):
+        # The one-call parse that follows reports the error exactly.
+        return None
+    finally:
+        # A child still writing then fails on its closed pipe and exits.
+        # Each child holds copies of the earlier children's read ends
+        # until it exits, so every read end is closed before any wait.
+        for _, read_end, *_ in children:
+            os.close(read_end)
+        failed = [_exit_code(pid) for pid, *_ in children]
+    return None if any(failed) else table
+
+
+def _exit_code(pid: int) -> int:
+    """A child's exit code, once it has exited; 1 if its status is lost."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:  # reaped by the kernel in a process that ignores SIGCHLD
+        return 1
+
+
 def import_trace(path: str | Path) -> SimulationTrace:
     """Re-parse an exported trace; its event log is the event-flagged rows.
 
     Raises ValueError for an unknown header, a data row whose ``system``
     marker does not match the header or the first row's, or an ``event``
-    value other than 0 or 1.
+    value other than 0 or 1.  The rows are parsed on every usable CPU
+    (see :func:`_parse_in_parts`); if that fails, they are parsed again
+    in one ``loadtxt`` call, whose error names the row.
     """
     path = Path(path)
     width = len(TRACE_COLUMNS)
@@ -257,20 +413,25 @@ def import_trace(path: str | Path) -> SimulationTrace:
                     f"data row 1 of {path} does not match its header "
                     f"({'missing' if marked else 'unexpected'} system marker)"
                 )
-            data = np.empty((0, width + marked))
-            if first:
-                handle.seek(0)
-                # Given max_rows, loadtxt allocates the table once, not a quarter more at a time.
-                rows = sum(line != "\n" for line in handle) - 1
-                handle.seek(0)
+
+            def load(lines, rows):
                 # Without usecols, loadtxt refuses a row whose field count
                 # differs from the first row's; each marker reads as 1.0
-                # where it equals the first row's.
+                # where it equals the first row's.  Given max_rows, it
+                # allocates its table once and reads no line past that row.
+                return np.loadtxt(
+                    lines, delimiter=",", max_rows=rows, ndmin=2, comments=None,
+                    converters={width: system.__eq__} if marked else None,
+                )
+
+            data = np.empty((0, width + marked))
+            if first:
+                data = _parse_in_parts(path, handle, width + marked, load)
+            if data is None:
+                handle.seek(0)
+                handle.readline()
                 try:
-                    data = np.loadtxt(
-                        handle, delimiter=",", skiprows=1, max_rows=rows, ndmin=2, comments=None,
-                        converters={width: system.__eq__} if marked else None,
-                    )
+                    data = load(handle, None)
                 except ValueError as exc:
                     if "number of columns changed" not in str(exc):
                         raise

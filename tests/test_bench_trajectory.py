@@ -1,0 +1,84 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_trajectory.py"
+
+
+@pytest.fixture()
+def tool(tmp_path, monkeypatch):
+    """The script as a module, rooted in a checkout of only BENCHMARK.json."""
+    spec = importlib.util.spec_from_file_location("bench_trajectory", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    shutil.copy(TOOL.parents[1] / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    return module
+
+
+PROVENANCE = {
+    "commit": "0123456789abcdef0123456789abcdef01234567", "nproc": 2, "numpy": "2.4.6",
+    "python": "3.11.7", "seed": 0, "src_lines": 2337,
+    "src_sha256": "89abcdef" * 8,
+    "horizons_s": {"siv_simulate_io": 4.0, "siv_verify": 5.0, "smallgain_compare": 1.0},
+}
+
+
+def canned_record(failed=0):
+    """A result record as perfbench/run.py --trace 0 writes it, cut to five repetitions."""
+    phases = {"avg_steps_per_s": 0.0, "export_rows_per_s": 4.8e5,
+              "import_rows_per_s": 2.4e5, "sim_steps_per_s": 1.8e6}
+    walls = [0.30, 0.28, 0.36, 0.29, 0.31]
+    return {
+        "result": {"attempted": 28, "correct": failed == 0, "failed": failed,
+                   "metrics": {"wall_s": {"unit": "s", "value": 0.36}}},
+        "provenance": PROVENANCE,
+        "samples": {
+            "setup_s": [0.20, 0.24, 0.22],
+            "peak_rss_mb": [44.25],
+            "plain": [{"phases": phases, "wall_s": wall} for wall in walls],
+            "traced": [],
+        },
+        "errors": [],
+        "layer_kinds": {},
+        "verb_rates": phases,
+    }
+
+
+def test_summary_is_median_and_iqr_of_the_samples(tool):
+    entry = tool.summarize(canned_record())
+    assert entry["wall_s"] == {"median": 0.30, "iqr": pytest.approx(0.02), "n": 5}
+    assert entry["setup_s"] == {"median": 0.22, "iqr": pytest.approx(0.02), "n": 3}
+    assert entry["peak_rss_mb"] == {"median": 44.25, "iqr": 0.0, "n": 1}
+    assert entry["operations"] == 28
+    assert entry["provenance"] == PROVENANCE
+
+
+def test_bench_file_names_every_workload(tool, monkeypatch):
+    runs = []
+
+    def run(name, seed, seconds):
+        runs.append((name, seed, seconds))
+        return canned_record()
+
+    monkeypatch.setattr(tool, "run_workload", run)
+    assert tool.main(["3", "--seed", "7"]) == 0
+    payload = json.loads((tool.ROOT / "BENCH_3.json").read_text())
+    names = ["siv_simulate_io", "smallgain_compare", "siv_verify"]
+    assert runs == [(name, 7, 30) for name in names]
+    assert (payload["pr"], payload["seed"], payload["seconds"]) == (3, 7, 30)
+    assert list(payload["workloads"]) == names
+    assert payload["workloads"]["siv_verify"] == tool.summarize(canned_record())
+
+
+def test_a_failed_operation_writes_nothing(tool, monkeypatch, capsys):
+    records = iter([canned_record(), canned_record(failed=2), canned_record()])
+    monkeypatch.setattr(tool, "run_workload", lambda name, seed, seconds: next(records))
+    assert tool.main(["3"]) == 1
+    assert not (tool.ROOT / "BENCH_3.json").exists()
+    assert capsys.readouterr().err == (
+        "bench_trajectory: smallgain_compare: 2 of 28 operations failed; nothing written\n"
+    )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,15 @@ def test_grid_warning_is_one_plain_line_per_run(capsys, verb):
     assert run_cli(*args).stderr == GRID_WARNING
 
 
+@pytest.mark.parametrize("verb", ["verify", "average"])
+def test_grid_warning_raised_as_an_error_is_one_error_line(verb):
+    # Under -W error the warning arrives in main as an exception.
+    proc = run_cli(verb, "--config", "paper_siv.cfg", "--dt", "0.01", "--t-final", "1",
+                   python_flags=("-W", "error"))
+    assert proc.returncode == 1
+    assert proc.stderr == GRID_WARNING.replace("warning: ", "error: ", 1)
+
+
 def test_numerical_failure_exit_code():
     code = main([
         "simulate", "--config", "paper_siv.cfg",
@@ -172,14 +182,14 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert _build_parser() is _build_parser()
 
 
-def run_cli(*args, timeout=120):
+def run_cli(*args, timeout=120, python_flags=()):
     # Run as a separate process so that an uncaught exception shows up as
     # a traceback on stderr instead of failing inside the test runner.
     src = str(Path(etseek.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "etseek.cli", *args],
+        [sys.executable, *python_flags, "-m", "etseek.cli", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert "Traceback" not in proc.stderr
@@ -226,6 +236,16 @@ def test_step_count_cap_exits_cleanly():
     assert f"cap of {MAX_STEPS}" in err
 
 
+def test_step_count_cap_message_is_short_and_names_the_keys():
+    # 1 / 1e-300 steps is an integer of 301 digits.
+    err = assert_clean_validation_error(
+        "simulate", "--config", "paper_siv.cfg", "--dt", "1e-300", "--t-final", "1"
+    )
+    assert err.count("\n") == 1
+    assert "run.t_final / run.dt = 1e+300 steps" in err
+    assert max(len(number) for number in re.findall(r"[-+.\deE]+", err)) <= 40
+
+
 @pytest.mark.parametrize("verb", ["simulate", "average", "verify"])
 def test_step_count_cap_covers_every_loop(monkeypatch, capsys, verb):
     monkeypatch.setattr("etseek.trace.MAX_STEPS", 100)
@@ -244,6 +264,17 @@ def test_compare_rejects_bad_omega(capsys, token):
     err = capsys.readouterr().err
     assert err.startswith("error: cli.omega-list: ")
     assert "--omega-list" in err
+
+
+@pytest.mark.parametrize("omegas", ["20,,40", "20, ,40"])
+def test_compare_refuses_an_empty_omega_entry(capsys, omegas):
+    code = main([
+        "compare", "--config", "smallgain.cfg", "--omega-list", omegas, "--t-final", "0.01",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cli.omega-list: entry 2 of {omegas!r} is empty\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,3 +351,206 @@ def test_event_and_marker_text_per_row(tmp_path):
     assert [line.split(",", 14)[14] for line in lines[1:]] == [
         f"{e},average" for e in trace.event.tolist()
     ]
+
+
+#: Rows of a trace that splits into three parts when three CPUs are usable.
+SPLIT_ROWS = 3 * traceio._MIN_PART_ROWS + 77
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids ``import_trace`` forks in this process; sets three usable CPUs."""
+    pids = []
+    fork = traceio._fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(traceio, "_fork", counted)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 3)
+    return pids
+
+
+@pytest.fixture(scope="module")
+def split_csv_bytes(tmp_path_factory):
+    """CSV bytes of a random full and averaged trace of ``SPLIT_ROWS`` rows."""
+    # Arbitrary bits: nan, infinities, subnormals and every magnitude.
+    rng = np.random.default_rng(16)
+    texts = {}
+    for system in ("full", "average"):
+        trace = SimulationTrace.preallocate(SPLIT_ROWS, system)
+        for column in TRACE_COLUMNS[:-1]:
+            bits = rng.integers(0, 2 ** 64, SPLIT_ROWS, dtype=np.uint64)
+            trace.column(column)[:] = bits.view(np.float64)
+        trace.event[:] = rng.integers(0, 2, SPLIT_ROWS)
+        path = tmp_path_factory.mktemp(system) / "split.csv"
+        export_trace(trace, path)
+        texts[system] = path.read_bytes()
+    return texts
+
+
+@pytest.fixture()
+def split_csv(tmp_path, split_csv_bytes):
+    def write(system):
+        path = tmp_path / "split.csv"
+        path.write_bytes(split_csv_bytes[system])
+        return path
+    return write
+
+
+def _one_call(path, marked):
+    """The table of one ``loadtxt`` call over every row, or the error it raises."""
+    with open(path, encoding="utf-8") as handle:
+        handle.readline()
+        return np.loadtxt(
+            handle, delimiter=",", ndmin=2, comments=None,
+            converters={len(TRACE_COLUMNS): "average".__eq__} if marked else None,
+        )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("system", ["full", "average"])
+def test_split_import_is_bit_identical_to_one_part(split_csv, monkeypatch, forks, system):
+    path = split_csv(system)
+    split = import_trace(path)
+    assert len(forks) == 2
+    assert_no_child_left()
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 1)
+    whole = import_trace(path)
+    assert len(forks) == 2
+    table = _one_call(path, system == "average")
+    assert split.system == whole.system == system
+    for j, name in enumerate(TRACE_COLUMNS):
+        expected = table[:, j] if name != "event" else table[:, j].astype(np.int64)
+        assert split.column(name).tobytes() == expected.tobytes(), name
+        assert whole.column(name).tobytes() == expected.tobytes(), name
+
+
+def _corrupt(path, row, fault):
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[row + 1].rstrip("\n").split(",")
+    if fault == "malformed":
+        fields[2] = "abc"
+    elif fault == "columns":
+        del fields[3]
+    elif fault == "marker":
+        fields[-1] = "full"
+    else:
+        fields[14] = "2"
+    lines[row + 1] = ",".join(fields) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("fault", ["malformed", "columns", "marker", "event"])
+@pytest.mark.parametrize("row", [100, SPLIT_ROWS - 5], ids=["parent-part", "child-part"])
+def test_split_import_raises_the_one_call_error(split_csv, forks, fault, row):
+    path = split_csv("average")
+    _corrupt(path, row, fault)
+    expected = {
+        "marker": f"data row {row + 1} of {path} does not match its header "
+                  "(system marker differs from row 1's 'average')",
+        "event": f"event in data row {row + 1} of {path} is {np.float64(2.0)!r}; must be 0 or 1",
+    }
+    if fault in ("malformed", "columns"):
+        with pytest.raises(ValueError) as one_call:
+            _one_call(path, True)
+        text = str(one_call.value)
+        expected[fault] = (
+            text if fault == "malformed"
+            else f"a data row of {path} does not match its header: {text.split(';')[0]}"
+        )
+    with pytest.raises(ValueError) as raised:
+        import_trace(path)
+    assert str(raised.value) == expected[fault]
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_part_with_other_columns_is_refused(split_csv, forks):
+    # Every row of the last part has one field more than the header, so
+    # the child's own parse succeeds; the table it would send is wider.
+    path = split_csv("average")
+    lines = path.read_text().splitlines(keepends=True)
+    last_part = 1 + SPLIT_ROWS * 2 // 3
+    lines[last_part:] = [line.replace("\n", ",0\n") for line in lines[last_part:]]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as one_call:
+        _one_call(path, True)
+    changed = str(one_call.value).split(";")[0]
+    with pytest.raises(ValueError) as raised:
+        import_trace(path)
+    assert str(raised.value) == f"a data row of {path} does not match its header: {changed}"
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_failed_child_falls_back_to_one_call(split_csv, monkeypatch, forks):
+    path = split_csv("full")
+    monkeypatch.setattr(traceio, "_send_part", lambda *args: os._exit(3))
+    back = import_trace(path)
+    assert len(forks) == 2
+    assert_no_child_left()
+    table = _one_call(path, False)
+    assert back.t.tobytes() == table[:, 0].tobytes()
+    assert back.xi.tobytes() == table[:, 13].tobytes()
+
+
+def test_split_import_where_sigchld_is_ignored(split_csv, forks):
+    # The kernel reaps the children at once, so their exit codes are lost
+    # and the rows are parsed again in one call.
+    path = split_csv("full")
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        back = import_trace(path)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 2
+    assert back.xi.tobytes() == _one_call(path, False)[:, 13].tobytes()
+
+
+@pytest.mark.parametrize("layout", ["crlf", "blank-lines", "no-final-newline"])
+def test_split_import_reads_other_layouts(split_csv, forks, layout):
+    path = split_csv("average")
+    expected = import_trace(path)
+    text = path.read_bytes()
+    if layout == "crlf":
+        text = text.replace(b"\n", b"\r\n")
+    elif layout == "blank-lines":
+        text = text.replace(b"1,average\n", b"1,average\n\n")
+    else:
+        text = text[:-1]
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = import_trace(path)
+    assert_no_child_left()
+    assert len(forks) == (4 if layout == "no-final-newline" else 2)
+    assert back.system == "average"
+    for name in TRACE_COLUMNS:
+        assert back.column(name).tobytes() == expected.column(name).tobytes(), name
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_split_import_prints_nothing_under_warning_filters(split_csv, action):
+    path = split_csv("average")
+    src = str(Path(traceio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; from etseek import traceio; traceio._usable_cpus = lambda: 3; "
+        "print(len(traceio.import_trace(sys.argv[1])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", action, "-c", code, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == f"{SPLIT_ROWS}\n"

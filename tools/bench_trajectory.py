@@ -1,0 +1,111 @@
+"""Write BENCH_<pr>.json: the end-to-end benchmark figures of this checkout.
+
+    python3 tools/bench_trajectory.py PR [--seed N]
+
+Run from anywhere inside a checkout.  For each workload that
+``BENCHMARK.json`` names, it runs the benchmark unchanged, for the
+``run_seconds`` that ``BENCHMARK.json`` sets (S),
+
+    python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
+
+one workload at a time, and reads the record that run leaves in
+``.perfbench_work/<W>/result_seed<N>_trace0.json``.  From the record's
+samples it takes the median and the interquartile range of ``setup_s``,
+``wall_s`` and ``peak_rss_mb``, and it keeps the record's provenance
+(commit, source hash and lines, CPUs, Python and numpy versions).  The
+last line that ``run.py`` prints holds only the run's headline figures,
+with no spread and no provenance, so the record is read instead.
+
+``BENCH_<PR>.json`` is written at the root of the checkout only if every
+workload ran with no failed operation; otherwise nothing is written and
+the exit status is 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def spread(samples: list[float]) -> dict:
+    """Median, interquartile range and count of one metric's samples."""
+    iqr = 0.0
+    if len(samples) > 1:
+        q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+        iqr = q3 - q1
+    return {"median": statistics.median(samples), "iqr": iqr, "n": len(samples)}
+
+
+def summarize(record: dict) -> dict:
+    """One workload's entry of BENCH_<pr>.json, from its run's result record.
+
+    Raises ValueError if the run reports a failed operation.
+    """
+    result = record["result"]
+    if result["failed"]:
+        raise ValueError(f"{result['failed']} of {result['attempted']} operations failed")
+    samples = record["samples"]
+    entry = {
+        "setup_s": spread(samples["setup_s"]),
+        "wall_s": spread([rep["wall_s"] for rep in samples["plain"]]),
+        "peak_rss_mb": spread(samples["peak_rss_mb"]),
+    }
+    entry["operations"] = result["attempted"]
+    entry["provenance"] = record["provenance"]
+    return entry
+
+
+def run_workload(name: str, seed: int, seconds: float) -> dict:
+    """Run one workload through perfbench/run.py and return its result record.
+
+    Raises ValueError if the run exits with an error.
+    """
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+         "--seconds", repr(seconds), "--trace", "0"],
+        cwd=ROOT,
+    )
+    if proc.returncode:
+        raise ValueError(f"perfbench/run.py exited with status {proc.returncode}")
+    path = ROOT / ".perfbench_work" / name / f"result_seed{seed}_trace0.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def trajectory(pr: int, seed: int) -> dict:
+    """The BENCH_<pr>.json payload; raises ValueError naming a workload that failed."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    workloads = {}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        try:
+            workloads[name] = summarize(run_workload(name, seed, seconds))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pr", type=int, help="the number in BENCH_<pr>.json")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0, the reference)")
+    args = parser.parse_args(argv)
+    try:
+        payload = trajectory(args.pr, args.seed)
+    except ValueError as exc:
+        print(f"bench_trajectory: {exc}; nothing written", file=sys.stderr)
+        return 1
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
