@@ -38,7 +38,7 @@ import numpy as np
 from etseek import hold
 from etseek.bessel import bessel_j
 from etseek.field import QuadraticField
-from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace
+from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace, grid_steps
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState, estimator_pose
 
@@ -101,9 +101,7 @@ def run_average_loop(
     held, so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar;
     RK4 on the uniform grid keeps the trace aligned with full-plant runs.
     """
-    n = round(t_final / dt) if dt > 0.0 else 0
-    if n < 1:
-        raise ValueError(f"dt = {dt}, t_final = {t_final}: need dt > 0 and at least one step")
+    n = grid_steps(t_final, dt)
     bk = model.b @ np.asarray(gain.rows, dtype=float)
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = bk.tolist()
     a13 = float(model.a[0, 2])

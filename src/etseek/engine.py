@@ -41,7 +41,9 @@ from etseek import hold
 from etseek.analysis import check_grid_resolution
 from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
-from etseek.trace import Q_LIMIT, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats
+from etseek.trace import (
+    Q_LIMIT, NonFiniteStateError, RunMetrics, SimulationTrace, grid_steps, inter_event_stats,
+)
 
 # The building blocks the inlined loop expands, importable from here as its
 # reference.
@@ -117,7 +119,7 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     (k00, k01, k02), (k10, k11, k12) = sc.gain.rows
     sigma, alpha, bias = sc.trigger.sigma, sc.trigger.alpha, sc.trigger.bias
     dt = sc.dt
-    n = round(sc.t_final / dt)
+    n = grid_steps(sc.t_final, dt)
     trace = SimulationTrace.preallocate(n + 1, system="full")
     np.multiply(np.arange(n + 1), dt, out=trace.t)
     # Constant prefixes of the building blocks' expressions, grouped the way

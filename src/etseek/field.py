@@ -1,7 +1,9 @@
 """Quadratic scalar field sensed by the vehicle.
 
-Controller modules never read the field parameters; they only see values
-returned by :func:`evaluate`.
+Both loops read the field parameters ``x_star`` through ``q_star``
+directly: the full loop computes the signal inline, as :func:`evaluate`
+states it, and the averaged loop takes ``q_star`` for its signal and the
+source position for its pose.
 """
 
 from __future__ import annotations

@@ -24,6 +24,25 @@ MAX_STEPS = 10_000_000
 Q_LIMIT = 1e100
 
 
+def grid_steps(t_final: float, dt: float) -> int:
+    """Steps of a run's uniform grid, ``round(t_final / dt)``.
+
+    Raises ValueError for more than :data:`MAX_STEPS` steps, then for
+    fewer than one: ``t_final < dt/2`` would leave row 0 as the last row,
+    and so not an event.  Both are checked on the ratio before rounding,
+    since ``round`` cannot convert a ratio that overflowed to infinity.
+    """
+    steps = t_final / dt if dt > 0.0 else 0.0
+    if steps > MAX_STEPS + 0.5:
+        raise ValueError(
+            f"run.t_final / run.dt = {steps:.3g} steps exceed the cap of {MAX_STEPS}; "
+            "raise run.dt or shorten run.t_final"
+        )
+    if not steps > 0.5:
+        raise ValueError(f"dt = {dt}, t_final = {t_final}: need dt > 0 and at least one step")
+    return round(steps)
+
+
 class ScenarioError(ValueError):
     """Invalid scenario value, annotated with its scenario-file key (section.key)."""
 
@@ -74,7 +93,7 @@ class SimulationTrace:
 
     @classmethod
     def preallocate(cls, n_rows: int, system: str = "full") -> "SimulationTrace":
-        """Empty trace of ``n_rows`` rows; more than ``MAX_STEPS + 1`` is refused.
+        """Empty trace of ``n_rows`` rows (a run's from :func:`grid_steps`).
 
         The float columns are the rows of one C-order ``(k, n_rows)``
         block, each a contiguous 1-D view, so a run makes one allocation
@@ -84,11 +103,6 @@ class SimulationTrace:
         ``y`` and ``theta`` and k is 11, not 14.  ``event`` is an array of
         its own.  A view kept from any column keeps the whole block alive.
         """
-        if n_rows > MAX_STEPS + 1:
-            raise ValueError(
-                f"run.t_final / run.dt = {n_rows - 1:.3g} steps exceed the cap of {MAX_STEPS}; "
-                "raise run.dt or shorten run.t_final"
-            )
         alias = {"xhat": "x", "yhat": "y", "thetahat": "theta"} if system == "average" else {}
         own = [name for name in TRACE_COLUMNS if name != "event" and name not in alias]
         cols = dict(zip(own, np.empty((len(own), n_rows))))

@@ -24,11 +24,11 @@ Traces are read back with :func:`numpy.loadtxt`, whose float parser is
 correctly rounded; at 17 digits a field, that parse is nearly all of an
 import.  So the importer scans the file once for its newlines, cuts the
 rows into one part per usable CPU (at least ``_MIN_PART_ROWS`` rows
-each), and parses each part after the first in a forked child, which
-sends the float64 bytes through a pipe into the parent's table.  A file
-that is not LF-only or has a blank line, or a part that fails, is
-parsed again in one ``loadtxt`` call, so every error is the one that
-call raises.
+each), and parses every part in a forked child, which sends the float64
+bytes through a pipe into the parent's table; the parent parses none.
+A file that is not LF-only, has a blank line or is too short to split,
+a process that cannot fork, and a part that fails are parsed in one
+``loadtxt`` call, so every error is the one that call raises.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ _CHUNK_ROWS = 1024
 #: Bytes the importer's row scan reads at a time.
 _SCAN_BYTES = 1 << 20
 
-#: Fewest rows the importer gives a process to parse, and the rows the
-#: parent parses per ``loadtxt`` call.
+#: Fewest rows the importer gives a process to parse.
 _MIN_PART_ROWS = 4096
 
 #: 5**p for the scales p = 16 - k the kernel can ask for (p <= 21 < 23).
@@ -280,9 +279,9 @@ def _row_ends(raw) -> np.ndarray | None:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork."""
+    """CPUs this process may run on, or 0 where it cannot fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
+        return 0
     return len(os.sched_getaffinity(0))
 
 
@@ -319,64 +318,54 @@ def _send_part(path: Path, start: int, rows: int, cols: int, load, pipe_ends) ->
         os._exit(status)
 
 
-def _parse_in_parts(path: Path, handle, cols: int, load) -> np.ndarray | None:
+def _parse_in_parts(path: Path, cols: int, load) -> np.ndarray | None:
     """The data rows of ``path`` as a (rows, cols) table, parsed in parts (see the module).
 
-    ``handle`` is ``path`` open as text; ``load(lines, rows)`` parses the
-    next ``rows`` rows of ``lines``.  The parent parses the first part
-    ``_MIN_PART_ROWS`` rows at a time, so it holds one block beside the
-    table, not a second table.  Returns None, with every child reaped, if
-    the file cannot be split (see :func:`_row_ends`) or if a part fails.
+    ``load(lines, rows)`` parses the next ``rows`` rows of ``lines``, in a
+    forked child per part.  Returns None, with every child reaped, if the
+    file cannot be split (see :func:`_row_ends`) or gives no part, or if
+    a part fails.
     """
     with open(path, "rb") as raw:
         ends = _row_ends(raw)
     if ends is None:
         return None
     rows = ends.size - 1
-    parts = max(1, min(_usable_cpus(), rows // _MIN_PART_ROWS))
+    parts = min(_usable_cpus(), rows // _MIN_PART_ROWS)
+    if not parts:
+        return None
     firsts = [rows * i // parts for i in range(parts + 1)]
     starts = (ends[firsts[:-1]] + 1).tolist()
     del ends
-    children = []  # (pid, read end, first row, end row)
+    pipes, pids = [], []  # in row order
     try:
-        for start, first, end in zip(starts[1:], firsts[1:-1], firsts[2:]):
+        for start, first, end in zip(starts, firsts, firsts[1:]):
             read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb", buffering=0))
             try:
                 pid = _fork()
                 if pid == 0:
                     _send_part(path, start, end - first, cols, load, (read_end, write_end))
-            except OSError:
-                os.close(read_end)
-                raise
             finally:
                 os.close(write_end)
-            children.append((pid, read_end, first, end))
+            pids.append(pid)
         table = np.empty((rows, cols))
-        handle.seek(0)
-        handle.readline()
-        for first in range(0, firsts[1], _MIN_PART_ROWS):
-            end = min(first + _MIN_PART_ROWS, firsts[1])
-            block = load(handle, end - first)
-            if block.shape != (end - first, cols):
-                return None
-            table[first:end] = block
-            del block  # before the next call allocates its own
-        for _, read_end, first, end in children:
-            # A child that stops short exits non-zero, which fails the table.
-            view = memoryview(table[first:end]).cast("B")
-            with open(read_end, "rb", buffering=0, closefd=False) as pipe:
-                while view and (got := pipe.readinto(view)):
-                    view = view[got:]
-    except (ValueError, OSError):
+        view = memoryview(table).cast("B")
+        for pipe in pipes:
+            # A child exits 0 only after writing its whole part, so the
+            # parts fill the table in order; one that stops short fails it.
+            while view and (got := pipe.readinto(view)):
+                view = view[got:]
+    except OSError:
         # The one-call parse that follows reports the error exactly.
         return None
     finally:
         # A child still writing then fails on its closed pipe and exits.
         # Each child holds copies of the earlier children's read ends
         # until it exits, so every read end is closed before any wait.
-        for _, read_end, *_ in children:
-            os.close(read_end)
-        failed = [_exit_code(pid) for pid, *_ in children]
+        for pipe in pipes:
+            pipe.close()
+        failed = [_exit_code(pid) for pid in pids]
     return None if any(failed) else table
 
 
@@ -393,9 +382,10 @@ def import_trace(path: str | Path) -> SimulationTrace:
 
     Raises ValueError for an unknown header, a data row whose ``system``
     marker does not match the header or the first row's, or an ``event``
-    value other than 0 or 1.  The rows are parsed on every usable CPU
-    (see :func:`_parse_in_parts`); if that fails, they are parsed again
-    in one ``loadtxt`` call, whose error names the row.
+    value other than 0 or 1.  The rows are parsed in forked children, one
+    per usable CPU (see :func:`_parse_in_parts`); where that is not
+    possible or fails, they are parsed in one ``loadtxt`` call, whose
+    error names the row.
     """
     path = Path(path)
     width = len(TRACE_COLUMNS)
@@ -426,7 +416,7 @@ def import_trace(path: str | Path) -> SimulationTrace:
 
             data = np.empty((0, width + marked))
             if first:
-                data = _parse_in_parts(path, handle, width + marked, load)
+                data = _parse_in_parts(path, width + marked, load)
             if data is None:
                 handle.seek(0)
                 handle.readline()
@@ -451,7 +441,7 @@ def import_trace(path: str | Path) -> SimulationTrace:
     bad = np.flatnonzero((event != 0.0) & (event != 1.0))
     if bad.size:
         raise ValueError(
-            f"event in data row {bad[0] + 1} of {path} is {event[bad[0]]!r}; must be 0 or 1"
+            f"event in data row {bad[0] + 1} of {path} is {float(event[bad[0]])!r}; must be 0 or 1"
         )
     columns = {name: data[:, j] for j, name in enumerate(TRACE_COLUMNS)}
     columns["event"] = event.astype(np.int64)

@@ -8,14 +8,26 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_trajectory.py"
 
 
+#: The end of a tier-1 run's output under ``pytest -q``.
+TIER1_OUTPUT = (
+    "FAILED tests/test_acceptance.py::test_criterion_1_paper_reproduction - assert 26.19 < 1.0\n"
+    "FAILED tests/test_acceptance.py::test_criterion_2_update_reduction - assert False\n"
+    "2 failed, 338 passed in 31.52s\n"
+)
+
+
 @pytest.fixture()
 def tool(tmp_path, monkeypatch):
-    """The script as a module, rooted in a checkout of only BENCHMARK.json."""
+    """The script as a module, rooted in a checkout of only BENCHMARK.json.
+
+    Its tier-1 run returns ``TIER1_OUTPUT`` after 31.9 s; no pytest starts.
+    """
     spec = importlib.util.spec_from_file_location("bench_trajectory", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     shutil.copy(TOOL.parents[1] / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "run_tier1", lambda: (TIER1_OUTPUT, 31.9))
     return module
 
 
@@ -72,6 +84,16 @@ def test_bench_file_names_every_workload(tool, monkeypatch):
     assert (payload["pr"], payload["seed"], payload["seconds"]) == (3, 7, 30)
     assert list(payload["workloads"]) == names
     assert payload["workloads"]["siv_verify"] == tool.summarize(canned_record())
+    assert payload["tier1"] == tool.tier1_summary(TIER1_OUTPUT, 31.9)
+
+
+def test_tier1_entry_is_the_summary_line(tool):
+    assert tool.tier1_summary(TIER1_OUTPUT, 31.9) == {
+        "command": tool.TIER1, "wall_s": 31.9, "passed": 338, "failed": 2,
+    }
+    assert tool.tier1_summary("340 passed in 75.10s (0:01:15)\n", 75.4)["failed"] == 0
+    with pytest.raises(ValueError, match="no pytest summary"):
+        tool.tier1_summary("Traceback (most recent call last):\n", 0.5)
 
 
 def test_a_failed_operation_writes_nothing(tool, monkeypatch, capsys):

@@ -254,6 +254,16 @@ def test_step_count_cap_covers_every_loop(monkeypatch, capsys, verb):
     assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.01"]) == 0
 
 
+@pytest.mark.parametrize("verb", ["simulate", "average", "verify"])
+def test_step_count_that_overflows_is_refused_by_the_cap(capsys, verb):
+    # 0.01 / 1e-320 overflows to inf, which round() cannot convert.
+    assert main([verb, "--config", "paper_siv.cfg", "--dt", "1e-320", "--t-final", "0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "error: run.t_final / run.dt = inf steps exceed the cap of 10000000; "
+        "raise run.dt or shorten run.t_final\n"
+    )
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "0"])
 def test_compare_rejects_bad_omega(capsys, token):
     code = main([

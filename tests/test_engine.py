@@ -9,7 +9,7 @@ from etseek import analysis, engine, hold
 from etseek.config import Scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
 from etseek.field import QuadraticField
-from etseek.trace import TRACE_COLUMNS, SimulationTrace
+from etseek.trace import TRACE_COLUMNS, SimulationTrace, grid_steps
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, VehicleState
 from tests.conftest import PAPER_SIV_GAIN
@@ -325,3 +325,14 @@ def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_sce
         "etseek.analysis.build_average_matrices",
         "etseek.analysis.run_average_loop",
     ]
+
+
+def test_grid_steps_bounds_round_half_to_even(monkeypatch):
+    # The bounds are checked on the ratio, and must agree with round().
+    monkeypatch.setattr("etseek.trace.MAX_STEPS", 100)
+    assert grid_steps(100.5, 1.0) == 100
+    assert grid_steps(1.5, 1.0) == 2
+    with pytest.raises(ValueError, match="cap of 100"):
+        grid_steps(100.75, 1.0)
+    with pytest.raises(ValueError, match="at least one step"):
+        grid_steps(0.5, 1.0)

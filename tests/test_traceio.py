@@ -307,13 +307,15 @@ def _csv(tmp_path, header, *tails):
     return path
 
 
-@pytest.mark.parametrize("event", ["nan", "0.7", "2", "-1", "inf"])
+@pytest.mark.parametrize("event", ["nan", "0.7", "2", "-1", "inf", "0.5"])
 def test_import_rejects_event_values_other_than_0_and_1(tmp_path, event):
     path = _csv(tmp_path, CSV_HEADER, event)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="must be 0 or 1"):
+        with pytest.raises(ValueError) as raised:
             import_trace(path)
+    # The plain float text (0.5), not numpy's repr (np.float64(0.5)).
+    assert str(raised.value) == f"event in data row 1 of {path} is {float(event)!r}; must be 0 or 1"
 
 
 @pytest.mark.parametrize(
@@ -420,17 +422,41 @@ def assert_no_child_left():
 def test_split_import_is_bit_identical_to_one_part(split_csv, monkeypatch, forks, system):
     path = split_csv(system)
     split = import_trace(path)
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert_no_child_left()
     monkeypatch.setattr(traceio, "_usable_cpus", lambda: 1)
     whole = import_trace(path)
-    assert len(forks) == 2
+    assert len(forks) == 4
     table = _one_call(path, system == "average")
     assert split.system == whole.system == system
     for j, name in enumerate(TRACE_COLUMNS):
         expected = table[:, j] if name != "event" else table[:, j].astype(np.int64)
         assert split.column(name).tobytes() == expected.tobytes(), name
         assert whole.column(name).tobytes() == expected.tobytes(), name
+
+
+def test_split_import_parses_nothing_in_the_parent(split_csv, monkeypatch, forks):
+    # Every part is parsed in a child; a call counted there stays in the child.
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    back = import_trace(split_csv("full"))
+    assert len(forks) == 3
+    assert calls == []
+    assert len(back) == SPLIT_ROWS
+
+
+def test_import_where_the_process_cannot_fork(split_csv, monkeypatch):
+    # No usable CPU for a child, so the rows go to the one loadtxt call.
+    path = split_csv("average")
+    monkeypatch.delattr(os, "fork")
+    back = import_trace(path)
+    assert back.xi.tobytes() == _one_call(path, True)[:, 13].tobytes()
 
 
 def _corrupt(path, row, fault):
@@ -456,7 +482,7 @@ def test_split_import_raises_the_one_call_error(split_csv, forks, fault, row):
     expected = {
         "marker": f"data row {row + 1} of {path} does not match its header "
                   "(system marker differs from row 1's 'average')",
-        "event": f"event in data row {row + 1} of {path} is {np.float64(2.0)!r}; must be 0 or 1",
+        "event": f"event in data row {row + 1} of {path} is 2.0; must be 0 or 1",
     }
     if fault in ("malformed", "columns"):
         with pytest.raises(ValueError) as one_call:
@@ -469,7 +495,7 @@ def test_split_import_raises_the_one_call_error(split_csv, forks, fault, row):
     with pytest.raises(ValueError) as raised:
         import_trace(path)
     assert str(raised.value) == expected[fault]
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert_no_child_left()
 
 
@@ -487,7 +513,7 @@ def test_a_part_with_other_columns_is_refused(split_csv, forks):
     with pytest.raises(ValueError) as raised:
         import_trace(path)
     assert str(raised.value) == f"a data row of {path} does not match its header: {changed}"
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert_no_child_left()
 
 
@@ -495,7 +521,7 @@ def test_a_failed_child_falls_back_to_one_call(split_csv, monkeypatch, forks):
     path = split_csv("full")
     monkeypatch.setattr(traceio, "_send_part", lambda *args: os._exit(3))
     back = import_trace(path)
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert_no_child_left()
     table = _one_call(path, False)
     assert back.t.tobytes() == table[:, 0].tobytes()
@@ -511,8 +537,24 @@ def test_split_import_where_sigchld_is_ignored(split_csv, forks):
         back = import_trace(path)
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert back.xi.tobytes() == _one_call(path, False)[:, 13].tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_imports_leave_no_descriptor_open(split_csv, monkeypatch, forks):
+    path = split_csv("full")
+    text = path.read_bytes()
+    before = set(os.listdir("/proc/self/fd"))
+    import_trace(path)
+    with monkeypatch.context() as patched:
+        patched.setattr(traceio, "_send_part", lambda *args: os._exit(3))
+        import_trace(path)
+    path.write_bytes(text.replace(b"\n", b"\r\n"))
+    import_trace(path)
+    assert set(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 6
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("layout", ["crlf", "blank-lines", "no-final-newline"])
@@ -531,7 +573,7 @@ def test_split_import_reads_other_layouts(split_csv, forks, layout):
         warnings.simplefilter("error")
         back = import_trace(path)
     assert_no_child_left()
-    assert len(forks) == (4 if layout == "no-final-newline" else 2)
+    assert len(forks) == (6 if layout == "no-final-newline" else 3)
     assert back.system == "average"
     for name in TRACE_COLUMNS:
         assert back.column(name).tobytes() == expected.column(name).tobytes(), name

@@ -16,21 +16,31 @@ samples it takes the median and the interquartile range of ``setup_s``,
 last line that ``run.py`` prints holds only the run's headline figures,
 with no spread and no provenance, so the record is read instead.
 
+Then it runs the tier-1 suite once, with the command ``ROADMAP.md``
+gives, from the root of the checkout, and records its wall time and the
+passed and failed counts of pytest's summary line.  Failing tests do
+not stop the file (two acceptance criteria fail by design).
+
 ``BENCH_<PR>.json`` is written at the root of the checkout only if every
-workload ran with no failed operation; otherwise nothing is written and
-the exit status is 1.
+workload ran with no failed operation and the suite printed its summary;
+otherwise nothing is written and the exit status is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The tier-1 command of ROADMAP.md, run by the shell from the root of the checkout.
+TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
 def spread(samples: list[float]) -> dict:
@@ -77,8 +87,34 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def run_tier1() -> tuple[str, float]:
+    """Run the tier-1 suite once; its standard output and wall time in seconds."""
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, shell=True, cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout, time.perf_counter() - start
+
+
+def tier1_summary(output: str, wall_s: float) -> dict:
+    """The tier-1 entry of BENCH_<pr>.json, from pytest's output and the run's wall time.
+
+    Reads the summary line that ends the output, such as ``2 failed, 338
+    passed in 31.52s``; raises ValueError if there is none.
+    """
+    lines = output.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    if not re.search(r"\d+ \w+.* in [\d.]+s", summary):
+        raise ValueError(f"no pytest summary line in the tier-1 output: {summary!r}")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"command": TIER1, "wall_s": wall_s,
+            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
 def trajectory(pr: int, seed: int) -> dict:
-    """The BENCH_<pr>.json payload; raises ValueError naming a workload that failed."""
+    """The BENCH_<pr>.json payload.
+
+    Raises ValueError naming a workload that failed, or if the tier-1
+    suite printed no summary line.
+    """
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     workloads = {}
@@ -88,7 +124,8 @@ def trajectory(pr: int, seed: int) -> dict:
             workloads[name] = summarize(run_workload(name, seed, seconds))
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
-    return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads}
+    tier1 = tier1_summary(*run_tier1())
+    return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads, "tier1": tier1}
 
 
 def main(argv: list[str] | None = None) -> int:
