@@ -26,9 +26,9 @@ import.  So the importer scans the file once for its newlines, cuts the
 rows into one part per usable CPU (at least ``_MIN_PART_ROWS`` rows
 each), and parses every part in a forked child, which sends the float64
 bytes through a pipe into the parent's table; the parent parses none.
-A file that is not LF-only, has a blank line or is too short to split,
-a process that cannot fork, and a part that fails are parsed in one
-``loadtxt`` call, so every error is the one that call raises.
+A file that is not LF-only, has a blank line or gives fewer than two
+parts, and a part that fails are parsed in one ``loadtxt`` call, given
+the scanned row count if any, so every error is the one it raises.
 """
 
 from __future__ import annotations
@@ -318,22 +318,22 @@ def _send_part(path: Path, start: int, rows: int, cols: int, load, pipe_ends) ->
         os._exit(status)
 
 
-def _parse_in_parts(path: Path, cols: int, load) -> np.ndarray | None:
-    """The data rows of ``path`` as a (rows, cols) table, parsed in parts (see the module).
+def _parse_in_parts(path: Path, cols: int, load) -> tuple[np.ndarray | None, int | None]:
+    """The data rows of ``path`` as a (rows, cols) table, parsed in parts, and ``rows``.
 
     ``load(lines, rows)`` parses the next ``rows`` rows of ``lines``, in a
-    forked child per part.  Returns None, with every child reaped, if the
-    file cannot be split (see :func:`_row_ends`) or gives no part, or if
-    a part fails.
+    forked child per part.  The table is None, with every child reaped,
+    if the file gives fewer than two parts or if a part fails; ``rows`` is
+    None if the file cannot be split (see :func:`_row_ends`).
     """
     with open(path, "rb") as raw:
         ends = _row_ends(raw)
     if ends is None:
-        return None
+        return None, None
     rows = ends.size - 1
     parts = min(_usable_cpus(), rows // _MIN_PART_ROWS)
-    if not parts:
-        return None
+    if parts < 2:
+        return None, rows
     firsts = [rows * i // parts for i in range(parts + 1)]
     starts = (ends[firsts[:-1]] + 1).tolist()
     del ends
@@ -358,7 +358,7 @@ def _parse_in_parts(path: Path, cols: int, load) -> np.ndarray | None:
                 view = view[got:]
     except OSError:
         # The one-call parse that follows reports the error exactly.
-        return None
+        return None, rows
     finally:
         # A child still writing then fails on its closed pipe and exits.
         # Each child holds copies of the earlier children's read ends
@@ -366,7 +366,7 @@ def _parse_in_parts(path: Path, cols: int, load) -> np.ndarray | None:
         for pipe in pipes:
             pipe.close()
         failed = [_exit_code(pid) for pid in pids]
-    return None if any(failed) else table
+    return (None if any(failed) else table), rows
 
 
 def _exit_code(pid: int) -> int:
@@ -383,9 +383,9 @@ def import_trace(path: str | Path) -> SimulationTrace:
     Raises ValueError for an unknown header, a data row whose ``system``
     marker does not match the header or the first row's, or an ``event``
     value other than 0 or 1.  The rows are parsed in forked children, one
-    per usable CPU (see :func:`_parse_in_parts`); where that is not
-    possible or fails, they are parsed in one ``loadtxt`` call, whose
-    error names the row.
+    per usable CPU (see :func:`_parse_in_parts`); where that gives fewer
+    than two parts or fails, they are parsed in one ``loadtxt`` call,
+    whose error names the row.
     """
     path = Path(path)
     width = len(TRACE_COLUMNS)
@@ -416,12 +416,12 @@ def import_trace(path: str | Path) -> SimulationTrace:
 
             data = np.empty((0, width + marked))
             if first:
-                data = _parse_in_parts(path, width + marked, load)
+                data, rows = _parse_in_parts(path, width + marked, load)
             if data is None:
                 handle.seek(0)
                 handle.readline()
                 try:
-                    data = load(handle, None)
+                    data = load(handle, rows)
                 except ValueError as exc:
                     if "number of columns changed" not in str(exc):
                         raise

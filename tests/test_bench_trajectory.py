@@ -89,9 +89,13 @@ def test_bench_file_names_every_workload(tool, monkeypatch):
 
 def test_tier1_entry_is_the_summary_line(tool):
     assert tool.tier1_summary(TIER1_OUTPUT, 31.9) == {
-        "command": tool.TIER1, "wall_s": 31.9, "passed": 338, "failed": 2,
+        "command": tool.TIER1, "wall_s": 31.9, "passed": 338, "failed": 2, "errors": 0,
     }
     assert tool.tier1_summary("340 passed in 75.10s (0:01:15)\n", 75.4)["failed"] == 0
+    # A module that fails to import is counted, not read as a pass.
+    broken = tool.tier1_summary("2 failed, 330 passed, 1 error in 30.00s\n", 30.2)
+    assert (broken["passed"], broken["failed"], broken["errors"]) == (330, 2, 1)
+    assert tool.tier1_summary("338 passed, 2 errors in 30.00s\n", 30.2)["errors"] == 2
     with pytest.raises(ValueError, match="no pytest summary"):
         tool.tier1_summary("Traceback (most recent call last):\n", 0.5)
 

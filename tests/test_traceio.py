@@ -301,6 +301,25 @@ def test_import_allocates_the_table_once(tmp_path, siv_scenario):
     assert peak < 1.05 * table + back.event.nbytes
 
 
+@pytest.mark.parametrize("cpus", [0, 1])
+def test_one_call_import_allocates_the_table_once(tmp_path, siv_scenario, monkeypatch, cpus):
+    # No fork (0) or one part (1): the one loadtxt call is given the
+    # scanned row count, so it too allocates its table once.
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
+    path = tmp_path / "trace.csv"
+    export_trace(trace, path)
+    tracemalloc.start()
+    try:
+        back = import_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = len(trace) * len(TRACE_COLUMNS) * 8
+    assert len(back) == 40_001
+    assert peak < 1.05 * table + back.event.nbytes
+
+
 def _csv(tmp_path, header, *tails):
     path = tmp_path / "bad.csv"
     path.write_text(header + "\n" + "".join(",".join(["0.5"] * 14) + "," + tail + "\n" for tail in tails))
@@ -426,7 +445,7 @@ def test_split_import_is_bit_identical_to_one_part(split_csv, monkeypatch, forks
     assert_no_child_left()
     monkeypatch.setattr(traceio, "_usable_cpus", lambda: 1)
     whole = import_trace(path)
-    assert len(forks) == 4
+    assert len(forks) == 3
     table = _one_call(path, system == "average")
     assert split.system == whole.system == system
     for j, name in enumerate(TRACE_COLUMNS):

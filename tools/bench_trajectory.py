@@ -18,8 +18,9 @@ with no spread and no provenance, so the record is read instead.
 
 Then it runs the tier-1 suite once, with the command ``ROADMAP.md``
 gives, from the root of the checkout, and records its wall time and the
-passed and failed counts of pytest's summary line.  Failing tests do
-not stop the file (two acceptance criteria fail by design).
+passed, failed and error counts of pytest's summary line (a module that
+fails to import is an error).  Failing tests do not stop the file (two
+acceptance criteria fail by design).
 
 ``BENCH_<PR>.json`` is written at the root of the checkout only if every
 workload ran with no failed operation and the suite printed its summary;
@@ -98,15 +99,15 @@ def tier1_summary(output: str, wall_s: float) -> dict:
     """The tier-1 entry of BENCH_<pr>.json, from pytest's output and the run's wall time.
 
     Reads the summary line that ends the output, such as ``2 failed, 338
-    passed in 31.52s``; raises ValueError if there is none.
+    passed, 1 error in 31.52s``; raises ValueError if there is none.
     """
     lines = output.strip().splitlines()
     summary = lines[-1] if lines else ""
     if not re.search(r"\d+ \w+.* in [\d.]+s", summary):
         raise ValueError(f"no pytest summary line in the tier-1 output: {summary!r}")
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
-    return {"command": TIER1, "wall_s": wall_s,
-            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)s?\b", summary)}
+    return {"command": TIER1, "wall_s": wall_s, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "errors": counts.get("error", 0)}
 
 
 def trajectory(pr: int, seed: int) -> dict:
