@@ -284,9 +284,7 @@ def test_export_memory_is_bounded(tmp_path, siv_scenario):
     assert peak < 3.5e6
 
 
-def test_import_allocates_the_table_once(tmp_path, siv_scenario):
-    # Counting the rows first lets loadtxt allocate its table once, instead
-    # of regrowing it a quarter at a time to about 1.15 times its size.
+def assert_import_allocates_the_table_once(tmp_path, siv_scenario):
     trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
     path = tmp_path / "trace.csv"
     export_trace(trace, path)
@@ -299,6 +297,12 @@ def test_import_allocates_the_table_once(tmp_path, siv_scenario):
     table = len(trace) * len(TRACE_COLUMNS) * 8
     assert len(back) == 40_001
     assert peak < 1.05 * table + back.event.nbytes
+
+
+def test_import_allocates_the_table_once(tmp_path, siv_scenario):
+    # Counting the rows first lets loadtxt allocate its table once, instead
+    # of regrowing it a quarter at a time to about 1.15 times its size.
+    assert_import_allocates_the_table_once(tmp_path, siv_scenario)
 
 
 @pytest.mark.parametrize("cpus", [0, 1])
@@ -306,18 +310,7 @@ def test_one_call_import_allocates_the_table_once(tmp_path, siv_scenario, monkey
     # No fork (0) or one part (1): the one loadtxt call is given the
     # scanned row count, so it too allocates its table once.
     monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
-    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
-    path = tmp_path / "trace.csv"
-    export_trace(trace, path)
-    tracemalloc.start()
-    try:
-        back = import_trace(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    table = len(trace) * len(TRACE_COLUMNS) * 8
-    assert len(back) == 40_001
-    assert peak < 1.05 * table + back.event.nbytes
+    assert_import_allocates_the_table_once(tmp_path, siv_scenario)
 
 
 def _csv(tmp_path, header, *tails):
