@@ -20,19 +20,23 @@ zeros dropped, ``0.`` and leading zeros below 1.  Every other value
 falls back to ``'%.17g' % v``.  The ``event`` column and the marker are
 one text per distinct event value.
 
-Traces are read back with :func:`numpy.loadtxt`, whose float parser is
-correctly rounded; at 17 digits a field, that parse is nearly all of an
-import.  So the importer scans the file once for its newlines, cuts the
-rows into one part per usable CPU (at least ``_MIN_PART_ROWS`` rows
-each), and parses every part in a forked child, which sends the float64
-bytes through a pipe into the parent's table; the parent parses none.
-A file that is not LF-only, has a blank line or gives fewer than two
-parts, and a part that fails are parsed in one ``loadtxt`` call, given
-the scanned row count if any, so every error is the one it raises.
+Both directions cut the rows into parts by one rule (:func:`_split`).
+The exporter encodes the first part while a forked child encodes each
+later one, a chunk at a time, into an unnamed spill file beside the
+output, which it then copies in row order with ``os.sendfile``; it
+encodes a part itself where its spill, fork or child fails.  Traces are
+read back with :func:`numpy.loadtxt`, whose correctly rounded parse of
+17-digit fields is nearly all of an import, so the importer scans the
+file once for its newlines and parses each part in a forked child that
+sends the float64 bytes through a pipe into the parent's table.  A file
+that is not LF-only, has a blank line or gives one part, and a part that
+fails are parsed in one ``loadtxt`` call, given the scanned row count if
+any, so every error is the one it raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -51,7 +55,8 @@ _CHUNK_ROWS = 1024
 #: Bytes the importer's row scan reads at a time.
 _SCAN_BYTES = 1 << 20
 
-#: Fewest rows the importer gives a process to parse.
+#: Fewest rows of a part: both directions cut ``rows`` rows into one part per
+#: usable CPU but at most ``rows // _MIN_PART_ROWS``, and at least one.
 _MIN_PART_ROWS = 4096
 
 #: 5**p for the scales p = 16 - k the kernel can ask for (p <= 21 < 23).
@@ -230,26 +235,56 @@ def _encode_rows(
 
 
 def export_trace(trace: SimulationTrace, path: str | Path) -> None:
-    """Write the trace as CSV; see the module docstring for the text."""
+    """Write the trace as CSV; see the module docstring for the text and its parts."""
     path = Path(path)
     marker = "," + trace.system if trace.system != "full" else ""
     header = CSV_HEADER + (",system" if marker else "") + "\n"
     values, tail_of = np.unique(trace.event, return_inverse=True)
     tails = [("%d" % v + marker + "\n").encode() for v in values.tolist()]
     columns = [trace.column(name) for name in TRACE_COLUMNS[:-1]]
-    work: dict = {}
+
+    def encode(handle, first: int, end: int) -> None:
+        work: dict = {}
+        for a in range(first, end, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, end)
+            fields = _work(work, 16, (b - a) * len(columns), np.float64)
+            fields = fields.reshape(b - a, len(columns))
+            for j, col in enumerate(columns):
+                fields[:, j] = col[a:b]
+            handle.write(_encode_rows(fields, tails, tail_of[a:b], work))
+
+    firsts = _split(len(trace))
+    spills, pids = {}, {}  # by part; the parent encodes a part that has no child
     try:
         with open(path, "wb") as handle:
+            for i in range(1, len(firsts) - 1):
+                with contextlib.suppress(AttributeError, OSError):  # no os.O_TMPFILE, no fork
+                    spills[i] = os.open(path.parent, os.O_TMPFILE | os.O_RDWR, 0o600)
+                    pids[i] = _fork()
+                if pids.get(i) == 0:  # the child: exits 0 only once its part is written
+                    try:
+                        with open(spills[i], "wb", closefd=False) as spill:
+                            encode(spill, firsts[i], firsts[i + 1])
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
             handle.write(header.encode())
-            for a in range(0, len(trace), _CHUNK_ROWS):
-                b = min(a + _CHUNK_ROWS, len(trace))
-                fields = _work(work, 16, (b - a) * len(columns), np.float64)
-                fields = fields.reshape(b - a, len(columns))
-                for j, col in enumerate(columns):
-                    fields[:, j] = col[a:b]
-                handle.write(_encode_rows(fields, tails, tail_of[a:b], work))
+            for i in range(len(firsts) - 1):
+                pid = pids.pop(i, None)
+                if pid is None or _exit_code(pid):
+                    encode(handle, firsts[i], firsts[i + 1])
+                    continue
+                handle.flush()
+                done, size = 0, os.fstat(spills[i]).st_size
+                while done < size:
+                    done += os.sendfile(handle.fileno(), spills[i], done, size - done)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    finally:
+        for pid in pids.values():
+            _exit_code(pid)
+        for spill in spills.values():
+            os.close(spill)
 
 
 def _row_ends(raw) -> np.ndarray | None:
@@ -285,11 +320,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _split(rows: int) -> list[int]:
+    """The first row of each part of ``rows`` rows, then ``rows``; see ``_MIN_PART_ROWS``."""
+    parts = max(1, min(_usable_cpus(), rows // _MIN_PART_ROWS))
+    return [rows * i // parts for i in range(parts + 1)]
+
+
 def _fork() -> int:
     # Python 3.12+ warns when a process with more than one thread forks,
     # and numpy's OpenBLAS starts a worker thread at import.  The child
-    # only parses text with numpy and leaves through os._exit, so it
-    # takes no lock that another thread could hold.
+    # only parses or encodes text with numpy and leaves through os._exit,
+    # so it takes no lock that another thread could hold.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         return os.fork()
@@ -331,10 +372,9 @@ def _parse_in_parts(path: Path, cols: int, load) -> tuple[np.ndarray | None, int
     if ends is None:
         return None, None
     rows = ends.size - 1
-    parts = min(_usable_cpus(), rows // _MIN_PART_ROWS)
-    if parts < 2:
+    firsts = _split(rows)
+    if len(firsts) < 3:
         return None, rows
-    firsts = [rows * i // parts for i in range(parts + 1)]
     starts = (ends[firsts[:-1]] + 1).tolist()
     del ends
     pipes, pids = [], []  # in row order

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,18 +19,33 @@ TIER1_OUTPUT = (
 )
 
 
+#: The output of the in-process run: one JSON line.
+IN_PROCESS_OUTPUT = (
+    '{"rows": 600001, "export_s": [1.31, 1.05, 1.12], "import_s": [2.4, 2.2, 2.6],'
+    ' "csv_bytes": 161234567}\n'
+)
+
+
+def load_tool():
+    """The script as a fresh module."""
+    spec = importlib.util.spec_from_file_location("bench_trajectory", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture()
 def tool(tmp_path, monkeypatch):
     """The script as a module, rooted in a checkout of only BENCHMARK.json.
 
-    Its tier-1 run returns ``TIER1_OUTPUT`` after 31.9 s; no pytest starts.
+    Its tier-1 run returns ``TIER1_OUTPUT`` after 31.9 s and its in-process
+    run ``IN_PROCESS_OUTPUT``; no pytest and no simulation start.
     """
-    spec = importlib.util.spec_from_file_location("bench_trajectory", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tool()
     shutil.copy(TOOL.parents[1] / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(module, "run_tier1", lambda: (TIER1_OUTPUT, 31.9))
+    monkeypatch.setattr(module, "run_in_process", lambda: IN_PROCESS_OUTPUT)
     return module
 
 
@@ -85,6 +103,38 @@ def test_bench_file_names_every_workload(tool, monkeypatch):
     assert list(payload["workloads"]) == names
     assert payload["workloads"]["siv_verify"] == tool.summarize(canned_record())
     assert payload["tier1"] == tool.tier1_summary(TIER1_OUTPUT, 31.9)
+    assert payload["in_process"] == tool.in_process_summary(IN_PROCESS_OUTPUT)
+
+
+def test_in_process_entry_is_min_and_median(tool):
+    assert tool.in_process_summary("numpy says hello\n" + IN_PROCESS_OUTPUT) == {
+        "run": "paper_siv full, 60 s", "rows": 600_001, "csv_bytes": 161_234_567,
+        "export_s": {"min": 1.05, "median": 1.12, "n": 3},
+        "import_s": {"min": 2.2, "median": 2.4, "n": 3},
+    }
+    for output in ("", "Traceback (most recent call last):\n", '{"rows": 600001}\n',
+                   IN_PROCESS_OUTPUT.replace("[2.4, 2.2, 2.6]", "[]")):
+        with pytest.raises(ValueError, match="no in-process record"):
+            tool.in_process_summary(output)
+
+
+def test_in_process_run_is_a_fresh_python_on_the_checkout(tmp_path, monkeypatch):
+    module = load_tool()
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    calls, codes = [], iter([0, 1])
+
+    def run(args, **kwargs):
+        calls.append((args, kwargs))
+        return subprocess.CompletedProcess(args, next(codes), stdout=IN_PROCESS_OUTPUT)
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    assert module.run_in_process() == IN_PROCESS_OUTPUT
+    (args, kwargs), = calls
+    assert args == [sys.executable, "-c", module.IN_PROCESS]
+    assert kwargs["cwd"] == tmp_path
+    assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(tmp_path / "src")
+    with pytest.raises(ValueError, match="exited with status 1"):
+        module.run_in_process()
 
 
 def test_tier1_entry_is_the_summary_line(tool):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import etseek
-from etseek import engine
+from etseek import engine, traceio
 from etseek.cli import _build_parser, main
 from etseek.config import packaged_scenario_path
 
@@ -364,3 +364,62 @@ def test_tiny_dither_amplitude_is_a_numerical_failure(tmp_path):
     proc = run_cli("simulate", "--config", str(cfg), "--t-final", "0.01")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("numerical failure: state became non-finite at t = 0.000100 s")
+
+
+def _dev_takes_unnamed_files() -> bool:
+    """Whether an export can spill a part next to /dev/null and /dev/stdout."""
+    try:
+        os.close(os.open("/dev", os.O_TMPFILE | os.O_RDWR, 0o600))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+needs_dev_spills = pytest.mark.skipif(not _dev_takes_unnamed_files(), reason="no unnamed file in /dev")
+
+#: A 1 s paper_siv run: 10,001 rows, two export parts where two CPUs are usable.
+SIV_1S = ["simulate", "--config", "paper_siv.cfg", "--t-final", "1"]
+
+
+@needs_dev_spills
+def test_trace_in_two_parts_to_dev_null(monkeypatch, capsys):
+    # The child's part is copied with sendfile, which, unlike
+    # copy_file_range, writes to any file, /dev/null among them.
+    forks = []
+    fork = traceio._fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(traceio, "_fork", counted)
+    assert main([*SIV_1S, "--out", "/dev/null"]) == 0
+    assert len(forks) == 1
+    assert capsys.readouterr().err == ""
+
+
+@needs_dev_spills
+def test_trace_in_two_parts_to_stdout(tmp_path):
+    # Block-buffered stdout still holds the summary line when the child
+    # forks; the child must not flush it, and the copy must reach a pipe.
+    src = str(Path(etseek.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; from etseek import cli, traceio; traceio._usable_cpus = lambda: 2; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, *SIV_1S, "--out", "/dev/stdout"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    summary = re.findall(rb"^full: steps=10000 events=\d+ final_error_norm=\S+\n", proc.stdout, re.M)
+    assert len(summary) == 1
+    path = tmp_path / "trace.csv"
+    assert main([*SIV_1S, "--out", str(path)]) == 0
+    assert proc.stdout.replace(summary[0], b"") == path.read_bytes()

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import signal
@@ -608,3 +609,114 @@ def test_split_import_prints_nothing_under_warning_filters(split_csv, action):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == f"{SPLIT_ROWS}\n"
+
+
+def assert_export_in_parts(trace, path, monkeypatch, forks, parts):
+    """Export ``trace`` with 1-4 usable CPUs, in ``parts[cpus]`` parts each; the bytes."""
+    texts = []
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(traceio, "_usable_cpus", lambda cpus=cpus: cpus)
+        before = len(forks)
+        export_trace(trace, path)
+        assert len(forks) - before == parts[cpus] - 1, cpus
+        texts.append(path.read_bytes())
+    assert_no_child_left()
+    assert texts == texts[:1] * 4
+    return texts[0]
+
+
+@pytest.mark.parametrize("system", ["full", "average"])
+def test_export_in_parts_is_byte_identical(split_csv, tmp_path, monkeypatch, forks, system):
+    path = split_csv(system)
+    trace = import_trace(path)
+    text = assert_export_in_parts(trace, tmp_path / "parts.csv", monkeypatch, forks,
+                                  {1: 1, 2: 2, 3: 3, 4: 3})
+    assert text == path.read_bytes()
+
+
+def test_siv_export_in_parts_is_byte_identical(tmp_path, siv_scenario, monkeypatch, forks):
+    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
+    assert len(trace) == 40_001
+    assert_export_in_parts(trace, tmp_path / "parts.csv", monkeypatch, forks,
+                           {1: 1, 2: 2, 3: 3, 4: 4})
+
+
+def test_export_flushes_its_part_before_each_copy(tmp_path, monkeypatch, forks):
+    # Part 0 has 4,097 rows, so its last chunk is one short row, which
+    # waits in the file's buffer until it is flushed; part 1 must follow it.
+    trace = SimulationTrace.preallocate(2 * (traceio._MIN_PART_ROWS + 1))
+    for j, column in enumerate(TRACE_COLUMNS[:-1]):
+        trace.column(column)[:] = np.arange(len(trace)) + j / 8
+    text = assert_export_in_parts(trace, tmp_path / "parts.csv", monkeypatch, forks,
+                                  {1: 1, 2: 2, 3: 2, 4: 2})
+    assert [line.split(b",")[0] for line in text.splitlines()[4097:4099]] == [b"4096", b"4097"]
+
+
+def _fork_that_exits_3(fork):
+    def forked():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+    return forked
+
+
+def _open_without_spills(opener):
+    def opened(path, flags, *args, **kwargs):
+        if flags & os.O_TMPFILE == os.O_TMPFILE:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return opener(path, flags, *args, **kwargs)
+    return opened
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize(
+    ("fault", "children"),
+    [("child-exits-3", 2), ("spill-refused", 0), ("no-O_TMPFILE", 0), ("SIGCHLD-ignored", 2)],
+)
+def test_export_encodes_in_the_parent_where_a_part_fails(
+    split_csv, tmp_path, monkeypatch, forks, fault, children
+):
+    path = split_csv("full")
+    trace = import_trace(path)
+    out = tmp_path / "out"
+    out.mkdir()
+    before, forked = set(os.listdir("/proc/self/fd")), len(forks)
+    previous = signal.getsignal(signal.SIGCHLD)
+    with monkeypatch.context() as patched:
+        if fault == "child-exits-3":
+            patched.setattr(traceio, "_fork", _fork_that_exits_3(traceio._fork))
+        elif fault == "spill-refused":
+            patched.setattr(os, "open", _open_without_spills(os.open))
+        elif fault == "no-O_TMPFILE":
+            patched.delattr(os, "O_TMPFILE")
+        else:
+            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            export_trace(trace, out / "trace.csv")
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) - forked == children
+    assert_no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == before
+    assert os.listdir(out) == ["trace.csv"]
+    assert (out / "trace.csv").read_bytes() == path.read_bytes()
+
+
+def _sendfile_on_a_full_disk(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["dev-full", "sendfile"])
+def test_export_write_error_leaves_no_child(split_csv, tmp_path, monkeypatch, forks, fault):
+    trace = import_trace(split_csv("full"))
+    path = tmp_path / "trace.csv"
+    if fault == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        path = Path("/dev/full")
+    else:
+        monkeypatch.setattr(os, "sendfile", _sendfile_on_a_full_disk)
+    with pytest.raises(OSError, match=f"^cannot write trace to {path}: .*No space left"):
+        export_trace(trace, path)
+    assert_no_child_left()

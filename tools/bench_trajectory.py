@@ -16,6 +16,11 @@ samples it takes the median and the interquartile range of ``setup_s``,
 last line that ``run.py`` prints holds only the run's headline figures,
 with no spread and no provenance, so the record is read instead.
 
+Next it times what no workload measures, in a fresh Python process on
+the checkout's ``src/``: the CSV export and import of the 60 s
+``paper_siv`` full trace (600,001 rows, about 161 MB), three times each
+into a temporary directory, recorded as the min and the median.
+
 Then it runs the tier-1 suite once, with the command ``ROADMAP.md``
 gives, from the root of the checkout, and records its wall time and the
 passed, failed and error counts of pytest's summary line (a module that
@@ -23,14 +28,16 @@ fails to import is an error).  Failing tests do not stop the file (two
 acceptance criteria fail by design).
 
 ``BENCH_<PR>.json`` is written at the root of the checkout only if every
-workload ran with no failed operation and the suite printed its summary;
-otherwise nothing is written and the exit status is 1.
+workload ran with no failed operation, the in-process run printed its
+record and the suite printed its summary; otherwise nothing is written
+and the exit status is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -42,6 +49,31 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The tier-1 command of ROADMAP.md, run by the shell from the root of the checkout.
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+#: The in-process run, as ``python -c``: export and import the 60 s
+#: paper_siv full trace three times each; print one JSON line of timings.
+IN_PROCESS = """
+import json, sys, tempfile, time
+from dataclasses import replace
+from pathlib import Path
+from etseek.config import load_scenario
+from etseek.engine import run_simulation
+from etseek.traceio import export_trace, import_trace
+
+scenario = replace(load_scenario("paper_siv.cfg"), t_final=60.0, mode="full", sample_period=None)
+trace, _ = run_simulation(scenario)
+record = {"rows": len(trace), "export_s": [], "import_s": []}
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "trace.csv"
+    for _ in range(3):
+        for phase, run in (("export_s", lambda: export_trace(trace, path)),
+                           ("import_s", lambda: import_trace(path))):
+            start = time.perf_counter()
+            run()
+            record[phase].append(time.perf_counter() - start)
+    record["csv_bytes"] = path.stat().st_size
+print(json.dumps(record))
+"""
 
 
 def spread(samples: list[float]) -> dict:
@@ -88,6 +120,40 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def run_in_process() -> str:
+    """Run ``IN_PROCESS`` in a fresh Python on the checkout's ``src/``; its standard output.
+
+    Raises ValueError if it exits with an error.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, text=True)
+    if proc.returncode:
+        raise ValueError(f"the in-process run exited with status {proc.returncode}")
+    return proc.stdout
+
+
+def in_process_summary(output: str) -> dict:
+    """The in_process entry of BENCH_<pr>.json, from the run's last output line.
+
+    Keeps the trace's rows and CSV bytes, and the min, median and count
+    of the export and import times; raises ValueError if the line is not
+    such a record.
+    """
+    lines = output.strip().splitlines()
+    try:
+        record = json.loads(lines[-1])
+        entry = {"run": "paper_siv full, 60 s", "rows": record["rows"],
+                 "csv_bytes": record["csv_bytes"]}
+        for phase in ("export_s", "import_s"):
+            times = record[phase]
+            entry[phase] = {"min": min(times), "median": statistics.median(times), "n": len(times)}
+    except (IndexError, KeyError, TypeError, ValueError):  # ValueError: bad JSON, no times
+        raise ValueError(f"no in-process record in its output: {output[-200:]!r}") from None
+    return entry
+
+
 def run_tier1() -> tuple[str, float]:
     """Run the tier-1 suite once; its standard output and wall time in seconds."""
     start = time.perf_counter()
@@ -113,8 +179,8 @@ def tier1_summary(output: str, wall_s: float) -> dict:
 def trajectory(pr: int, seed: int) -> dict:
     """The BENCH_<pr>.json payload.
 
-    Raises ValueError naming a workload that failed, or if the tier-1
-    suite printed no summary line.
+    Raises ValueError naming a workload that failed, if the in-process
+    run printed no record, or if the tier-1 suite printed no summary line.
     """
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
@@ -125,8 +191,10 @@ def trajectory(pr: int, seed: int) -> dict:
             workloads[name] = summarize(run_workload(name, seed, seconds))
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
+    in_process = in_process_summary(run_in_process())
     tier1 = tier1_summary(*run_tier1())
-    return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads, "tier1": tier1}
+    return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads,
+            "in_process": in_process, "tier1": tier1}
 
 
 def main(argv: list[str] | None = None) -> int:
