@@ -53,7 +53,7 @@ TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continu
 #: The in-process run, as ``python -c``: export and import the 60 s
 #: paper_siv full trace three times each; print one JSON line of timings.
 IN_PROCESS = """
-import json, sys, tempfile, time
+import json, tempfile, time
 from dataclasses import replace
 from pathlib import Path
 from etseek.config import load_scenario
@@ -66,11 +66,12 @@ record = {"rows": len(trace), "export_s": [], "import_s": []}
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "trace.csv"
     for _ in range(3):
-        for phase, run in (("export_s", lambda: export_trace(trace, path)),
-                           ("import_s", lambda: import_trace(path))):
-            start = time.perf_counter()
-            run()
-            record[phase].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        export_trace(trace, path)
+        exported = time.perf_counter()
+        import_trace(path)
+        record["export_s"].append(exported - start)
+        record["import_s"].append(time.perf_counter() - exported)
     record["csv_bytes"] = path.stat().st_size
 print(json.dumps(record))
 """
