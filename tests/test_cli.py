@@ -11,6 +11,7 @@ import etseek
 from etseek import engine, traceio
 from etseek.cli import _build_parser, main
 from etseek.config import packaged_scenario_path
+from tests.conftest import takes_unnamed_files
 
 
 def test_bessel_verb(capsys):
@@ -366,16 +367,7 @@ def test_tiny_dither_amplitude_is_a_numerical_failure(tmp_path):
     assert proc.stderr.startswith("numerical failure: state became non-finite at t = 0.000100 s")
 
 
-def _dev_takes_unnamed_files() -> bool:
-    """Whether an export can spill a part next to /dev/null and /dev/stdout."""
-    try:
-        os.close(os.open("/dev", os.O_TMPFILE | os.O_RDWR, 0o600))
-    except (AttributeError, OSError):
-        return False
-    return True
-
-
-needs_dev_spills = pytest.mark.skipif(not _dev_takes_unnamed_files(), reason="no unnamed file in /dev")
+needs_dev_spills = pytest.mark.skipif(not takes_unnamed_files("/dev"), reason="no unnamed file in /dev")
 
 #: A 1 s paper_siv run: 10,001 rows, two export parts where two CPUs are usable.
 SIV_1S = ["simulate", "--config", "paper_siv.cfg", "--t-final", "1"]
