@@ -20,18 +20,20 @@ zeros dropped, ``0.`` and leading zeros below 1.  Every other value
 falls back to ``'%.17g' % v``.  The ``event`` column and the marker are
 one text per distinct event value.
 
-Both directions cut the rows into parts by one rule (:func:`_split`).
-The exporter encodes the first part while a forked child encodes each
-later one, a chunk at a time, into an unnamed spill file beside the
-output, which it then copies in row order with ``os.sendfile``; it
-encodes a part itself where its spill, fork or child fails.  Traces are
-read back with :func:`numpy.loadtxt`, whose correctly rounded parse of
-17-digit fields is nearly all of an import, so the importer scans the
-file once for its newlines and parses each part in a forked child that
-sends the float64 bytes through a pipe into the parent's table.  A file
-that is not LF-only, has a blank line or gives one part, and a part that
-fails are parsed in one ``loadtxt`` call, given the scanned row count if
-any, so every error is the one it raises.
+Both directions cut the rows into parts by one rule (:func:`_split`)
+and run parts in forked children by one runner (:func:`_in_children`),
+each child writing into an unnamed spill file in the temporary
+directory.  The exporter encodes the first part while a child encodes
+each later one, a chunk at a time, and copies the spills in row order
+with ``os.sendfile``; it encodes a part itself where its spill, fork or
+child fails.  Traces are read back with :func:`numpy.loadtxt`, whose
+correctly rounded parse of 17-digit fields is nearly all of an import,
+so the importer scans the file once for its newlines and parses each
+part in a child, whose float64 block the parent reads from its spill
+into its slice of the table.  A file that is not LF-only, has a blank
+line or gives one part, and a part that fails are parsed in one
+``loadtxt`` call, given the scanned row count if any, so every error is
+the one it raises.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -243,48 +246,33 @@ def export_trace(trace: SimulationTrace, path: str | Path) -> None:
     tails = [("%d" % v + marker + "\n").encode() for v in values.tolist()]
     columns = [trace.column(name) for name in TRACE_COLUMNS[:-1]]
 
-    def encode(handle, first: int, end: int) -> None:
+    firsts = _split(len(trace))
+    parts = range(len(firsts) - 1)
+
+    def encode(i: int, handle) -> None:
         work: dict = {}
-        for a in range(first, end, _CHUNK_ROWS):
-            b = min(a + _CHUNK_ROWS, end)
+        for a in range(firsts[i], firsts[i + 1], _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, firsts[i + 1])
             fields = _work(work, 16, (b - a) * len(columns), np.float64)
             fields = fields.reshape(b - a, len(columns))
             for j, col in enumerate(columns):
                 fields[:, j] = col[a:b]
             handle.write(_encode_rows(fields, tails, tail_of[a:b], work))
 
-    firsts = _split(len(trace))
-    spills, pids = {}, {}  # by part; the parent encodes a part that has no child
     try:
-        with open(path, "wb") as handle:
-            for i in range(1, len(firsts) - 1):
-                with contextlib.suppress(AttributeError, OSError):  # no os.O_TMPFILE, no fork
-                    spills[i] = os.open(path.parent, os.O_TMPFILE | os.O_RDWR, 0o600)
-                    pids[i] = _fork()
-                if pids.get(i) == 0:  # the child: exits 0 only once its part is written
-                    try:
-                        with open(spills[i], "wb", closefd=False) as spill:
-                            encode(spill, firsts[i], firsts[i + 1])
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
+        with open(path, "wb") as handle, _in_children(parts[1:], encode) as take:
             handle.write(header.encode())
-            for i in range(len(firsts) - 1):
-                pid = pids.pop(i, None)
-                if pid is None or _exit_code(pid):
-                    encode(handle, firsts[i], firsts[i + 1])
+            for i in parts:
+                spill = take(i)
+                if spill is None:  # part 0, or a part whose child did not write it
+                    encode(i, handle)
                     continue
                 handle.flush()
-                done, size = 0, os.fstat(spills[i]).st_size
+                done, size = 0, os.fstat(spill).st_size
                 while done < size:
-                    done += os.sendfile(handle.fileno(), spills[i], done, size - done)
+                    done += os.sendfile(handle.fileno(), spill, done, size - done)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
-    finally:
-        for pid in pids.values():
-            _exit_code(pid)
-        for spill in spills.values():
-            os.close(spill)
 
 
 def _row_ends(raw) -> np.ndarray | None:
@@ -336,36 +324,56 @@ def _fork() -> int:
         return os.fork()
 
 
-def _send_part(path: Path, start: int, rows: int, cols: int, load, pipe_ends) -> None:
-    """In a forked child: parse ``rows`` rows from byte ``start``, write their bytes, exit.
+@contextlib.contextmanager
+def _in_children(parts, work):
+    """Run ``work(part, spill)`` for each part in a forked child; yield ``take``.
 
-    Exits 0 only after writing a (rows, cols) float64 table.  It leaves
-    through ``os._exit`` whatever happens, so it flushes no stdio buffer
-    copied from the parent and never returns into the parent's code.
+    For each part the parent opens an unnamed spill in the temporary
+    directory (:func:`tempfile.TemporaryFile`, which follows ``TMPDIR``)
+    and forks; the child writes the part to the spill, flushes it and
+    leaves through ``os._exit``, with status 0 only if ``work`` returned.
+    So it flushes no stdio buffer copied from the parent and never
+    returns into the parent's code.  ``take(part)`` waits for that child
+    and returns the spill's descriptor if it exited 0, else None: no
+    spill, no fork, or a child that failed or whose status is lost.  On
+    leaving, every child is reaped and every spill closed.
     """
-    status = 1
+    spills, pids = {}, {}
     try:
-        read_end, write_end = pipe_ends
-        os.close(read_end)
-        raw = open(path, "rb")
-        raw.seek(start)
-        with io.TextIOWrapper(raw, encoding="utf-8") as lines:
-            block = load(lines, rows)
-        if block.shape == (rows, cols):
-            with open(write_end, "wb") as pipe:
-                pipe.write(block)
-            status = 0
+        for part in parts:
+            with contextlib.suppress(OSError):  # that part gets no child
+                spills[part] = tempfile.TemporaryFile()
+                pids[part] = _fork()
+            if pids.get(part) == 0:
+                status = 1
+                try:
+                    work(part, spills[part])
+                    spills[part].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+
+        def take(part):
+            pid = pids.pop(part, None)
+            return None if pid is None or _exit_code(pid) else spills[part].fileno()
+
+        yield take
     finally:
-        os._exit(status)
+        for pid in pids.values():
+            _exit_code(pid)
+        for spill in spills.values():
+            spill.close()
 
 
 def _parse_in_parts(path: Path, cols: int, load) -> tuple[np.ndarray | None, int | None]:
     """The data rows of ``path`` as a (rows, cols) table, parsed in parts, and ``rows``.
 
     ``load(lines, rows)`` parses the next ``rows`` rows of ``lines``, in a
-    forked child per part.  The table is None, with every child reaped,
-    if the file gives fewer than two parts or if a part fails; ``rows`` is
-    None if the file cannot be split (see :func:`_row_ends`).
+    forked child per part (:func:`_in_children`), which writes its
+    float64 block to its spill; the parent reads each spill into its
+    slice of the table.  The table is None if the file gives fewer than
+    two parts or if a part fails; ``rows`` is None if the file cannot be
+    split (see :func:`_row_ends`).
     """
     with open(path, "rb") as raw:
         ends = _row_ends(raw)
@@ -377,36 +385,28 @@ def _parse_in_parts(path: Path, cols: int, load) -> tuple[np.ndarray | None, int
         return None, rows
     starts = (ends[firsts[:-1]] + 1).tolist()
     del ends
-    pipes, pids = [], []  # in row order
+
+    def parse(i: int, spill) -> None:
+        raw, n = open(path, "rb"), firsts[i + 1] - firsts[i]
+        raw.seek(starts[i])
+        with io.TextIOWrapper(raw, encoding="utf-8") as lines:
+            block = load(lines, n)
+        if block.shape == (n, cols):  # else the parent's read of the spill falls short
+            spill.write(block)
+
+    parts = range(len(starts))
     try:
-        for start, first, end in zip(starts, firsts, firsts[1:]):
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb", buffering=0))
-            try:
-                pid = _fork()
-                if pid == 0:
-                    _send_part(path, start, end - first, cols, load, (read_end, write_end))
-            finally:
-                os.close(write_end)
-            pids.append(pid)
-        table = np.empty((rows, cols))
-        view = memoryview(table).cast("B")
-        for pipe in pipes:
-            # A child exits 0 only after writing its whole part, so the
-            # parts fill the table in order; one that stops short fails it.
-            while view and (got := pipe.readinto(view)):
-                view = view[got:]
+        with _in_children(parts, parse) as take:
+            table = np.empty((rows, cols))
+            for i in parts:
+                # One read returns at most 2 GiB: a larger part is parsed again.
+                part, spill = table[firsts[i]:firsts[i + 1]], take(i)
+                if spill is None or os.preadv(spill, [part], 0) < part.nbytes:
+                    return None, rows
     except OSError:
         # The one-call parse that follows reports the error exactly.
         return None, rows
-    finally:
-        # A child still writing then fails on its closed pipe and exits.
-        # Each child holds copies of the earlier children's read ends
-        # until it exits, so every read end is closed before any wait.
-        for pipe in pipes:
-            pipe.close()
-        failed = [_exit_code(pid) for pid in pids]
-    return (None if any(failed) else table), rows
+    return table, rows
 
 
 def _exit_code(pid: int) -> int:

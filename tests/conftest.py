@@ -1,5 +1,4 @@
 import math
-import os
 
 import pytest
 
@@ -11,19 +10,6 @@ from etseek.vehicle import DitherParams
 PAPER_SIV_GAIN = GainMatrix(rows=((4.3822, 4.3822, 0.1437), (-9.4326, 9.4326, 4.0)))
 
 THETA_STAR = math.pi / 6
-
-
-def takes_unnamed_files(directory) -> bool:
-    """Whether ``directory`` takes the unnamed spill files of a split trace export.
-
-    Where it does not (no ``os.O_TMPFILE``, a file system without it, no
-    write permission), the export encodes every part in one process.
-    """
-    try:
-        os.close(os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600))
-    except (AttributeError, OSError):
-        return False
-    return True
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ import etseek
 from etseek import engine, traceio
 from etseek.cli import _build_parser, main
 from etseek.config import packaged_scenario_path
-from tests.conftest import takes_unnamed_files
 
 
 def test_bessel_verb(capsys):
@@ -367,13 +366,10 @@ def test_tiny_dither_amplitude_is_a_numerical_failure(tmp_path):
     assert proc.stderr.startswith("numerical failure: state became non-finite at t = 0.000100 s")
 
 
-needs_dev_spills = pytest.mark.skipif(not takes_unnamed_files("/dev"), reason="no unnamed file in /dev")
-
 #: A 1 s paper_siv run: 10,001 rows, two export parts where two CPUs are usable.
 SIV_1S = ["simulate", "--config", "paper_siv.cfg", "--t-final", "1"]
 
 
-@needs_dev_spills
 def test_trace_in_two_parts_to_dev_null(monkeypatch, capsys):
     # The child's part is copied with sendfile, which, unlike
     # copy_file_range, writes to any file, /dev/null among them.
@@ -392,7 +388,6 @@ def test_trace_in_two_parts_to_dev_null(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-@needs_dev_spills
 def test_trace_in_two_parts_to_stdout(tmp_path):
     # Block-buffered stdout still holds the summary line when the child
     # forks; the child must not flush it, and the copy must reach a pipe.

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,7 +20,6 @@ from etseek.config import load_scenario
 from etseek.engine import run_simulation
 from etseek.trace import TRACE_COLUMNS, RunMetrics, SimulationTrace
 from etseek.traceio import CSV_HEADER, export_metrics, export_trace, import_trace
-from tests.conftest import takes_unnamed_files
 
 METRIC_KEYS = [
     "num_steps",
@@ -390,6 +390,15 @@ def forks(monkeypatch):
     return pids
 
 
+def _fork_that_exits_3(fork):
+    def forked():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+    return forked
+
+
 @pytest.fixture(scope="module")
 def split_csv_bytes(tmp_path_factory):
     """CSV bytes of a random full and averaged trace of ``SPLIT_ROWS`` rows."""
@@ -533,7 +542,7 @@ def test_a_part_with_other_columns_is_refused(split_csv, forks):
 
 def test_a_failed_child_falls_back_to_one_call(split_csv, monkeypatch, forks):
     path = split_csv("full")
-    monkeypatch.setattr(traceio, "_send_part", lambda *args: os._exit(3))
+    monkeypatch.setattr(traceio, "_fork", _fork_that_exits_3(traceio._fork))
     back = import_trace(path)
     assert len(forks) == 3
     assert_no_child_left()
@@ -562,7 +571,7 @@ def test_imports_leave_no_descriptor_open(split_csv, monkeypatch, forks):
     before = set(os.listdir("/proc/self/fd"))
     import_trace(path)
     with monkeypatch.context() as patched:
-        patched.setattr(traceio, "_send_part", lambda *args: os._exit(3))
+        patched.setattr(traceio, "_fork", _fork_that_exits_3(traceio._fork))
         import_trace(path)
     path.write_bytes(text.replace(b"\n", b"\r\n"))
     import_trace(path)
@@ -615,15 +624,14 @@ def test_split_import_prints_nothing_under_warning_filters(split_csv, action):
 def assert_export_in_parts(trace, path, monkeypatch, forks, parts):
     """Export ``trace`` with 1-4 usable CPUs, in ``parts[cpus]`` parts each; the bytes.
 
-    Each part after the first is a child's, where the directory takes spills.
+    Each part after the first is a child's.
     """
     texts = []
-    spills = takes_unnamed_files(path.parent)
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(traceio, "_usable_cpus", lambda cpus=cpus: cpus)
         before = len(forks)
         export_trace(trace, path)
-        assert len(forks) - before == (parts[cpus] - 1 if spills else 0), cpus
+        assert len(forks) - before == parts[cpus] - 1, cpus
         texts.append(path.read_bytes())
     assert_no_child_left()
     assert texts == texts[:1] * 4
@@ -657,21 +665,8 @@ def test_export_flushes_its_part_before_each_copy(tmp_path, monkeypatch, forks):
     assert [line.split(b",")[0] for line in text.splitlines()[4097:4099]] == [b"4096", b"4097"]
 
 
-def _fork_that_exits_3(fork):
-    def forked():
-        pid = fork()
-        if pid == 0:
-            os._exit(3)
-        return pid
-    return forked
-
-
-def _open_without_spills(opener):
-    def opened(path, flags, *args, **kwargs):
-        if flags & os.O_TMPFILE == os.O_TMPFILE:
-            raise OSError(errno.EMFILE, "Too many open files")
-        return opener(path, flags, *args, **kwargs)
-    return opened
+def _spills_refused():
+    raise OSError(errno.EMFILE, "Too many open files")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
@@ -692,20 +687,129 @@ def test_export_encodes_in_the_parent_where_a_part_fails(
         if fault == "child-exits-3":
             patched.setattr(traceio, "_fork", _fork_that_exits_3(traceio._fork))
         elif fault == "spill-refused":
-            patched.setattr(os, "open", _open_without_spills(os.open))
+            patched.setattr(tempfile, "TemporaryFile", _spills_refused)
         elif fault == "no-O_TMPFILE":
-            patched.delattr(os, "O_TMPFILE")
+            # No temporary file, unnamed or named: the directory is gone.
+            patched.setattr(tempfile, "tempdir", str(tmp_path / "gone"))
         else:
             signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             export_trace(trace, out / "trace.csv")
         finally:
             signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) - forked == (children if takes_unnamed_files(out) else 0)
+    assert len(forks) - forked == children
     assert_no_child_left()
     assert set(os.listdir("/proc/self/fd")) == before
     assert os.listdir(out) == ["trace.csv"]
     assert (out / "trace.csv").read_bytes() == path.read_bytes()
+
+
+def test_export_to_dev_null_spills_in_the_temporary_directory(
+    split_csv, tmp_path, monkeypatch, forks
+):
+    # /dev takes no unnamed file here, so a spill beside the output would
+    # fail; the child's spill is made in the temporary directory instead.
+    path = split_csv("full")
+    trace = import_trace(path)
+    opened, copied = [], []
+    opener, sendfile = os.open, os.sendfile
+
+    def refused_in_dev(name, flags, *args, **kwargs):
+        opened.append(os.fspath(name))
+        if flags & os.O_TMPFILE == os.O_TMPFILE and opened[-1].startswith("/dev"):
+            raise PermissionError(errno.EACCES, "Permission denied")
+        return opener(name, flags, *args, **kwargs)
+
+    def recorded(out, spill, offset, count):
+        copied.append(os.pread(spill, count, offset))
+        return sendfile(out, spill, offset, count)
+
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(os, "open", refused_in_dev)
+    monkeypatch.setattr(os, "sendfile", recorded)
+    forked = len(forks)
+    export_trace(trace, "/dev/null")
+    assert len(forks) - forked == 1
+    assert_no_child_left()
+    assert opened and all(name.startswith(str(tmp_path)) for name in opened)
+    # The child's part is the one-part export's rows from the second part on.
+    rows = path.read_bytes().splitlines(keepends=True)
+    assert b"".join(copied) == b"".join(rows[1 + SPLIT_ROWS // 2:])
+
+
+class _PartFaults:
+    """Fault each part a runner is given by its place: ``kinds[place]``.
+
+    A kind is ``ok``, ``exit`` (the child exits 3), ``spill`` (its spill
+    is refused) or ``fork`` (its fork raises).  ``children`` counts the
+    forks that made a child.
+    """
+
+    def __init__(self, kinds):
+        self.kinds, self.places, self.children = kinds, [], 0
+        self.temporary_file, self.fork = tempfile.TemporaryFile, traceio._fork
+
+    def spill(self):
+        self.places.append(self.kinds[len(self.places)])
+        if self.places[-1] == "spill":
+            raise OSError(errno.EMFILE, "Too many open files")
+        return self.temporary_file()
+
+    def forked(self):
+        if self.places[-1] == "fork":
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = self.fork()
+        if pid == 0 and self.places[-1] == "exit":
+            os._exit(3)
+        self.children += 1
+        return pid
+
+
+@pytest.fixture(scope="module")
+def split_table(split_csv_bytes, tmp_path_factory):
+    """The full ``split_csv_bytes`` trace, its one-call table and its CSV file."""
+    path = tmp_path_factory.mktemp("table") / "split.csv"
+    path.write_bytes(split_csv_bytes["full"])
+    return import_trace(path), _one_call(path, False), path
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@settings(deadline=None, database=None, max_examples=10)
+@given(
+    cpus=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(["ok", "exit", "spill", "fork"]), min_size=4, max_size=4),
+    malformed=st.none() | st.integers(0, SPLIT_ROWS - 1),
+)
+def test_any_part_may_fail_in_either_direction(split_table, tmp_path_factory, cpus, kinds, malformed):
+    trace, table, csv = split_table
+    path = tmp_path_factory.mktemp("matrix") / "split.csv"
+    path.write_bytes(csv.read_bytes())
+    if malformed is not None:
+        _corrupt(path, malformed, "malformed")
+    before = set(os.listdir("/proc/self/fd"))
+    for run in ("export", "import"):
+        faults = _PartFaults(kinds)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(traceio, "_usable_cpus", lambda: cpus)
+            patched.setattr(tempfile, "TemporaryFile", faults.spill)
+            patched.setattr(traceio, "_fork", faults.forked)
+            if run == "export":
+                export_trace(trace, path.with_name("out.csv"))
+                assert path.with_name("out.csv").read_bytes() == csv.read_bytes()
+            elif malformed is None:
+                back = import_trace(path)
+                for j, name in enumerate(TRACE_COLUMNS[:-1]):
+                    assert back.column(name).tobytes() == table[:, j].tobytes(), name
+            else:
+                with pytest.raises(ValueError) as one_call:
+                    _one_call(path, False)
+                with pytest.raises(ValueError) as raised:
+                    import_trace(path)
+                assert str(raised.value) == str(one_call.value)
+        assert faults.children == sum(kind in ("ok", "exit") for kind in faults.places)
+        assert_no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == before
 
 
 def _sendfile_on_a_full_disk(*args):

@@ -17,9 +17,13 @@ last line that ``run.py`` prints holds only the run's headline figures,
 with no spread and no provenance, so the record is read instead.
 
 Next it times what no workload measures, in a fresh Python process on
-the checkout's ``src/``: the CSV export and import of the 60 s
-``paper_siv`` full trace (600,001 rows, about 161 MB), three times each
-into a temporary directory, recorded as the min and the median.
+the checkout's ``src/``, each three times and recorded as the min and
+the median: the runs of ``ROADMAP.md`` item 1's "Current figures" table
+(``paper_siv`` full and averaged for 60 s, ``smallgain`` full,
+``continuous-control`` and averaged for 30 s, and ``verify`` on
+``paper_siv`` for 60 s), then the CSV export and import of the 60 s
+``paper_siv`` full trace (600,001 rows, about 161 MB) into a temporary
+directory.
 
 Then it runs the tier-1 suite once, with the command ``ROADMAP.md``
 gives, from the root of the checkout, and records its wall time and the
@@ -50,19 +54,44 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The tier-1 command of ROADMAP.md, run by the shell from the root of the checkout.
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
-#: The in-process run, as ``python -c``: export and import the 60 s
-#: paper_siv full trace three times each; print one JSON line of timings.
+#: The in-process run, as ``python -c``: time each run of ROADMAP item 1's
+#: "Current figures" three times, then export and import the 60 s paper_siv
+#: full trace three times each; print one JSON line of timings.
 IN_PROCESS = """
 import json, tempfile, time
 from dataclasses import replace
 from pathlib import Path
+from etseek.analysis import verify_scenario
 from etseek.config import load_scenario
 from etseek.engine import run_simulation
 from etseek.traceio import export_trace, import_trace
 
-scenario = replace(load_scenario("paper_siv.cfg"), t_final=60.0, mode="full", sample_period=None)
-trace, _ = run_simulation(scenario)
-record = {"rows": len(trace), "export_s": [], "import_s": []}
+siv, smallgain = load_scenario("paper_siv.cfg"), load_scenario("smallgain.cfg")
+
+
+def scenario(base, mode, seconds):
+    return replace(base, t_final=seconds, mode=mode, sample_period=None)
+
+
+RUNS = {
+    "paper_siv full, 60 s": (run_simulation, scenario(siv, "full", 60.0)),
+    "smallgain full, 30 s": (run_simulation, scenario(smallgain, "full", 30.0)),
+    "smallgain continuous-control, 30 s":
+        (run_simulation, scenario(smallgain, "continuous-control", 30.0)),
+    "paper_siv average, 60 s": (run_simulation, scenario(siv, "average", 60.0)),
+    "smallgain average, 30 s": (run_simulation, scenario(smallgain, "average", 30.0)),
+    "verify paper_siv, 60 s": (verify_scenario, scenario(siv, "full", 60.0)),
+}
+record = {"runs": {}, "export_s": [], "import_s": []}
+for name, (run, sc) in RUNS.items():
+    times = record["runs"][name] = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = run(sc)
+        times.append(time.perf_counter() - start)
+    if name == "paper_siv full, 60 s":
+        trace = result[0]
+record["rows"] = len(trace)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "trace.csv"
     for _ in range(3):
@@ -135,12 +164,17 @@ def run_in_process() -> str:
     return proc.stdout
 
 
+def min_median(times: list[float]) -> dict:
+    """Min, median and count of one in-process run's times; ValueError if there are none."""
+    return {"min": min(times), "median": statistics.median(times), "n": len(times)}
+
+
 def in_process_summary(output: str) -> dict:
     """The in_process entry of BENCH_<pr>.json, from the run's last output line.
 
     Keeps the trace's rows and CSV bytes, and the min, median and count
-    of the export and import times; raises ValueError if the line is not
-    such a record.
+    of the export and import times and of each timed run; raises
+    ValueError if the line is not such a record.
     """
     lines = output.strip().splitlines()
     try:
@@ -148,9 +182,12 @@ def in_process_summary(output: str) -> dict:
         entry = {"run": "paper_siv full, 60 s", "rows": record["rows"],
                  "csv_bytes": record["csv_bytes"]}
         for phase in ("export_s", "import_s"):
-            times = record[phase]
-            entry[phase] = {"min": min(times), "median": statistics.median(times), "n": len(times)}
-    except (IndexError, KeyError, TypeError, ValueError):  # ValueError: bad JSON, no times
+            entry[phase] = min_median(record[phase])
+        entry["runs"] = {name: min_median(times) for name, times in record["runs"].items()}
+        if not entry["runs"]:
+            raise ValueError("no timed run")
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        # ValueError: bad JSON, no times; AttributeError: runs is not a mapping
         raise ValueError(f"no in-process record in its output: {output[-200:]!r}") from None
     return entry
 
