@@ -21,7 +21,8 @@ TIER1_OUTPUT = (
 
 #: The output of the in-process run: one JSON line.
 IN_PROCESS_OUTPUT = (
-    '{"runs": {"paper_siv full, 60 s": [0.52, 0.49, 0.61], "verify paper_siv, 60 s": [0.1, 0.098, 0.11]},'
+    '{"runs": {"paper_siv full, 60 s": [0.52, 0.49, 0.61],'
+    ' "verify paper_siv, 60 s": [0.1, 0.098, 0.11]},'
     ' "export_s": [1.31, 1.05, 1.12], "import_s": [2.4, 2.2, 2.6], "rows": 600001,'
     ' "csv_bytes": 161234567}\n'
 )
@@ -115,13 +116,12 @@ def test_in_process_entry_is_min_and_median(tool):
         "runs": {"paper_siv full, 60 s": {"min": 0.49, "median": 0.52, "n": 3},
                  "verify paper_siv, 60 s": {"min": 0.098, "median": 0.1, "n": 3}},
     }
-    runs = IN_PROCESS_OUTPUT[IN_PROCESS_OUTPUT.index('{"paper'):IN_PROCESS_OUTPUT.index(', "export_s"')]
+    record = json.loads(IN_PROCESS_OUTPUT)
+    bad_runs = [{**record, "runs": runs} for runs in ({}, [0.52], {"verify paper_siv, 60 s": []})]
+    no_runs = {key: value for key, value in record.items() if key != "runs"}
     for output in ("", "Traceback (most recent call last):\n", '{"rows": 600001}\n',
                    IN_PROCESS_OUTPUT.replace("[2.4, 2.2, 2.6]", "[]"),
-                   IN_PROCESS_OUTPUT.replace("[0.1, 0.098, 0.11]", "[]"),
-                   IN_PROCESS_OUTPUT.replace(runs, "{}"),
-                   IN_PROCESS_OUTPUT.replace(runs, "[0.52]"),
-                   IN_PROCESS_OUTPUT.replace('"runs"', '"laps"')):
+                   *(json.dumps(bad) for bad in [*bad_runs, no_runs])):
         with pytest.raises(ValueError, match="no in-process record"):
             tool.in_process_summary(output)
 
