@@ -106,6 +106,16 @@ def _cmd_compare(args) -> int:
         raise ScenarioError("cli.omega-list", f"not numeric: {args.omega_list!r}") from exc
     if len(omegas) < 2:
         raise ScenarioError("cli.omega-list", "need at least two omega3 values")
+    # Each lane's --metrics entry is keyed f"{omega:g}", so no two lanes may share one.
+    first: dict[str, int] = {}
+    for j, omega in enumerate(omegas, 1):
+        i = first.setdefault(f"{omega:g}", j)
+        if i != j:
+            raise ScenarioError(
+                "cli.omega-list",
+                f"--omega-list entries {i} ({tokens[i - 1].strip()}) and {j} "
+                f"({tokens[j - 1].strip()}) share the lane key {omega:g}",
+            )
     base = sc.dithers.omega3
     lanes = []
     for omega in omegas:

@@ -16,13 +16,11 @@ import configparser
 import math
 import re
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
-from etseek.field import QuadraticField
 from etseek.trace import ScenarioError
 from etseek.trigger import GainMatrix, TriggerConstants
-from etseek.vehicle import DitherParams, VehicleState
+from etseek.vehicle import DitherParams, QuadraticField, VehicleState
 
 MODES = ("full", "average", "continuous-control", "sampled-data")
 
@@ -157,11 +155,10 @@ class _SectionReader:
 
 def packaged_scenario_path(name: str) -> Path:
     """Filesystem path of a scenario shipped inside the package."""
-    candidate = resources.files("etseek").joinpath("scenarios", name)
-    with resources.as_file(candidate) as path:
-        if not path.exists():
-            raise FileNotFoundError(f"no packaged scenario named {name!r}")
-        return Path(path)
+    path = Path(__file__).with_name("scenarios") / name
+    if not path.exists():
+        raise FileNotFoundError(f"no packaged scenario named {name!r}")
+    return path
 
 
 def load_scenario(path: str | Path) -> Scenario:

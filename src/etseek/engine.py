@@ -16,7 +16,7 @@ field evaluation, demodulation, the trigger with its zero-order hold and
 the estimator pose are written out as a scalar loop over local floats
 that stores neither ``t`` nor u per row (see :mod:`etseek.hold`).  The
 composable functions (:func:`integrate_step`, :func:`~etseek.vehicle.dither_velocities`,
-:func:`~etseek.field.evaluate`, :func:`~etseek.estimator.demodulation_vector`,
+:func:`~etseek.vehicle.evaluate`, :func:`~etseek.vehicle.demodulation_vector`,
 :func:`~etseek.trigger.step_trigger`, :func:`~etseek.vehicle.estimator_pose`)
 are its tested reference: the loop keeps their float expressions in the
 same evaluation order, so it reproduces them bit for bit.
@@ -47,10 +47,8 @@ from etseek.trace import (
 
 # The building blocks the inlined loop expands, importable from here as its
 # reference.
-from etseek.estimator import demodulation_vector, gradient_estimate  # noqa: F401
-from etseek.field import evaluate  # noqa: F401
 from etseek.trigger import control_input, step_trigger, trigger_value  # noqa: F401
-from etseek.vehicle import VehicleState, dither_velocities, estimator_pose  # noqa: F401
+from etseek.vehicle import VehicleState, demodulation_vector, dither_velocities, estimator_pose, evaluate, gradient_estimate  # noqa: F401
 
 
 def integrate_step(derivative, state, t: float, dt: float):

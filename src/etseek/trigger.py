@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 from etseek.bessel import bessel_j
-from etseek.estimator import GradientEstimate
 from etseek.trace import ScenarioError
-from etseek.vehicle import DitherParams
+from etseek.vehicle import DitherParams, GradientEstimate
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,17 @@
-"""Nonlinear unicycle plant under the dithered velocity tuning laws."""
+"""Nonlinear unicycle plant under the dithered velocity tuning laws, and what
+the loop measures from it: the quadratic scalar field the vehicle senses,
+the demodulation-based gradient estimate and the dither-stripped pose.
+
+Both loops read the field parameters ``x_star`` through ``q_star``
+directly: the full loop computes the signal inline, as :func:`evaluate`
+states it, and the averaged loop takes ``q_star`` for its signal and the
+source position for its pose.
+
+The gradient estimate is the instantaneous product of the demodulation
+sinusoids with the raw measured signal; no washout or low-pass stage is
+inserted.  Its one-period average recovers the pose-estimation error to
+first order, which is what the averaged analysis relies on.
+"""
 
 from __future__ import annotations
 
@@ -40,8 +53,8 @@ class DitherParams:
     Amplitudes are allowed to be zero here so that dither-free plants can
     be constructed in tests; the full loop pins an undithered channel's
     gradient estimate to zero.  Only scenario loading and the reference
-    :func:`~etseek.estimator.demodulation_vector` insist on strictly
-    positive amplitudes.  A broken rule raises ``dithers.<name>``.
+    :func:`demodulation_vector` insist on strictly positive amplitudes.
+    A broken rule raises ``dithers.<name>``.
     """
 
     a1: float
@@ -96,3 +109,50 @@ def estimator_pose(
         s.y + 0.5 * d.a2 * math.cos(d.omega2 * t),
         s.theta - 0.5 * d.a3 * math.sin(d.omega3 * t),
     )
+
+
+@dataclass(frozen=True)
+class QuadraticField:
+    """Concave quadratic signal field with its unique maximum at the source."""
+
+    x_star: float
+    y_star: float
+    theta_star: float
+    q_star: float
+
+    def __post_init__(self) -> None:
+        for name in ("x_star", "y_star", "theta_star", "q_star"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"QuadraticField.{name} must be finite")
+
+
+def evaluate(field: QuadraticField, pose: VehicleState) -> float:
+    """Signal value at the given pose."""
+    return (
+        field.q_star
+        - 0.5 * (pose.x - field.x_star) ** 2
+        - 0.5 * (pose.y - field.y_star) ** 2
+        - 0.5 * (pose.theta - field.theta_star) ** 2
+    )
+
+
+#: Gradient estimate: (signal per m, signal per m, signal per rad).
+GradientEstimate = tuple[float, float, float]
+
+
+def demodulation_vector(d: DitherParams, t: float) -> tuple[float, float, float]:
+    """Demodulation sinusoids M(t); requires strictly positive amplitudes."""
+    if d.a1 <= 0.0 or d.a2 <= 0.0 or d.a3 <= 0.0:
+        raise ValueError("demodulation requires strictly positive dither amplitudes")
+    return (
+        -(4.0 / d.a1) * math.sin(d.omega1 * t),
+        (4.0 / d.a2) * math.cos(d.omega2 * t),
+        -(4.0 / d.a3) * math.sin(d.omega3 * t),
+    )
+
+
+def gradient_estimate(
+    m: tuple[float, float, float], measured: float
+) -> GradientEstimate:
+    """Scale the demodulation vector by the measured signal value."""
+    return (m[0] * measured, m[1] * measured, m[2] * measured)

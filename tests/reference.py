@@ -10,10 +10,9 @@ import numpy as np
 
 from etseek.average import AverageModel
 from etseek.bessel import _check_args, bessel_j
-from etseek.field import QuadraticField
 from etseek.trace import SimulationTrace
 from etseek.trigger import GainMatrix
-from etseek.vehicle import DitherParams, VehicleState
+from etseek.vehicle import DitherParams, QuadraticField, VehicleState
 
 
 def gradient(field: QuadraticField, pose: VehicleState) -> tuple[float, float, float]:

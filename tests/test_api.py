@@ -9,6 +9,8 @@ docstrings and comments do not count.  The composable building blocks
 that ``perfbench`` rebinds by name are kept until the benchmark stops
 naming them.
 
+The README's "Layout" table has one row per module of the package.
+
 The README's "Model" section names, for each equation, the code that
 computes it, its reference and the test that pins the two; every one of
 those names must exist.
@@ -142,6 +144,16 @@ def _defines(tree, chain):
             return False
         body = defs[name].body
     return True
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    text = README.read_text(encoding="utf-8")
+    assert "\n## Layout\n" in text
+    layout = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(etseek(?:\.\w+)?)` \|", layout, flags=re.MULTILINE)
+    # A sorted list, not a set, so that a module listed twice fails too.
+    listed = sorted(f"{name.partition('.')[2] or '__init__'}.py" for name in rows)
+    assert listed == sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
 def test_every_name_in_the_readme_model_exists():

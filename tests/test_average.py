@@ -11,10 +11,9 @@ from etseek.analysis import alpha_lower_bound, solve_lyapunov
 from etseek.average import AverageModel, build_average_matrices, run_average_loop
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
-from etseek.field import QuadraticField
 from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
 from etseek.trigger import TriggerConstants, trigger_floor
-from etseek.vehicle import DitherParams
+from etseek.vehicle import DitherParams, QuadraticField
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
 from tests.reference import average_derivative, delta_bar_norm_bound
 

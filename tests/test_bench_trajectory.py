@@ -158,6 +158,20 @@ def test_tier1_entry_is_the_summary_line(tool):
         tool.tier1_summary("Traceback (most recent call last):\n", 0.5)
 
 
+def test_src_entry_counts_the_package_modules(tool, monkeypatch):
+    package = tool.ROOT / "src" / "etseek"
+    (package / "scenarios").mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Doc."""\n')
+    (package / "vehicle.py").write_text("import math\n\n\nX = math.pi\n")
+    (package / "scenarios" / "paper_siv.cfg").write_text("[field]\n")
+    (package / "scenarios" / "nested.py").write_text("Y = 1\n")
+    assert tool.src_size(tool.ROOT) == {"modules": 2, "lines": 5}
+    monkeypatch.setattr(tool, "run_workload", lambda name, seed, seconds: canned_record())
+    assert tool.main(["3"]) == 0
+    payload = json.loads((tool.ROOT / "BENCH_3.json").read_text())
+    assert payload["src"] == {"modules": 2, "lines": 5}
+
+
 def test_a_failed_operation_writes_nothing(tool, monkeypatch, capsys):
     records = iter([canned_record(), canned_record(failed=2), canned_record()])
     monkeypatch.setattr(tool, "run_workload", lambda name, seed, seconds: next(records))

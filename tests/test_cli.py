@@ -264,7 +264,7 @@ def test_step_count_that_overflows_is_refused_by_the_cap(capsys, verb):
     )
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "0"])
+@pytest.mark.parametrize("token", ["nan", "inf", "0", "20", "20.0000001"])
 def test_compare_rejects_bad_omega(capsys, token):
     code = main([
         "compare", "--config", "smallgain.cfg", "--omega-list", f"{token},20",
@@ -284,6 +284,25 @@ def test_compare_refuses_an_empty_omega_entry(capsys, omegas):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: cli.omega-list: entry 2 of {omegas!r} is empty\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("omegas", "entries"),
+    [("20,20.0000001,40", "1 (20) and 2 (20.0000001)"), ("20,20", "1 (20) and 2 (20)"),
+     ("40, 20,2e1", "2 (20) and 3 (2e1)")],
+)
+def test_compare_refuses_omega_entries_that_share_a_lane(capsys, omegas, entries):
+    # Each lane is filed under f"{omega:g}" in --metrics, so two such
+    # entries would print two lanes but write one.
+    code = main([
+        "compare", "--config", "smallgain.cfg", "--omega-list", omegas, "--t-final", "0.01",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cli.omega-list: --omega-list entries {entries} share the lane key 20\n"
+    )
     assert captured.out == ""
 
 

@@ -8,10 +8,9 @@ import pytest
 from etseek import analysis, engine, hold
 from etseek.config import Scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
-from etseek.field import QuadraticField
 from etseek.trace import TRACE_COLUMNS, SimulationTrace, grid_steps
 from etseek.trigger import GainMatrix, TriggerConstants
-from etseek.vehicle import DitherParams, VehicleState
+from etseek.vehicle import DitherParams, QuadraticField, VehicleState
 from tests.conftest import PAPER_SIV_GAIN
 
 

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from etseek.estimator import demodulation_vector, gradient_estimate
-from etseek.field import QuadraticField, evaluate
-from etseek.vehicle import DitherParams, VehicleState
+from etseek.vehicle import (
+    DitherParams, QuadraticField, VehicleState, demodulation_vector, evaluate, gradient_estimate,
+)
 from tests.reference import dither_vector
 
 

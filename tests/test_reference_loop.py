@@ -24,8 +24,6 @@ from etseek import hold
 from etseek.average import build_average_matrices
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
-from etseek.estimator import demodulation_vector, gradient_estimate
-from etseek.field import evaluate
 from etseek.trace import TRACE_COLUMNS, SimulationTrace
 from etseek.trigger import (
     TriggerEvent,
@@ -34,7 +32,9 @@ from etseek.trigger import (
     step_trigger,
     trigger_value,
 )
-from etseek.vehicle import VehicleState, dither_velocities, estimator_pose
+from etseek.vehicle import (
+    VehicleState, demodulation_vector, dither_velocities, estimator_pose, evaluate, gradient_estimate,
+)
 
 
 def reference_run_full(sc):

@@ -25,6 +25,9 @@ the median: the runs of ``ROADMAP.md`` item 1's "Current figures" table
 ``paper_siv`` full trace (600,001 rows, about 161 MB) into a temporary
 directory.
 
+It counts the modules of ``src/etseek/*.py`` and their lines (newlines,
+as ``wc -l`` counts them) into a top-level ``src`` entry.
+
 Then it runs the tier-1 suite once, with the command ``ROADMAP.md``
 gives, from the root of the checkout, and records its wall time and the
 passed, failed and error counts of pytest's summary line (a module that
@@ -192,6 +195,13 @@ def in_process_summary(output: str) -> dict:
     return entry
 
 
+def src_size(root: Path) -> dict:
+    """The src entry of BENCH_<pr>.json: how many modules ``src/etseek/*.py``
+    under ``root`` holds, and their lines."""
+    files = sorted((root / "src" / "etseek").glob("*.py"))
+    return {"modules": len(files), "lines": sum(path.read_bytes().count(b"\n") for path in files)}
+
+
 def run_tier1() -> tuple[str, float]:
     """Run the tier-1 suite once; its standard output and wall time in seconds."""
     start = time.perf_counter()
@@ -232,7 +242,7 @@ def trajectory(pr: int, seed: int) -> dict:
     in_process = in_process_summary(run_in_process())
     tier1 = tier1_summary(*run_tier1())
     return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads,
-            "in_process": in_process, "tier1": tier1}
+            "in_process": in_process, "src": src_size(ROOT), "tier1": tier1}
 
 
 def main(argv: list[str] | None = None) -> int:
