@@ -5,8 +5,7 @@ linear counterpart, and numerical verification of the stability, trigger,
 and dwell-time guarantees that come with the event-triggered design.
 """
 
-from etseek.bessel import bessel_j
-from etseek.vehicle import DitherParams, QuadraticField, VehicleState, estimator_pose
+from etseek.vehicle import DitherParams, QuadraticField, VehicleState, bessel_j, estimator_pose
 from etseek.trigger import GainMatrix, TriggerConstants, trigger_floor
 from etseek.average import AverageModel, build_average_matrices, run_average_loop
 from etseek.analysis import (

@@ -36,10 +36,9 @@ from functools import partial
 import numpy as np
 
 from etseek import hold
-from etseek.bessel import bessel_j
 from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace, grid_steps
 from etseek.trigger import GainMatrix, TriggerConstants
-from etseek.vehicle import DitherParams, QuadraticField, VehicleState, estimator_pose
+from etseek.vehicle import DitherParams, QuadraticField, VehicleState, bessel_j, estimator_pose
 
 _SQRT2_2 = math.sqrt(2.0) / 2.0
 

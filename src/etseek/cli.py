@@ -16,11 +16,11 @@ import warnings
 from dataclasses import replace
 
 from etseek.analysis import averaging_error, verify_scenario
-from etseek.bessel import bessel_j
 from etseek.config import load_scenario, parse_mode, scale_probing_frequency
 from etseek.engine import run_simulation
 from etseek.trace import NonFiniteStateError, ScenarioError
 from etseek.traceio import export_metrics, export_trace
+from etseek.vehicle import bessel_j
 
 
 class _Parser(argparse.ArgumentParser):

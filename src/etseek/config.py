@@ -179,7 +179,9 @@ def load_scenario(path: str | Path) -> Scenario:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
     except configparser.Error as exc:
-        raise ScenarioError(str(path), f"parse error: {exc}") from exc
+        # configparser's messages span lines; the CLI prints one per error.
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ScenarioError(str(path), f"parse error: {message}") from exc
 
     fld = _SectionReader(parser, "field")
     field = QuadraticField(

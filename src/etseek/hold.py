@@ -71,12 +71,12 @@ def run_blocks(trace: SimulationTrace, start: int, fold, state: tuple):
 
 def fill_control(trace: SimulationTrace, gain: GainMatrix) -> None:
     """Write u = -K G at each event row, held up to the next event, with
-    the loops' float expression; rows before the first event hold 0."""
+    the loops' float expression."""
     rows = trace.event_indices()
-    widths = np.diff(rows, prepend=0, append=len(trace))
+    widths = np.diff(rows, append=len(trace))
     g1, g2, g3 = trace.g1[rows], trace.g2[rows], trace.g3[rows]
     for u, (k0, k1, k2) in zip((trace.u1, trace.u2), gain.rows):
-        u[:] = np.repeat(np.append(0.0, -(k0 * g1 + k1 * g2 + k2 * g3)), widths)
+        u[:] = np.repeat(-(k0 * g1 + k1 * g2 + k2 * g3), widths)
 
 
 def accumulate(first: float, increments: np.ndarray) -> np.ndarray:

@@ -60,7 +60,9 @@ class NonFiniteStateError(RuntimeError):
 
     def __init__(self, t: float):
         self.t = t
-        super().__init__(f"state became non-finite at t = {t:.6f} s")
+        # To the microsecond, but not in the 301 digits of t = 1e300.
+        text = f"{t:.6f}" if abs(t) < 1e9 else repr(t)
+        super().__init__(f"state became non-finite at t = {text} s")
 
 
 @dataclass

@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from etseek.bessel import bessel_j
 from etseek.trace import ScenarioError
-from etseek.vehicle import DitherParams, GradientEstimate
+from etseek.vehicle import DitherParams, GradientEstimate, bessel_j
 
 
 @dataclass(frozen=True)

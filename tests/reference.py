@@ -5,14 +5,21 @@ test, so the tests can check the production functions against it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from etseek.average import AverageModel
-from etseek.bessel import _check_args, bessel_j
 from etseek.trace import SimulationTrace
 from etseek.trigger import GainMatrix
-from etseek.vehicle import DitherParams, QuadraticField, VehicleState
+from etseek.vehicle import (
+    DitherParams,
+    QuadraticField,
+    VehicleState,
+    _check_args,
+    bessel_j,
+    dither_velocities,
+)
 
 
 def gradient(field: QuadraticField, pose: VehicleState) -> tuple[float, float, float]:
@@ -58,7 +65,7 @@ def bessel_j_quadrature(order: int, x: float) -> float:
     """J_order(x) by composite Simpson on the integral representation.
 
     Fixed, deterministic panel count; an independent oracle for
-    :func:`etseek.bessel.bessel_j`, with the same argument checks.
+    :func:`etseek.vehicle.bessel_j`, with the same argument checks.
     """
     _check_args(order, x)
     m = int(order)
@@ -70,6 +77,43 @@ def bessel_j_quadrature(order: int, x: float) -> float:
         weight = 4.0 if i % 2 == 1 else 2.0
         acc += weight * math.cos(x * math.sin(tau) - m * tau)
     return acc * h / (3.0 * math.pi)
+
+
+def common_dither_period(d: DitherParams) -> float:
+    """The shortest T > 0 after which all three dither sinusoids repeat:
+    2*pi over the greatest common divisor of omega1, omega2 and omega3,
+    each read as the exact rational its float holds."""
+    num, den = 0, 1
+    for omega in (d.omega1, d.omega2, d.omega3):
+        f = Fraction(abs(omega))
+        # gcd(p/q, r/s) = gcd(p*s, r*q) / (q*s)
+        num, den = math.gcd(num * f.denominator, f.numerator * den), den * f.denominator
+    return 2.0 * math.pi * den / num
+
+
+def period_average_drift(
+    d: DitherParams, thetahat: float, u: tuple[float, float], points: int = 2**14
+) -> tuple[float, float]:
+    """Mean of d(xhat, yhat)/dt under :func:`etseek.vehicle.dither_velocities`
+    over one common dither period, with thetahat and u held fixed.
+
+    The heading is theta = thetahat + (a3/2) sin(omega3 t) and the
+    estimator pose strips (a1/2) sin(omega1 t) from x and adds
+    (a2/2) cos(omega2 t) to y, so
+    d(xhat)/dt = v cos(theta) - (a1/2) omega1 cos(omega1 t) and
+    d(yhat)/dt = v sin(theta) - (a2/2) omega2 sin(omega2 t).  The
+    rectangle rule over a whole period of a smooth periodic integrand
+    converges geometrically in ``points``.
+    """
+    period = common_dither_period(d)
+    sx = sy = 0.0
+    for i in range(points):
+        t = period * i / points
+        theta = thetahat + 0.5 * d.a3 * math.sin(d.omega3 * t)
+        v, _ = dither_velocities(d, t, theta, u)
+        sx += v * math.cos(theta) - 0.5 * d.a1 * d.omega1 * math.cos(d.omega1 * t)
+        sy += v * math.sin(theta) - 0.5 * d.a2 * d.omega2 * math.sin(d.omega2 * t)
+    return sx / points, sy / points
 
 
 def delta_bar_norm_bound(model: AverageModel, d: DitherParams) -> tuple[float, float]:

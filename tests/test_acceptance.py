@@ -19,10 +19,9 @@ import pytest
 
 from etseek.analysis import averaging_error, solve_lyapunov, verify_scenario
 from etseek.average import build_average_matrices
-from etseek.bessel import bessel_j
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import NonFiniteStateError, run_simulation
-from etseek.vehicle import DitherParams
+from etseek.vehicle import DitherParams, bessel_j
 from tests.reference import bessel_j_quadrature, delta_bar_norm_bound
 
 

@@ -13,9 +13,9 @@ from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
 from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
 from etseek.trigger import TriggerConstants, trigger_floor
-from etseek.vehicle import DitherParams, QuadraticField
+from etseek.vehicle import DitherParams, QuadraticField, bessel_j
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
-from tests.reference import average_derivative, delta_bar_norm_bound
+from tests.reference import average_derivative, delta_bar_norm_bound, period_average_drift
 
 # Source at the origin: the pose columns then carry the averaged error itself.
 ORIGIN = QuadraticField(0.0, 0.0, 0.0, 0.0)
@@ -74,6 +74,33 @@ class TestBuildAverageMatrices:
             assert model.b[2, 0] == 0.0
             assert model.delta_bar[1] == -model.delta_bar[0]
             assert model.delta_bar[2] == 0.0
+
+
+@pytest.mark.parametrize("name", ["smallgain.cfg", "paper_siv.cfg"])
+def test_b_first_column_is_the_plant_period_average(name):
+    # u1 enters the speed linearly, so the plant's averaged d(xhat, yhat)/dt
+    # moves by B[:, 0] per unit of u1 at thetahat = theta*.
+    sc = load_scenario(name)
+    d, theta_star = sc.dithers, sc.field.theta_star
+    model = build_average_matrices(theta_star, d)
+    zero = period_average_drift(d, theta_star, (0.0, 0.0))
+    unit = period_average_drift(d, theta_star, (1.0, 0.0))
+    assert unit[0] - zero[0] == pytest.approx(model.b[0, 0], abs=1e-12)
+    assert unit[1] - zero[1] == pytest.approx(model.b[1, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("thetahat", [0.0, 0.3, math.pi / 6, 2.0])
+def test_period_average_drift_closed_forms(thetahat):
+    # With omega1 = omega2 = 2*omega3 the forward dither resonates with the
+    # second harmonic of the heading dither; with omega1 = omega2 = omega3/2,
+    # as on paper_siv, nothing resonates and the plant has no drift.
+    d = DitherParams(0.5, 0.5, 0.4, 40.0, 40.0, 20.0)
+    kappa = d.a1 * d.omega3 * bessel_j(2, d.a3)
+    drift = period_average_drift(d, thetahat, (0.0, 0.0))
+    assert drift[0] == pytest.approx(kappa * math.cos(2.0 * thetahat), abs=1e-12)
+    assert drift[1] == pytest.approx(kappa * math.sin(2.0 * thetahat), abs=1e-12)
+    d = DitherParams(0.5, 0.5, 0.5, 10.0, 10.0, 20.0, frequency_override=True)
+    assert period_average_drift(d, thetahat, (0.0, 0.0)) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 class TestDeltaBarNormBound:

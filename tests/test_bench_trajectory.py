@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import os
 import shutil
@@ -28,6 +29,18 @@ IN_PROCESS_OUTPUT = (
 )
 
 
+#: The outputs of the two host calibrations: the python loop's min moves
+#: from 0.030 s to 0.033 s, the numpy kernel's stays at 0.020 s.
+CALIBRATION_BEFORE = (
+    '{"python_s": [0.031, 0.030, 0.032, 0.030, 0.033],'
+    ' "numpy_s": [0.020, 0.021, 0.020, 0.022, 0.020]}\n'
+)
+CALIBRATION_AFTER = (
+    '{"python_s": [0.034, 0.033, 0.035, 0.033, 0.036],'
+    ' "numpy_s": [0.021, 0.020, 0.020, 0.020, 0.023]}\n'
+)
+
+
 def load_tool():
     """The script as a fresh module."""
     spec = importlib.util.spec_from_file_location("bench_trajectory", TOOL)
@@ -40,14 +53,18 @@ def load_tool():
 def tool(tmp_path, monkeypatch):
     """The script as a module, rooted in a checkout of only BENCHMARK.json.
 
-    Its tier-1 run returns ``TIER1_OUTPUT`` after 31.9 s and its in-process
-    run ``IN_PROCESS_OUTPUT``; no pytest and no simulation start.
+    Its tier-1 run returns ``TIER1_OUTPUT`` after 31.9 s, its in-process
+    run ``IN_PROCESS_OUTPUT`` and its calibrations ``CALIBRATION_BEFORE``
+    and ``CALIBRATION_AFTER`` in turn; no pytest, no simulation and no
+    calibration start.
     """
     module = load_tool()
     shutil.copy(TOOL.parents[1] / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(module, "run_tier1", lambda: (TIER1_OUTPUT, 31.9))
     monkeypatch.setattr(module, "run_in_process", lambda: IN_PROCESS_OUTPUT)
+    calibrations = itertools.cycle([CALIBRATION_BEFORE, CALIBRATION_AFTER])
+    monkeypatch.setattr(module, "run_calibration", lambda: next(calibrations))
     return module
 
 
@@ -180,3 +197,72 @@ def test_a_failed_operation_writes_nothing(tool, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "bench_trajectory: smallgain_compare: 2 of 28 operations failed; nothing written\n"
     )
+
+
+def test_host_entry_is_the_control_and_its_move(tool):
+    workloads = {"slow": {"wall_s": {"median": 0.3, "iqr": 0.02, "n": 5}},
+                 "fast": {"wall_s": {"median": 0.01, "iqr": 0.002, "n": 5}}}
+    host = tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_AFTER, workloads)
+    assert host == {
+        "before": {"python_s": 0.030, "numpy_s": 0.020},
+        "after": {"python_s": 0.033, "numpy_s": 0.020},
+        "control_s": pytest.approx(0.0515),
+        "move": pytest.approx(0.1),
+        "wall_s_per_control": {"slow": pytest.approx(0.3 / 0.0515),
+                               "fast": pytest.approx(0.01 / 0.0515)},
+        # slow's wall_s spread is 6.7% of its median, under the 10% move;
+        # fast's is 20%.
+        "moved": ["slow"],
+    }
+    steady = tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_BEFORE, workloads)
+    assert (steady["move"], steady["moved"]) == (0.0, [])
+
+
+def test_calibration_record_is_required(tool):
+    record = json.loads(CALIBRATION_BEFORE)
+    for output in ("", "Traceback (most recent call last):\n", '{"python_s": [0.03]}\n',
+                   json.dumps({**record, "numpy_s": []}), json.dumps([record]),
+                   json.dumps({**record, "python_s": ["fast"]})):
+        with pytest.raises(ValueError, match="no calibration record"):
+            tool.calibration_summary(output)
+
+
+def test_bench_file_calibrates_before_and_after_the_workloads(tool, monkeypatch):
+    calls = []
+    outputs = iter([CALIBRATION_BEFORE, CALIBRATION_AFTER])
+
+    def calibrate():
+        calls.append("calibration")
+        return next(outputs)
+
+    def run(name, seed, seconds):
+        calls.append(name)
+        return canned_record()
+
+    monkeypatch.setattr(tool, "run_calibration", calibrate)
+    monkeypatch.setattr(tool, "run_workload", run)
+    assert tool.main(["3"]) == 0
+    assert calls == ["calibration", "siv_simulate_io", "smallgain_compare", "siv_verify",
+                     "calibration"]
+    payload = json.loads((tool.ROOT / "BENCH_3.json").read_text())
+    assert payload["host"] == tool.host_summary(
+        CALIBRATION_BEFORE, CALIBRATION_AFTER, payload["workloads"]
+    )
+    # The canned wall_s spread (0.02 on 0.30) is below the 10% move.
+    assert payload["host"]["moved"] == ["siv_simulate_io", "smallgain_compare", "siv_verify"]
+
+
+def test_calibration_is_a_fresh_python(tmp_path, monkeypatch):
+    module = load_tool()
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    calls, codes = [], iter([0, 1])
+
+    def run(args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, next(codes), stdout=CALIBRATION_BEFORE)
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    assert module.run_calibration() == CALIBRATION_BEFORE
+    assert calls == [[sys.executable, "-c", module.CALIBRATION]]
+    with pytest.raises(ValueError, match="host calibration exited with status 1"):
+        module.run_calibration()

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from etseek.bessel import bessel_j
+from etseek.vehicle import bessel_j
 from tests.reference import bessel_j_quadrature
 
 # Reference values frozen from an independent power-series evaluation

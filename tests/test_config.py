@@ -170,7 +170,7 @@ class TestValidation:
     def test_bias_follows_dithers(self, tmp_path):
         path = write_cfg(tmp_path, dithers={"a3": "0.25"})
         sc = load_scenario(path)
-        from etseek.bessel import bessel_j
+        from etseek.vehicle import bessel_j
 
         expected = 0.5 * 2.0 * abs(bessel_j(2, 0.25))
         assert sc.trigger.bias == pytest.approx(expected, abs=1e-15)
@@ -227,7 +227,7 @@ class TestFrequencyScaling:
 
     def test_bias_rederived(self, siv_scenario):
         scaled = scale_probing_frequency(siv_scenario, 2.0)
-        from etseek.bessel import bessel_j
+        from etseek.vehicle import bessel_j
 
         d = scaled.dithers
         assert scaled.trigger.bias == pytest.approx(

@@ -16,6 +16,18 @@ samples it takes the median and the interquartile range of ``setup_s``,
 last line that ``run.py`` prints holds only the run's headline figures,
 with no spread and no provenance, so the record is read instead.
 
+Before the first workload and again after the last, it times a fixed
+host calibration in a fresh Python process: a pure-Python float loop and
+a numpy kernel, five times each.  The ``host`` entry keeps each kernel's
+min from both runs and their sum, averaged over the two runs, as the
+control; each workload's ``wall_s`` median as a multiple of the control;
+the calibration's move, the larger relative change of a kernel's min
+between the two runs; and the workloads whose ``wall_s`` relative
+interquartile range (IQR over median) is below that move, for which the
+host changed more during the run than the workload's own spread.  The
+multiples let a reader of several ``BENCH_*.json`` tell a change of the
+code from a change of the host.
+
 Next it times what no workload measures, in a fresh Python process on
 the checkout's ``src/``, each three times and recorded as the min and
 the median: the runs of ``ROADMAP.md`` item 1's "Current figures" table
@@ -35,9 +47,9 @@ fails to import is an error).  Failing tests do not stop the file (two
 acceptance criteria fail by design).
 
 ``BENCH_<PR>.json`` is written at the root of the checkout only if every
-workload ran with no failed operation, the in-process run printed its
-record and the suite printed its summary; otherwise nothing is written
-and the exit status is 1.
+workload ran with no failed operation, both calibrations and the
+in-process run printed their records and the suite printed its summary;
+otherwise nothing is written and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -109,6 +121,41 @@ print(json.dumps(record))
 """
 
 
+#: The host calibration, as ``python -c``: time a pure-Python float loop
+#: and a numpy kernel five times each; print one JSON line of timings.
+CALIBRATION = """
+import json, time
+import numpy as np
+
+
+def python_loop():
+    x = 0.5
+    for _ in range(500_000):
+        x = 3.9 * x * (1.0 - x)
+    return x
+
+
+a = np.linspace(0.0, 1.0, 1 << 20)
+
+
+def numpy_kernel():
+    return float(np.sqrt(np.sin(a) * np.sin(a) + np.cos(a) * a).sum())
+
+
+record = {}
+for name, kernel in (("python_s", python_loop), ("numpy_s", numpy_kernel)):
+    times = record[name] = []
+    for _ in range(5):
+        start = time.perf_counter()
+        kernel()
+        times.append(time.perf_counter() - start)
+print(json.dumps(record))
+"""
+
+#: The calibration's kernels, as its record names them.
+KERNELS = ("python_s", "numpy_s")
+
+
 def spread(samples: list[float]) -> dict:
     """Median, interquartile range and count of one metric's samples."""
     iqr = 0.0
@@ -153,18 +200,60 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def run_in_process() -> str:
-    """Run ``IN_PROCESS`` in a fresh Python on the checkout's ``src/``; its standard output.
+def run_python(code: str, what: str) -> str:
+    """Run ``code`` in a fresh Python on the checkout's ``src/``; its standard output.
 
-    Raises ValueError if it exits with an error.
+    Raises ValueError, naming ``what`` ran, if it exits with an error.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           stdout=subprocess.PIPE, text=True)
     if proc.returncode:
-        raise ValueError(f"the in-process run exited with status {proc.returncode}")
+        raise ValueError(f"the {what} exited with status {proc.returncode}")
     return proc.stdout
+
+
+def run_in_process() -> str:
+    """Run ``IN_PROCESS``; its standard output.  Raises ValueError if it fails."""
+    return run_python(IN_PROCESS, "in-process run")
+
+
+def run_calibration() -> str:
+    """Run ``CALIBRATION``; its standard output.  Raises ValueError if it fails."""
+    return run_python(CALIBRATION, "host calibration")
+
+
+def calibration_summary(output: str) -> dict:
+    """Each kernel's min time, from the calibration's last output line;
+    raises ValueError if the line is not such a record."""
+    lines = output.strip().splitlines()
+    try:
+        record = json.loads(lines[-1])
+        return {kernel: min(float(t) for t in record[kernel]) for kernel in KERNELS}
+    except (IndexError, KeyError, TypeError, ValueError):
+        # ValueError: bad JSON, no times or a time that is no number; TypeError: no mapping
+        raise ValueError(f"no calibration record in its output: {output[-200:]!r}") from None
+
+
+def host_summary(before: str, after: str, workloads: dict) -> dict:
+    """The host entry of BENCH_<pr>.json, from the two calibrations' outputs
+    and the workload entries.
+
+    The control is the sum of the kernels' mins, averaged over the two
+    runs.  The move is the larger relative change of a kernel's min from
+    the first run to the second; ``moved`` names the workloads whose
+    ``wall_s`` relative IQR is below it.
+    """
+    first, second = calibration_summary(before), calibration_summary(after)
+    control = (sum(first.values()) + sum(second.values())) / 2.0
+    move = max(abs(second[kernel] / first[kernel] - 1.0) for kernel in KERNELS)
+    walls = {name: entry["wall_s"] for name, entry in workloads.items()}
+    return {
+        "before": first, "after": second, "control_s": control, "move": move,
+        "wall_s_per_control": {name: wall["median"] / control for name, wall in walls.items()},
+        "moved": [name for name, wall in walls.items() if wall["iqr"] / wall["median"] < move],
+    }
 
 
 def min_median(times: list[float]) -> dict:
@@ -227,21 +316,24 @@ def tier1_summary(output: str, wall_s: float) -> dict:
 def trajectory(pr: int, seed: int) -> dict:
     """The BENCH_<pr>.json payload.
 
-    Raises ValueError naming a workload that failed, if the in-process
-    run printed no record, or if the tier-1 suite printed no summary line.
+    Raises ValueError naming a workload that failed, if a calibration or
+    the in-process run printed no record, or if the tier-1 suite printed
+    no summary line.
     """
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     workloads = {}
+    before = run_calibration()
     for workload in spec["workloads"]:
         name = workload["name"]
         try:
             workloads[name] = summarize(run_workload(name, seed, seconds))
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
+    host = host_summary(before, run_calibration(), workloads)
     in_process = in_process_summary(run_in_process())
     tier1 = tier1_summary(*run_tier1())
-    return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads,
+    return {"pr": pr, "seed": seed, "seconds": seconds, "workloads": workloads, "host": host,
             "in_process": in_process, "src": src_size(ROOT), "tier1": tier1}
 
 
