@@ -13,7 +13,7 @@ on the Xi it records, at t = 0 and then wherever Xi < 0.
 
 Between events the latched G and c are constant, and ``paper_siv``
 holds from its second event (at 0.095 s) to the horizon.  Long holds go
-to the hold-block runner of :mod:`etseek.hold`, which both loops share;
+to the hold-block runner of :mod:`etseek.trigger`, which both loops share;
 this module supplies the fold, in which G3 moves by a fixed step and G1
 and G2 are left folds of the scalar loop's RK4 increments.  The fold
 returns the rows' states and trace columns; the runner hands back at the
@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from etseek import hold
+from etseek import trigger
 from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace, grid_steps
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, QuadraticField, VehicleState, bessel_j, estimator_pose
@@ -118,7 +118,7 @@ def run_average_loop(
     c1 = c2 = c3 = hc3 = dc3 = step3 = 0.0
     # Unfired rows from `block_from` on go to hold blocks.
     block_from = n + 1
-    scalar_hold = hold._SCALAR_HOLD
+    scalar_hold = trigger._SCALAR_HOLD
     block_consts = (a13, a23, sixth, sigma, alpha, bias, q_star)
     start = 0
     while True:
@@ -162,13 +162,13 @@ def run_average_loop(
         else:
             break  # the scalar loop wrote the last row
         held = (h1, h2, h3, c1, c2, hc3, dc3, step3)
-        start, (g1, g2, g3) = hold.run_blocks(
+        start, (g1, g2, g3) = trigger.run_blocks(
             trace, i, partial(_hold_block, block_consts, held), (g1, g2, g3)
         )
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
         block_from = start + 1
-    hold.fill_control(trace, gain)
+    trigger.fill_control(trace, gain)
     np.add(field.x_star, trace.g1, out=trace.x)
     np.add(field.y_star, trace.g2, out=trace.y)
     np.add(field.theta_star, trace.g3, out=trace.theta)
@@ -177,12 +177,12 @@ def run_average_loop(
 
 def _hold_block(consts, held, t, g):
     """One hold block of the averaged loop, a fold for
-    :func:`etseek.hold.run_blocks`; ``t`` only sets its length."""
+    :func:`etseek.trigger.run_blocks`; ``t`` only sets its length."""
     a13, a23, sixth, sigma, alpha, bias, q_star = consts
     h1, h2, h3, c1, c2, hc3, dc3, step3 = held
     g1, g2, g3 = g
-    square = hold.square
-    gs3 = hold.accumulate(g3, np.full(t.shape[0], step3))
+    square = trigger.square
+    gs3 = trigger.accumulate(g3, np.full(t.shape[0], step3))
     b3 = gs3[:-1]
     mid3 = b3 + hc3
     end3 = b3 + dc3
@@ -202,4 +202,4 @@ def _fold(g, a, c, g3, mid3, end3, sixth):
     """G1 or G2 over a hold block: the scalar loop's RK4 increments, with its
     association, summed left to right from g."""
     km = a * mid3 + c
-    return hold.accumulate(g, sixth * (a * g3 + c + 2.0 * km + 2.0 * km + (a * end3 + c)))
+    return trigger.accumulate(g, sixth * (a * g3 + c + 2.0 * km + 2.0 * km + (a * end3 + c)))

@@ -163,7 +163,10 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():  # also resets the once-per-location registry
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-            args = parser.parse_args(argv)
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:  # only -h/--help: _Parser.error raises instead
+                return exc.code
             return args.cmd(args)
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

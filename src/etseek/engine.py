@@ -14,7 +14,7 @@ bit-identical traces.
 For speed, the full-plant loop is inlined: RK4, the dithered kinematics,
 field evaluation, demodulation, the trigger with its zero-order hold and
 the estimator pose are written out as a scalar loop over local floats
-that stores neither ``t`` nor u per row (see :mod:`etseek.hold`).  The
+that stores neither ``t`` nor u per row (see :mod:`etseek.trigger`).  The
 composable functions (:func:`integrate_step`, :func:`~etseek.vehicle.dither_velocities`,
 :func:`~etseek.vehicle.evaluate`, :func:`~etseek.vehicle.demodulation_vector`,
 :func:`~etseek.trigger.step_trigger`, :func:`~etseek.vehicle.estimator_pose`)
@@ -22,7 +22,7 @@ are its tested reference: the loop keeps their float expressions in the
 same evaluation order, so it reproduces them bit for bit.
 
 In ``full`` mode, long holds go to the hold-block runner of
-:mod:`etseek.hold`, which the averaged loop shares.  Under the held
+:mod:`etseek.trigger`, which the averaged loop shares.  Under the held
 control the plant's right-hand side reads only theta and t, so a block
 computes the scalar loop's expressions elementwise, with theta, x and y
 as left folds of their RK4 increments; the trace stays bit-identical.
@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from etseek import hold
+from etseek import trigger
 from etseek.analysis import check_grid_resolution
 from etseek.average import build_average_matrices, initial_error, run_average_loop
 from etseek.config import Scenario
@@ -55,16 +55,10 @@ def integrate_step(derivative, state, t: float, dt: float):
     """One classical 4th-order Runge-Kutta step.
 
     ``derivative(t, state)`` must return an object of the same shape as
-    ``state``; scalar states are supported alongside tuples of floats.
+    ``state``.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    if isinstance(state, (int, float)):
-        k1 = derivative(t, state)
-        k2 = derivative(t + 0.5 * dt, state + 0.5 * dt * k1)
-        k3 = derivative(t + 0.5 * dt, state + 0.5 * dt * k2)
-        k4 = derivative(t + dt, state + dt * k3)
-        return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     k1 = derivative(t, state)
     mid1 = tuple(s + 0.5 * dt * k for s, k in zip(state, k1))
     k2 = derivative(t + 0.5 * dt, mid1)
@@ -145,7 +139,7 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     # Unfired rows from `block_from` on go to hold blocks.  Only the event
     # trigger holds for long; a sample clock keeps the scalar path.
     block_from = n + 1
-    scalar_hold = hold._SCALAR_HOLD if period is None else n + 1
+    scalar_hold = trigger._SCALAR_HOLD if period is None else n + 1
     block_consts = (
         w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
         sigma, alpha, bias, x_star, y_star, theta_star, q_star,
@@ -243,18 +237,18 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
             th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
         else:
             break  # the scalar loop wrote the last row
-        start, (x, y, th) = hold.run_blocks(
+        start, (x, y, th) = trigger.run_blocks(
             trace, i, partial(_hold_block, block_consts, (h1, h2, h3, u1, u2)), (x, y, th)
         )
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
         block_from = start + 1
-    hold.fill_control(trace, sc.gain)
+    trigger.fill_control(trace, sc.gain)
     return trace
 
 
 def _hold_block(consts, held, t, pose):
-    """One hold block of the full loop, a fold for :func:`etseek.hold.run_blocks`.
+    """One hold block of the full loop, a fold for :func:`etseek.trigger.run_blocks`.
 
     The scalar loop's expressions, elementwise over the block's rows.
     Under the held control the heading's RK4 increment depends on t alone,
@@ -268,7 +262,7 @@ def _hold_block(consts, held, t, pose):
     (w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
      sigma, alpha, bias, x_star, y_star, theta_star, q_star) = consts
     h1, h2, h3, u1, u2 = held
-    sin, cos, sqrt, square, accumulate = np.sin, np.cos, np.sqrt, hold.square, hold.accumulate
+    sin, cos, sqrt, square, accumulate = np.sin, np.cos, np.sqrt, trigger.square, trigger.accumulate
 
     def stage(heading, p1, p2):
         c = cos(heading)

@@ -4,7 +4,7 @@ A trace row's ``xi`` is the trigger value Xi at that row.  The
 event-triggered modes (``full`` and ``average``) fire on exactly that
 value: a row is an event when it is row 0, or when it is not the last
 row and its ``xi`` is negative.  The loops fill ``t`` and ``u1``/``u2``
-once per trace, not per row (:func:`etseek.hold.fill_control`).
+once per trace, not per row (:func:`etseek.trigger.fill_control`).
 """
 
 from __future__ import annotations

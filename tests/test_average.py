@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etseek import hold
+from etseek import trigger
 from etseek.analysis import alpha_lower_bound, solve_lyapunov
 from etseek.average import AverageModel, build_average_matrices, run_average_loop
 from etseek.config import load_scenario, scale_probing_frequency
@@ -321,12 +321,12 @@ HOLD_CASES = {
 def test_hold_blocks_of_any_width_match_default(monkeypatch, name, scalar_hold, first, widest):
     # Tiny blocks make a hold fire on a block's first row, end a block on
     # the last row, and carry a hold to the horizon, many times over.  Both
-    # loops read the one set of block constants in etseek.hold.
+    # loops read the one set of block constants in etseek.trigger.
     sc = HOLD_CASES[name]
     expected, _ = run_simulation(sc)
-    monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
-    monkeypatch.setattr(hold, "_FIRST_BLOCK", first)
-    monkeypatch.setattr(hold, "_MAX_BLOCK", widest)
+    monkeypatch.setattr(trigger, "_SCALAR_HOLD", scalar_hold)
+    monkeypatch.setattr(trigger, "_FIRST_BLOCK", first)
+    monkeypatch.setattr(trigger, "_MAX_BLOCK", widest)
     trace, _ = run_simulation(sc)
     for column in TRACE_COLUMNS:
         assert trace.column(column).tobytes() == expected.column(column).tobytes(), column
@@ -403,10 +403,10 @@ def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
     model, d = siv_model()
     c = TriggerConstants.from_dithers(0.5, 0.195, d)
     g0 = (7e49, -7e49, 3.5e49)
-    first_blocks = hold._SCALAR_HOLD + hold._FIRST_BLOCK
+    first_blocks = trigger._SCALAR_HOLD + trigger._FIRST_BLOCK
     failed_at = []
-    for scalar_hold in (hold._SCALAR_HOLD, 10**9):
-        monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
+    for scalar_hold in (trigger._SCALAR_HOLD, 10**9):
+        monkeypatch.setattr(trigger, "_SCALAR_HOLD", scalar_hold)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as info:

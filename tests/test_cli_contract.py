@@ -90,8 +90,9 @@ def scenario_file(draw):
 
 @st.composite
 def arguments(draw):
-    """A verb and its flags, required ones sometimes missing; each value
-    (or a file's text) is drawn, and paths are placeholders."""
+    """A verb and its flags, required ones sometimes missing and -h or
+    --help sometimes among them; each value (or a file's text) is drawn,
+    and paths are placeholders."""
     verb = draw(st.sampled_from(["simulate", "average", "compare", "verify", "bessel", "simulat", ""]))
     if verb == "bessel":
         flags = [("--order", draw(order)), ("--arg", draw(value))]
@@ -116,6 +117,8 @@ def arguments(draw):
     if draw(st.integers(0, 4)) == 0:
         droppable = [pair for pair in flags if pair[0] != "--t-final"]
         flags.remove(draw(st.sampled_from(droppable)))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append((draw(st.sampled_from(["-h", "--help"])),))
     flags = draw(st.permutations(flags))
     if draw(st.integers(0, 9)) == 0:
         flags.append(("--bogus", draw(value)))
@@ -177,6 +180,9 @@ def run_main(args, werror):
 # A run of one 1e300 s step once printed its failure time in 301 digits.
 @example(args=["average", "--config", "paper_siv.cfg", "--t-final", "1e300", "--dt", "1e300"],
          werror=False)
+# -h once printed the help and then left the interpreter through
+# argparse's SystemExit.
+@example(args=["simulate", "-h"], werror=False)
 def test_main_keeps_the_exit_code_and_diagnostics_contract(args, werror):
     assert_contract(*run_main(args, werror))
 

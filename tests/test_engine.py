@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etseek import analysis, engine, hold
+from etseek import analysis, engine, trigger
 from etseek.config import Scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
 from etseek.trace import TRACE_COLUMNS, SimulationTrace, grid_steps
@@ -16,12 +16,12 @@ from tests.conftest import PAPER_SIV_GAIN
 
 class TestIntegrateStep:
     def test_polynomial_exactness(self):
-        assert integrate_step(lambda t, x: 1.0, 0.0, 0.0, 0.1) == pytest.approx(
+        assert integrate_step(lambda t, s: (1.0,), (0.0,), 0.0, 0.1)[0] == pytest.approx(
             0.1, abs=1e-16
         )
 
     def test_exponential_accuracy(self):
-        value = integrate_step(lambda t, x: x, 1.0, 0.0, 0.1)
+        (value,) = integrate_step(lambda t, s: (s[0],), (1.0,), 0.0, 0.1)
         assert value == pytest.approx(1.1051708333333333, abs=1e-15)  # RK4 truncation
         assert value == pytest.approx(1.105170917, abs=1e-7)  # against exp(0.1)
 
@@ -32,7 +32,7 @@ class TestIntegrateStep:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            integrate_step(lambda t, x: x, 1.0, 0.0, 0.0)
+            integrate_step(lambda t, s: (s[0],), (1.0,), 0.0, 0.0)
 
 
 def equilibrium_scenario():
@@ -213,10 +213,10 @@ def test_overflow_in_a_full_hold_block_raises_at_the_scalar_row(monkeypatch, siv
         gain=GainMatrix(rows=((0.0, -1.7e-50, 0.0), (0.0, 0.0, 0.0))),
         initial=VehicleState(-1e50, 5.0, 0.0),
     )
-    first_blocks = hold._SCALAR_HOLD + hold._FIRST_BLOCK
+    first_blocks = trigger._SCALAR_HOLD + trigger._FIRST_BLOCK
     failed_at = []
-    for scalar_hold in (hold._SCALAR_HOLD, 10**9):
-        monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
+    for scalar_hold in (trigger._SCALAR_HOLD, 10**9):
+        monkeypatch.setattr(trigger, "_SCALAR_HOLD", scalar_hold)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as info:
@@ -224,7 +224,7 @@ def test_overflow_in_a_full_hold_block_raises_at_the_scalar_row(monkeypatch, siv
         failed_at.append(info.value.t)
     blocked, scalar = traces
     written = np.count_nonzero(~np.isnan(scalar.q))
-    assert first_blocks + 1 < written < first_blocks + 2 * hold._FIRST_BLOCK
+    assert first_blocks + 1 < written < first_blocks + 2 * trigger._FIRST_BLOCK
     assert np.count_nonzero(scalar.event) == 1
     assert failed_at[0] == failed_at[1] == written * sc.dt
     assert np.all(np.abs(scalar.q[:written]) <= 1e100)
@@ -241,7 +241,7 @@ def test_overflowing_estimate_raises_at_the_same_row_in_blocks(monkeypatch, siv_
     # hands that row back and the scalar loop raises at the same time.
     traces, entered = [], []
     allocate = SimulationTrace.preallocate
-    run_blocks = hold.run_blocks
+    run_blocks = trigger.run_blocks
 
     def marked(n_rows, system="full"):
         trace = allocate(n_rows, system)
@@ -256,8 +256,8 @@ def test_overflowing_estimate_raises_at_the_same_row_in_blocks(monkeypatch, siv_
         return resume
 
     monkeypatch.setattr(SimulationTrace, "preallocate", marked)
-    monkeypatch.setattr(hold, "run_blocks", recorded)
-    monkeypatch.setattr(hold, "_FIRST_BLOCK", 4)
+    monkeypatch.setattr(trigger, "run_blocks", recorded)
+    monkeypatch.setattr(trigger, "_FIRST_BLOCK", 4)
     sc = replace(
         siv_scenario,
         t_final=0.1,
@@ -266,7 +266,7 @@ def test_overflowing_estimate_raises_at_the_same_row_in_blocks(monkeypatch, siv_
     )
     failed_at = []
     for scalar_hold in (2, 10**9):
-        monkeypatch.setattr(hold, "_SCALAR_HOLD", scalar_hold)
+        monkeypatch.setattr(trigger, "_SCALAR_HOLD", scalar_hold)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as info:
@@ -291,8 +291,8 @@ def test_sample_clocks_never_enter_hold_blocks(monkeypatch, siv_scenario, mode, 
     def refuse(*args):
         raise AssertionError("entered the hold-block runner")
 
-    monkeypatch.setattr(hold, "_SCALAR_HOLD", 0)
-    monkeypatch.setattr(hold, "run_blocks", refuse)
+    monkeypatch.setattr(trigger, "_SCALAR_HOLD", 0)
+    monkeypatch.setattr(trigger, "run_blocks", refuse)
     run_simulation(replace(siv_scenario, mode=mode, sample_period=period, t_final=0.5))
     with pytest.raises(AssertionError, match="hold-block runner"):
         run_simulation(replace(siv_scenario, t_final=0.5))

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from etseek import hold
+from etseek import trigger
 from etseek.average import build_average_matrices
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
@@ -205,8 +205,8 @@ def test_inlined_loop_matches_reference(name, dx, dy, dth, mode, t_final):
     # Short hold-block thresholds put these runs' holds into blocks of
     # doubling width, with hand-backs at firing rows and at the horizon.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hold, "_SCALAR_HOLD", 2)
-        patch.setattr(hold, "_FIRST_BLOCK", 4)
+        patch.setattr(trigger, "_SCALAR_HOLD", 2)
+        patch.setattr(trigger, "_FIRST_BLOCK", 4)
         trace, metrics = run_simulation(sc)
     ref, log = reference_run_full(sc)
     assert_bit_equal(trace, ref, log)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etseek import hold
+from etseek import trigger
 from etseek.config import load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
 from etseek.trace import ScenarioError
@@ -200,8 +200,8 @@ def test_trigger_invariants_on_every_row(name, mode, dx, dy, dth, t_final):
     pose = VehicleState(sc.initial.x + dx, sc.initial.y + dy, sc.initial.theta + dth)
     sc = replace(sc, initial=pose, mode=mode, t_final=t_final)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hold, "_SCALAR_HOLD", 2)
-        patch.setattr(hold, "_FIRST_BLOCK", 4)
+        patch.setattr(trigger, "_SCALAR_HOLD", 2)
+        patch.setattr(trigger, "_FIRST_BLOCK", 4)
         trace, _ = run_simulation(sc)
     n = len(trace) - 1
     rows = np.arange(n + 1)
