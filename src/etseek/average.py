@@ -11,14 +11,14 @@ loop is one flat loop over local floats, like the full plant's, and applies
 the same event rule and zero-order hold to the averaged signals: it fires
 on the Xi it records, at t = 0 and then wherever Xi < 0.
 
-Between events the latched G and c are constant, and ``paper_siv``
-holds from its second event (at 0.095 s) to the horizon.  Long holds go
-to the hold-block runner of :mod:`etseek.trigger`, which both loops share;
-this module supplies the fold, in which G3 moves by a fixed step and G1
-and G2 are left folds of the scalar loop's RK4 increments.  The fold
-returns the rows' states and trace columns; the runner hands back at the
-first row whose recorded Xi fires.  The closed-form G(t) of a hold would
-not be bit-identical to stepping.
+Between events the latched G and c are constant, and ``paper_siv`` holds
+from its second event (at 0.095 s) to the horizon.  Long holds go to the
+hold-block runner of :mod:`etseek.trigger`, which both loops share;
+:func:`run_average_loop` supplies the fold, in which G3 moves by a fixed
+step and G1 and G2 are left folds of the scalar loop's RK4 increments.
+The fold returns the rows' states and trace columns; the runner hands
+back at the first row whose recorded Xi fires.  The closed-form G(t) of
+a hold would not be bit-identical to stepping.
 
 The loop and the fold store per row only q, G and Xi.  ``t`` is filled
 before the run, and u and the pose, the source offset by G_av, after it.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -119,7 +118,27 @@ def run_average_loop(
     # Unfired rows from `block_from` on go to hold blocks.
     block_from = n + 1
     scalar_hold = trigger._SCALAR_HOLD
-    block_consts = (a13, a23, sixth, sigma, alpha, bias, q_star)
+
+    def hold_block(t, g):
+        """One hold block of the averaged loop, a fold for
+        :func:`etseek.trigger.run_blocks`; ``t`` only sets its length."""
+        g1, g2, g3 = g
+        square = trigger.square
+        gs3 = trigger.accumulate(g3, np.full(t.shape[0], step3))
+        b3 = gs3[:-1]
+        mid3 = b3 + hc3
+        end3 = b3 + dc3
+        gs1 = _fold(g1, a13, c1, b3, mid3, end3, sixth)
+        gs2 = _fold(g2, a23, c2, b3, mid3, end3, sixth)
+        b1, b2 = gs1[:-1], gs2[:-1]
+        e_norm = np.sqrt(square(h1 - b1) + square(h2 - b2) + square(h3 - b3))
+        sq = b1 * b1 + b2 * b2 + b3 * b3
+        columns = {
+            "q": q_star - 0.5 * sq, "g1": b1, "g2": b2, "g3": b3,
+            "xi": sigma * np.sqrt(sq) - alpha * (e_norm + bias),
+        }
+        return (gs1, gs2, gs3), columns
+
     start = 0
     while True:
         for i in range(start, n + 1):
@@ -161,10 +180,7 @@ def run_average_loop(
             g3 += step3
         else:
             break  # the scalar loop wrote the last row
-        held = (h1, h2, h3, c1, c2, hc3, dc3, step3)
-        start, (g1, g2, g3) = trigger.run_blocks(
-            trace, i, partial(_hold_block, block_consts, held), (g1, g2, g3)
-        )
+        start, (g1, g2, g3) = trigger.run_blocks(trace, i, hold_block, (g1, g2, g3))
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
         block_from = start + 1
@@ -173,29 +189,6 @@ def run_average_loop(
     np.add(field.y_star, trace.g2, out=trace.y)
     np.add(field.theta_star, trace.g3, out=trace.theta)
     return trace
-
-
-def _hold_block(consts, held, t, g):
-    """One hold block of the averaged loop, a fold for
-    :func:`etseek.trigger.run_blocks`; ``t`` only sets its length."""
-    a13, a23, sixth, sigma, alpha, bias, q_star = consts
-    h1, h2, h3, c1, c2, hc3, dc3, step3 = held
-    g1, g2, g3 = g
-    square = trigger.square
-    gs3 = trigger.accumulate(g3, np.full(t.shape[0], step3))
-    b3 = gs3[:-1]
-    mid3 = b3 + hc3
-    end3 = b3 + dc3
-    gs1 = _fold(g1, a13, c1, b3, mid3, end3, sixth)
-    gs2 = _fold(g2, a23, c2, b3, mid3, end3, sixth)
-    b1, b2 = gs1[:-1], gs2[:-1]
-    e_norm = np.sqrt(square(h1 - b1) + square(h2 - b2) + square(h3 - b3))
-    sq = b1 * b1 + b2 * b2 + b3 * b3
-    columns = {
-        "q": q_star - 0.5 * sq, "g1": b1, "g2": b2, "g3": b3,
-        "xi": sigma * np.sqrt(sq) - alpha * (e_norm + bias),
-    }
-    return (gs1, gs2, gs3), columns
 
 
 def _fold(g, a, c, g3, mid3, end3, sixth):

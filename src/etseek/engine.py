@@ -33,7 +33,6 @@ every row on the scalar loop.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -140,10 +139,63 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     # trigger holds for long; a sample clock keeps the scalar path.
     block_from = n + 1
     scalar_hold = trigger._SCALAR_HOLD if period is None else n + 1
-    block_consts = (
-        w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
-        sigma, alpha, bias, x_star, y_star, theta_star, q_star,
-    )
+
+    def hold_block(t, pose):
+        """One hold block of the full loop, a fold for :func:`etseek.trigger.run_blocks`.
+
+        The scalar loop's expressions, elementwise over the block's rows.
+        Under the held control the heading's RK4 increment depends on t alone,
+        so theta is a left fold of increments, and x and y are left folds of
+        increments that depend on (theta, t).  Their stage sums
+        k1 + 2 k2 + 2 k3 + k4 are added up stage by stage, in the scalar
+        loop's order, and the stage arrays are freed once the poses are
+        folded, so that few block-length arrays are alive at once: a block's
+        temporaries share the heap with the trace.
+        """
+        sin, cos, sqrt, square, accumulate = np.sin, np.cos, np.sqrt, trigger.square, trigger.accumulate
+
+        def stage(heading, p1, p2):
+            c = cos(heading)
+            s = sin(heading)
+            v = c * p1 + s * p2
+            return v * c, v * s
+
+        tm = t + half
+        te = t + dt
+        wr1 = aw3 * cos(w3 * t) + u2
+        wrm = aw3 * cos(w3 * tm) + u2
+        ths = accumulate(pose[2], sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + (aw3 * cos(w3 * te) + u2)))
+        th = ths[:-1]
+        sum_x, sum_y = stage(th, aw1 * cos(w1 * t) + u1, aw2 * sin(w2 * t) + u1)
+        pm1 = aw1 * cos(w1 * tm) + u1
+        pm2 = aw2 * sin(w2 * tm) + u1
+        for heading in (th + half * wr1, th + half * wrm):
+            kx, ky = stage(heading, pm1, pm2)
+            sum_x += 2.0 * kx
+            sum_y += 2.0 * ky
+        kx, ky = stage(th + dt * wrm, aw1 * cos(w1 * te) + u1, aw2 * sin(w2 * te) + u1)
+        sum_x += kx
+        sum_y += ky
+        xs = accumulate(pose[0], sixth * sum_x)
+        ys = accumulate(pose[1], sixth * sum_y)
+        del tm, te, wr1, wrm, pm1, pm2, heading, kx, ky, sum_x, sum_y
+        x, y = xs[:-1], ys[:-1]
+        q = q_star - 0.5 * square(x - x_star) - 0.5 * square(y - y_star) - 0.5 * square(th - theta_star)
+        s1 = sin(w1 * t)
+        c2 = cos(w2 * t)
+        s3 = sin(w3 * t)
+        g1 = m1 * s1 * q
+        g2 = m2 * c2 * q
+        g3 = m3 * s3 * q
+        e_norm = sqrt(square(h1 - g1) + square(h2 - g2) + square(h3 - g3))
+        xi = sigma * sqrt(square(g1) + square(g2) + square(g3)) - alpha * (e_norm + bias)
+        columns = {
+            "x": x, "y": y, "theta": th,
+            "xhat": x - ha1 * s1, "yhat": y + ha2 * c2, "thetahat": th - ha3 * s3,
+            "q": q, "g1": g1, "g2": g2, "g3": g3, "xi": xi,
+        }
+        return (xs, ys, ths), columns
+
     start = 0
     while True:
         for i in range(start, n + 1):
@@ -237,71 +289,10 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
             th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
         else:
             break  # the scalar loop wrote the last row
-        start, (x, y, th) = trigger.run_blocks(
-            trace, i, partial(_hold_block, block_consts, (h1, h2, h3, u1, u2)), (x, y, th)
-        )
+        start, (x, y, th) = trigger.run_blocks(trace, i, hold_block, (x, y, th))
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
         block_from = start + 1
     trigger.fill_control(trace, sc.gain)
     return trace
 
-
-def _hold_block(consts, held, t, pose):
-    """One hold block of the full loop, a fold for :func:`etseek.trigger.run_blocks`.
-
-    The scalar loop's expressions, elementwise over the block's rows.
-    Under the held control the heading's RK4 increment depends on t alone,
-    so theta is a left fold of increments, and x and y are left folds of
-    increments that depend on (theta, t).  Their stage sums
-    k1 + 2 k2 + 2 k3 + k4 are added up stage by stage, in the scalar
-    loop's order, and the stage arrays are freed once the poses are
-    folded, so that few block-length arrays are alive at once: a block's
-    temporaries share the heap with the trace.
-    """
-    (w1, w2, w3, aw1, aw2, aw3, ha1, ha2, ha3, m1, m2, m3, half, sixth, dt,
-     sigma, alpha, bias, x_star, y_star, theta_star, q_star) = consts
-    h1, h2, h3, u1, u2 = held
-    sin, cos, sqrt, square, accumulate = np.sin, np.cos, np.sqrt, trigger.square, trigger.accumulate
-
-    def stage(heading, p1, p2):
-        c = cos(heading)
-        s = sin(heading)
-        v = c * p1 + s * p2
-        return v * c, v * s
-
-    tm = t + half
-    te = t + dt
-    wr1 = aw3 * cos(w3 * t) + u2
-    wrm = aw3 * cos(w3 * tm) + u2
-    ths = accumulate(pose[2], sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + (aw3 * cos(w3 * te) + u2)))
-    th = ths[:-1]
-    sum_x, sum_y = stage(th, aw1 * cos(w1 * t) + u1, aw2 * sin(w2 * t) + u1)
-    pm1 = aw1 * cos(w1 * tm) + u1
-    pm2 = aw2 * sin(w2 * tm) + u1
-    for heading in (th + half * wr1, th + half * wrm):
-        kx, ky = stage(heading, pm1, pm2)
-        sum_x += 2.0 * kx
-        sum_y += 2.0 * ky
-    kx, ky = stage(th + dt * wrm, aw1 * cos(w1 * te) + u1, aw2 * sin(w2 * te) + u1)
-    sum_x += kx
-    sum_y += ky
-    xs = accumulate(pose[0], sixth * sum_x)
-    ys = accumulate(pose[1], sixth * sum_y)
-    del tm, te, wr1, wrm, pm1, pm2, heading, kx, ky, sum_x, sum_y
-    x, y = xs[:-1], ys[:-1]
-    q = q_star - 0.5 * square(x - x_star) - 0.5 * square(y - y_star) - 0.5 * square(th - theta_star)
-    s1 = sin(w1 * t)
-    c2 = cos(w2 * t)
-    s3 = sin(w3 * t)
-    g1 = m1 * s1 * q
-    g2 = m2 * c2 * q
-    g3 = m3 * s3 * q
-    e_norm = sqrt(square(h1 - g1) + square(h2 - g2) + square(h3 - g3))
-    xi = sigma * sqrt(square(g1) + square(g2) + square(g3)) - alpha * (e_norm + bias)
-    columns = {
-        "x": x, "y": y, "theta": th,
-        "xhat": x - ha1 * s1, "yhat": y + ha2 * c2, "thetahat": th - ha3 * s3,
-        "q": q, "g1": g1, "g2": g2, "g3": g3, "xi": xi,
-    }
-    return (xs, ys, ths), columns

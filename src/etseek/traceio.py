@@ -150,17 +150,14 @@ def _digits17(v: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray, np.nda
     return ok, q, k
 
 
-def _encode_rows(
-    fields: np.ndarray, tails: list[bytes], tail_of: np.ndarray, work: dict | None = None
-) -> np.ndarray:
+def _encode_rows(fields: np.ndarray, tails: list[bytes], tail_of: np.ndarray, work: dict) -> np.ndarray:
     """CSV bytes of rows: the ``%.17g`` text of each field, then a tail.
 
     ``fields`` is (rows, cols) float64; every field is followed by a
     comma.  Row ``r`` ends with the bytes ``tails[tail_of[r]]``.  The
     result is a view into ``work`` (see :func:`_work`), valid until the
-    next call with it; without ``work`` the call allocates its own.
+    next call with it.
     """
-    work = {} if work is None else work
     rows, cols = fields.shape
     v = fields.ravel()
     n = v.shape[0]

@@ -32,14 +32,16 @@ the block's ``xi`` column.  Blocks read their times off the trace's
 ``t``, filled before the run; :func:`fill_control` writes u after it.
 
 Each loop supplies its fold: its scalar step's arithmetic done
-elementwise over a block.  A running state is a left fold
-(``np.add.accumulate``) of the same increments, so it equals ``+=``;
-every ``** 2`` is ``np.float_power``, libm ``pow`` like Python's, and
-every ``g * g`` stays a product; sin and cos are numpy's, which must
-give ``math``'s bits (numpy does not promise it, so a test checks it).
-The trace is therefore bit-identical to stepping.  A block also hands
-back the first row whose q fails the loops' finiteness check, or whose
-Xi is not finite because a square overflowed, so both paths raise
+elementwise over a block, in a closure that reads the loop's constants
+and latched values, which stay fixed through the hold it computes.  A
+running state is a left fold (``np.add.accumulate``) of the same
+increments, so it equals ``+=``; every ``** 2`` is ``np.float_power``,
+libm ``pow`` like Python's, and every ``g * g`` stays a product; sin and
+cos are numpy's, which must give ``math``'s bits (numpy does not promise
+it, so a test checks it).  The trace is therefore bit-identical to
+stepping.  A block also hands back the first row whose q fails the
+loops' finiteness check, or whose Xi is not finite because a square
+overflowed, so both paths raise
 :class:`~etseek.trace.NonFiniteStateError` at the same row.
 """
 

@@ -131,11 +131,13 @@ GRID_WARNING = (
 )
 
 
-@pytest.mark.parametrize("verb", ["verify", "simulate", "average"])
+@pytest.mark.parametrize("verb", ["verify", "simulate", "average", "compare"])
 def test_grid_warning_is_one_plain_line_per_run(capsys, verb):
     # No source path or code line, and a second run in the same process
-    # warns again.
+    # warns again.  compare's two lanes per omega run on one grid and warn once.
     args = [verb, "--config", "paper_siv.cfg", "--dt", "0.01", "--t-final", "1"]
+    if verb == "compare":
+        args += ["--omega-list", "20,40"]
     for _ in range(2):
         assert main(args) == 0
         assert capsys.readouterr().err == GRID_WARNING

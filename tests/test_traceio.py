@@ -204,7 +204,7 @@ def test_csv_bytes_are_pinned(tmp_path, name, mode):
 def kernel_texts(values) -> list[str]:
     """The exporter's text of each value, one value per row."""
     v = np.asarray(values, dtype=np.float64)
-    csv = traceio._encode_rows(v.reshape(-1, 1), [b"\n"], np.zeros(v.shape[0], np.int64))
+    csv = traceio._encode_rows(v.reshape(-1, 1), [b"\n"], np.zeros(v.shape[0], np.int64), {})
     return [line[:-1] for line in csv.tobytes().decode().split("\n")[:-1]]
 
 
