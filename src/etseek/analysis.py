@@ -125,18 +125,20 @@ def dwell_time_bound(sigma: float, acl: np.ndarray, bk: np.ndarray) -> float:
     return (1.0 / norm_sum) * m_over_n / (1.0 + math.sqrt(m_over_n))
 
 
-def check_grid_resolution(sc: Scenario, model: AverageModel) -> float | None:
-    """Warn when dt exceeds tau*/10; return the dwell-time bound tau* (None if undefined).
+def trigger_model(sc: Scenario) -> tuple[AverageModel, np.ndarray, float | None]:
+    """Build the averaged model; return it, A - BK and tau* (None if undefined).
 
-    Trigger monitoring is discretized to the grid, so events can overshoot
-    their continuous-time instant by one step; that is negligible only
-    while dt stays well below the guaranteed inter-event time.
+    Its one build site, for ``verify_scenario`` and the trigger modes (``full``,
+    ``average``) of ``run_simulation``.  A dt above tau*/10 warns, since
+    grid-sampled trigger events can overshoot their instant by one step.
     """
-    k = np.asarray(sc.gain.rows, dtype=float)
+    model = build_average_matrices(sc.field.theta_star, sc.dithers)
+    bk = model.b @ np.asarray(sc.gain.rows, dtype=float)
+    acl = model.a - bk
     try:
-        tau_star = dwell_time_bound(sc.trigger.sigma, model.a - model.b @ k, model.b @ k)
+        tau_star = dwell_time_bound(sc.trigger.sigma, acl, bk)
     except ValueError:
-        return None
+        return model, acl, None
     if sc.dt > tau_star / 10.0:
         warnings.warn(
             f"integration step dt = {sc.dt:g} exceeds tau*/10 = {tau_star / 10.0:g}; "
@@ -144,7 +146,7 @@ def check_grid_resolution(sc: Scenario, model: AverageModel) -> float | None:
             RuntimeWarning,
             stacklevel=3,
         )
-    return tau_star
+    return model, acl, tau_star
 
 
 def decay_envelope_check(
@@ -224,12 +226,10 @@ def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]
     is not Hurwitz, in which case no certificate exists).
     """
     d = sc.dithers
-    model = build_average_matrices(sc.field.theta_star, d)
-    k = np.asarray(sc.gain.rows, dtype=float)
-    acl = model.a - model.b @ k
+    model, acl, tau_star = trigger_model(sc)
     report = TheoryReport(
         hurwitz=hurwitz_check(acl),
-        tau_star=check_grid_resolution(sc, model),
+        tau_star=tau_star,
         residual_scale_theorem=1.5 * d.a3,
         residual_scale_appendix=0.5 * math.sqrt(d.a1**2 + d.a2**2 + d.a3**2),
     )

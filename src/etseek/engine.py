@@ -37,8 +37,8 @@ import math
 import numpy as np
 
 from etseek import trigger
-from etseek.analysis import check_grid_resolution
-from etseek.average import build_average_matrices, initial_error, run_average_loop
+from etseek.analysis import trigger_model
+from etseek.average import initial_error, run_average_loop
 from etseek.config import Scenario
 from etseek.trace import (
     Q_LIMIT, NonFiniteStateError, RunMetrics, SimulationTrace, grid_steps, inter_event_stats,
@@ -82,18 +82,18 @@ def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     - ``sampled-data``: the full plant, updated every ``sample_period``;
     - ``average``: the averaged loop under the event trigger.
 
-    The final error is the last pose's distance from the source, which on
-    the averaged loop is the norm of the last G.
+    Only the two trigger modes build the averaged model and warn on a coarse
+    grid.  The final error is the last pose's distance from the source,
+    which on the averaged loop is the norm of the last G.
     """
     f = sc.field
-    model = build_average_matrices(f.theta_star, sc.dithers)
-    check_grid_resolution(sc, model)
+    period = {"full": None, "average": None, "continuous-control": 0.0, "sampled-data": sc.sample_period}[sc.mode]
+    model = trigger_model(sc)[0] if period is None else None
     if sc.mode == "average":
         g0 = initial_error(sc.initial, sc.dithers, f)
         trace = run_average_loop(model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=f)
         final_error = math.sqrt(trace.g1[-1] ** 2 + trace.g2[-1] ** 2 + trace.g3[-1] ** 2)
     else:
-        period = {"full": None, "continuous-control": 0.0, "sampled-data": sc.sample_period}[sc.mode]
         trace = _run_full(sc, period)
         x, y, th = float(trace.x[-1]), float(trace.y[-1]), float(trace.theta[-1])
         final_error = math.sqrt((x - f.x_star) ** 2 + (y - f.y_star) ** 2 + (th - f.theta_star) ** 2)

@@ -131,26 +131,43 @@ GRID_WARNING = (
 )
 
 
-@pytest.mark.parametrize("verb", ["verify", "simulate", "average", "compare"])
-def test_grid_warning_is_one_plain_line_per_run(capsys, verb):
+ONE_SECOND = ["--t-final", "1"]
+# The clock modes run no trigger, so they build no model and never warn.
+# Both turn non-finite before 1 s at this step, so they run for 0.05 s.
+SAMPLED = ["--mode", "sampled-data(0.05)", "--t-final", "0.05"]
+CONTINUOUS = ["--mode", "continuous-control", "--t-final", "0.05"]
+
+
+@pytest.mark.parametrize("verb, flags, err", [
+    pytest.param("verify", ONE_SECOND, GRID_WARNING, id="verify"),
+    pytest.param("simulate", ONE_SECOND, GRID_WARNING, id="simulate"),
+    pytest.param("average", ONE_SECOND, GRID_WARNING, id="average"),
+    pytest.param("compare", [*ONE_SECOND, "--omega-list", "20,40"], GRID_WARNING, id="compare"),
+    pytest.param("simulate", SAMPLED, "", id="simulate-sampled-data"),
+    pytest.param("simulate", CONTINUOUS, "", id="simulate-continuous-control"),
+])
+def test_grid_warning_is_one_plain_line_per_run(capsys, verb, flags, err):
     # No source path or code line, and a second run in the same process
     # warns again.  compare's two lanes per omega run on one grid and warn once.
-    args = [verb, "--config", "paper_siv.cfg", "--dt", "0.01", "--t-final", "1"]
-    if verb == "compare":
-        args += ["--omega-list", "20,40"]
+    args = [verb, "--config", "paper_siv.cfg", "--dt", "0.01", *flags]
     for _ in range(2):
         assert main(args) == 0
-        assert capsys.readouterr().err == GRID_WARNING
-    assert run_cli(*args).stderr == GRID_WARNING
+        assert capsys.readouterr().err == err
+    assert run_cli(*args).stderr == err
 
 
-@pytest.mark.parametrize("verb", ["verify", "average"])
-def test_grid_warning_raised_as_an_error_is_one_error_line(verb):
-    # Under -W error the warning arrives in main as an exception.
-    proc = run_cli(verb, "--config", "paper_siv.cfg", "--dt", "0.01", "--t-final", "1",
+@pytest.mark.parametrize("verb, flags, code, err", [
+    pytest.param("verify", ONE_SECOND, 1, GRID_WARNING.replace("warning: ", "error: ", 1), id="verify"),
+    pytest.param("average", ONE_SECOND, 1, GRID_WARNING.replace("warning: ", "error: ", 1), id="average"),
+    pytest.param("simulate", SAMPLED, 0, "", id="simulate-sampled-data"),
+])
+def test_grid_warning_raised_as_an_error_is_one_error_line(verb, flags, code, err):
+    # Under -W error the warning arrives in main as an exception; a clock
+    # mode has none to raise.
+    proc = run_cli(verb, "--config", "paper_siv.cfg", "--dt", "0.01", *flags,
                    python_flags=("-W", "error"))
-    assert proc.returncode == 1
-    assert proc.stderr == GRID_WARNING.replace("warning: ", "error: ", 1)
+    assert proc.returncode == code
+    assert proc.stderr == err
 
 
 def test_numerical_failure_exit_code():

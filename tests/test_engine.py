@@ -299,8 +299,10 @@ def test_sample_clocks_never_enter_hold_blocks(monkeypatch, siv_scenario, mode, 
 
 
 def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_scenario):
-    # perfbench times the averaged loop by rebinding `run_average_loop` in
-    # both modules, so each must call it through its own module global.
+    # The averaged model has one build site, reached by the trigger modes and
+    # verify only.  perfbench times the averaged loop by rebinding
+    # `run_average_loop` in both modules, so each must call it through its
+    # own module global.
     calls = []
 
     def spy(module, name):
@@ -312,18 +314,24 @@ def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_sce
 
         monkeypatch.setattr(module, name, recorded)
 
-    for module, name in [(engine, "build_average_matrices"), (engine, "run_average_loop"),
-                         (analysis, "build_average_matrices"), (analysis, "run_average_loop")]:
+    for module, name in [(analysis, "build_average_matrices"), (engine, "run_average_loop"),
+                         (analysis, "run_average_loop")]:
         spy(module, name)
-    for mode in ("full", "continuous-control", "average"):
-        run_simulation(replace(siv_scenario, mode=mode, t_final=0.01))
+    lanes = {}
+    for mode, period in [("continuous-control", None), ("sampled-data", 0.005), ("full", None),
+                         ("average", None)]:
+        run_simulation(replace(siv_scenario, mode=mode, sample_period=period, t_final=0.01))
+        lanes[mode] = calls[:]
+        calls.clear()
     analysis.verify_scenario(replace(siv_scenario, t_final=0.01))
-    assert calls == ["etseek.engine.build_average_matrices"] * 2 + [
-        "etseek.engine.build_average_matrices",
-        "etseek.engine.run_average_loop",
-        "etseek.analysis.build_average_matrices",
-        "etseek.analysis.run_average_loop",
-    ]
+    lanes["verify"] = calls
+    assert lanes == {
+        "continuous-control": [],
+        "sampled-data": [],
+        "full": ["etseek.analysis.build_average_matrices"],
+        "average": ["etseek.analysis.build_average_matrices", "etseek.engine.run_average_loop"],
+        "verify": ["etseek.analysis.build_average_matrices", "etseek.analysis.run_average_loop"],
+    }
 
 
 def test_grid_steps_bounds_round_half_to_even(monkeypatch):
