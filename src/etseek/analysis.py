@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from etseek.average import AverageModel, build_average_matrices, initial_error, run_average_loop
+from etseek.average import AverageModel, build_average_matrices, run_average_loop
 from etseek.config import Scenario
 from etseek.trace import SimulationTrace, inter_event_stats
 from etseek.trigger import TriggerConstants, trigger_floor
@@ -241,10 +241,7 @@ def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]
     lam_q_min = float(np.linalg.eigvalsh(cert.q)[0])
     lam_p_max = float(np.linalg.eigvalsh(cert.p)[-1])
     report.decay_rate = lam_q_min * (1.0 - sc.trigger.sigma) / lam_p_max
-    g0 = initial_error(sc.initial, d, sc.field)
-    avg_trace = run_average_loop(
-        model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=sc.field
-    )
+    avg_trace = run_average_loop(model, sc)
     report.envelope_violations = decay_envelope_check(
         avg_trace, cert.p, report.decay_rate, 0.05, floor=trigger_floor(sc.trigger)
     )

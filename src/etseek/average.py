@@ -7,9 +7,10 @@ The averaged error dynamics in original time t read
 where A, B and the constant disturbance delta_bar come from averaging the
 dithered plant over one probing period (the 1/omega3 factor of the
 rescaled-time formulation is absorbed by simulating in t).  The averaged
-loop is one flat loop over local floats, like the full plant's, and applies
-the same event rule and zero-order hold to the averaged signals: it fires
-on the Xi it records, at t = 0 and then wherever Xi < 0.
+loop takes its scenario, as the full plant's does, and starts from G_av(0),
+the estimator pose at t = 0 minus the source.  It is one flat loop over
+local floats with the full loop's event rule and zero-order hold: it
+fires on the Xi it records, at t = 0 and then wherever Xi < 0.
 
 Between events the latched G and c are constant, and ``paper_siv`` holds
 from its second event (at 0.095 s) to the horizon.  Long holds go to the
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from etseek import trigger
+from etseek.config import Scenario
 from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace, grid_steps
-from etseek.trigger import GainMatrix, TriggerConstants
-from etseek.vehicle import DitherParams, QuadraticField, VehicleState, bessel_j, estimator_pose
+from etseek.vehicle import DitherParams, bessel_j, estimator_pose
 
 _SQRT2_2 = math.sqrt(2.0) / 2.0
 
@@ -74,31 +75,18 @@ def build_average_matrices(theta_star: float, d: DitherParams) -> AverageModel:
     return AverageModel(a=a, b=b, delta_bar=delta_bar)
 
 
-def initial_error(
-    initial: VehicleState, d: DitherParams, field: QuadraticField
-) -> tuple[float, float, float]:
-    """Averaged error G_av(0): the estimator pose at t = 0 minus the source."""
-    hat = estimator_pose(initial, d, 0.0)
-    return (hat[0] - field.x_star, hat[1] - field.y_star, hat[2] - field.theta_star)
+def run_average_loop(model: AverageModel, sc: Scenario) -> SimulationTrace:
+    """Integrate the averaged loop of ``sc`` under the average static trigger.
 
-
-def run_average_loop(
-    model: AverageModel,
-    gain: GainMatrix,
-    consts: TriggerConstants,
-    g0,
-    dt: float,
-    t_final: float,
-    field: QuadraticField,
-) -> SimulationTrace:
-    """Integrate the averaged loop under the average static trigger.
-
-    Events fire on the full plant's rule: t = 0, then every grid point
-    where the recorded Xi is negative.  Between events the control is
-    held, so the flow is dG/dt = A G + c with c = -B K G(t_k) + delta_bar;
-    RK4 on the uniform grid keeps the trace aligned with full-plant runs.
+    It reads the gain, trigger constants, field, dt, t_final and G_av(0)
+    from ``sc``.  Events fire on the full plant's rule: t = 0, then every
+    grid point where the recorded Xi is negative.  Between events the
+    control is held, so the flow is dG/dt = A G + c with
+    c = -B K G(t_k) + delta_bar; RK4 on the uniform grid keeps the trace
+    aligned with full-plant runs.
     """
-    n = grid_steps(t_final, dt)
+    gain, consts, field, dt = sc.gain, sc.trigger, sc.field, sc.dt
+    n = grid_steps(sc.t_final, dt)
     bk = model.b @ np.asarray(gain.rows, dtype=float)
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = bk.tolist()
     a13 = float(model.a[0, 2])
@@ -112,7 +100,8 @@ def run_average_loop(
     sqrt, isfinite, q_limit = math.sqrt, math.isfinite, Q_LIMIT
     col_q, col_g1, col_g2, col_g3, col_xi, col_ev = map(
         memoryview, (trace.q, trace.g1, trace.g2, trace.g3, trace.xi, trace.event))
-    g1, g2, g3 = (float(v) for v in g0)
+    hat = estimator_pose(sc.initial, sc.dithers, 0.0)
+    g1, g2, g3 = hat[0] - field.x_star, hat[1] - field.y_star, hat[2] - field.theta_star
     h1 = h2 = h3 = 0.0
     c1 = c2 = c3 = hc3 = dc3 = step3 = 0.0
     # Unfired rows from `block_from` on go to hold blocks.

@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, OSError, ValueError, OverflowError, MemoryError, Warning) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError, Warning) as exc:
         # A Warning arrives here only when a -W error filter raises it.
         print(f"error: {exc}", file=sys.stderr)
         return 1

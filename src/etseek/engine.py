@@ -38,7 +38,7 @@ import numpy as np
 
 from etseek import trigger
 from etseek.analysis import trigger_model
-from etseek.average import initial_error, run_average_loop
+from etseek.average import run_average_loop
 from etseek.config import Scenario
 from etseek.trace import (
     Q_LIMIT, NonFiniteStateError, RunMetrics, SimulationTrace, grid_steps, inter_event_stats,
@@ -90,8 +90,7 @@ def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     period = {"full": None, "average": None, "continuous-control": 0.0, "sampled-data": sc.sample_period}[sc.mode]
     model = trigger_model(sc)[0] if period is None else None
     if sc.mode == "average":
-        g0 = initial_error(sc.initial, sc.dithers, f)
-        trace = run_average_loop(model, sc.gain, sc.trigger, g0, sc.dt, sc.t_final, field=f)
+        trace = run_average_loop(model, sc)
         final_error = math.sqrt(trace.g1[-1] ** 2 + trace.g2[-1] ** 2 + trace.g3[-1] ** 2)
     else:
         trace = _run_full(sc, period)

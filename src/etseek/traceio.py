@@ -418,7 +418,7 @@ def import_trace(path: str | Path) -> SimulationTrace:
     """Re-parse an exported trace; its event log is the event-flagged rows.
 
     Raises ValueError for an unknown header, a data row whose ``system``
-    marker does not match the header or the first row's, or an ``event``
+    marker is missing, unexpected or not ``average``, or an ``event``
     value other than 0 or 1.  The rows are parsed in forked children, one
     per usable CPU (see :func:`_parse_in_parts`); where that gives fewer
     than two parts or fails, they are parsed in one ``loadtxt`` call,
@@ -432,9 +432,9 @@ def import_trace(path: str | Path) -> SimulationTrace:
             if header not in (CSV_HEADER, CSV_HEADER + ",system"):
                 raise ValueError(f"unexpected trace header in {path}: {header!r}")
             marked = header != CSV_HEADER
+            system = "average" if marked else "full"
             first = next((line for line in handle if line.strip()), "")
             fields = first.rstrip("\n").split(",")
-            system = fields[width] if len(fields) > width else "full"
             if first and (len(fields) > width) != marked:
                 raise ValueError(
                     f"data row 1 of {path} does not match its header "
@@ -470,9 +470,9 @@ def import_trace(path: str | Path) -> SimulationTrace:
         raise OSError(f"cannot read trace from {path}: {exc}") from exc
     if marked and not data[:, width].all():
         row = int(data[:, width].argmin()) + 1
+        other = f"differs from row 1's {system!r}" if row > 1 else f"is not {system!r}"
         raise ValueError(
-            f"data row {row} of {path} does not match its header "
-            f"(system marker differs from row 1's {system!r})"
+            f"data row {row} of {path} does not match its header (system marker {other})"
         )
     event = data[:, width - 1]
     bad = np.flatnonzero((event != 0.0) & (event != 1.0))

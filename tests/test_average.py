@@ -9,16 +9,30 @@ import pytest
 from etseek import trigger
 from etseek.analysis import alpha_lower_bound, solve_lyapunov
 from etseek.average import AverageModel, build_average_matrices, run_average_loop
-from etseek.config import load_scenario, scale_probing_frequency
+from etseek.config import Scenario, load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
-from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, SimulationTrace
+from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, ScenarioError, SimulationTrace
 from etseek.trigger import TriggerConstants, trigger_floor
-from etseek.vehicle import DitherParams, QuadraticField, bessel_j
+from etseek.vehicle import DitherParams, QuadraticField, VehicleState, bessel_j
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
 from tests.reference import average_derivative, delta_bar_norm_bound, period_average_drift
 
 # Source at the origin: the pose columns then carry the averaged error itself.
 ORIGIN = QuadraticField(0.0, 0.0, 0.0, 0.0)
+
+
+def loop_scenario(gain, consts, g0, dt, t_final):
+    """A scenario whose averaged loop starts from G(0) = g0 exactly.
+
+    With the source at the origin and zero dither amplitudes the estimator
+    pose at t = 0 is the initial pose itself (pinned by
+    tests/test_vehicle.py::TestEstimatorPose::test_zero_amplitudes_identity).
+    The model is passed to the loop on its own, so the dithers set nothing else.
+    """
+    return Scenario(
+        field=ORIGIN, dithers=DitherParams(0.0, 0.0, 0.0, 4.0, 4.0, 2.0), gain=gain,
+        trigger=consts, initial=VehicleState(*g0), dt=dt, t_final=t_final, mode="average",
+    )
 
 # Entries for theta* = pi/6, a1 = a3 = 0.5, omega3 = 20, frozen from an
 # independent evaluation with J0(0.5) = 0.938469807240813 and
@@ -166,7 +180,7 @@ class TestRunAverageLoop:
         no_bias = AverageModel(a=model.a, b=model.b, delta_bar=np.zeros(3))
         c = TriggerConstants(0.5, 0.195, 0.0)
         trace = run_average_loop(
-            no_bias, PAPER_SIV_GAIN, c, (0.0, 0.0, 0.0), 1e-3, 0.5, ORIGIN
+            no_bias, loop_scenario(PAPER_SIV_GAIN, c, (0.0, 0.0, 0.0), 1e-3, 0.5)
         )
         assert trace.events.shape[0] == 1
         assert trace.events[0, 0] == 0.0
@@ -175,13 +189,14 @@ class TestRunAverageLoop:
 
     def test_horizon_must_hold_a_step(self):
         # t_final < dt/2 rounds to zero steps, which would leave row 0 as
-        # the last row and so not an event.
+        # the last row and so not an event.  The scenario refuses any
+        # t_final < dt before the loop can see it.
         model, d = siv_model()
         c = TriggerConstants.from_dithers(0.5, 0.195, d)
         g0 = (2.5, 2.75, math.pi / 6)
-        with pytest.raises(ValueError, match="at least one step"):
-            run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-3, 3e-4, ORIGIN)
-        trace = run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-3, 1e-3, ORIGIN)
+        with pytest.raises(ScenarioError, match="run.t_final"):
+            loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-3, 3e-4)
+        trace = run_average_loop(model, loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-3, 1e-3))
         assert len(trace) == 2
         assert trace.event_indices().tolist() == [0]
 
@@ -195,7 +210,7 @@ class TestRunAverageLoop:
         no_bias = AverageModel(a=model.a, b=model.b, delta_bar=np.zeros(3))
         c = TriggerConstants(0.5, 0.195, 1e3)
         trace = run_average_loop(
-            no_bias, PAPER_SIV_GAIN, c, (1.0, -0.5, 0.3), 1e-3, 12.0, ORIGIN
+            no_bias, loop_scenario(PAPER_SIV_GAIN, c, (1.0, -0.5, 0.3), 1e-3, 12.0)
         )
         assert trace.event[:-1].all()
         k = np.asarray(PAPER_SIV_GAIN.rows)
@@ -217,7 +232,7 @@ class TestRunAverageLoop:
         model, d = siv_model()
         c = TriggerConstants.from_dithers(0.5, 0.195, d)
         trace = run_average_loop(
-            model, PAPER_SIV_GAIN, c, (2.5, 2.75, math.pi / 6), 1e-4, 60.0, ORIGIN
+            model, loop_scenario(PAPER_SIV_GAIN, c, (2.5, 2.75, math.pi / 6), 1e-4, 60.0)
         )
         assert trace.events.shape[0] == 2
         assert trace.events[1, 0] == pytest.approx(0.0953, abs=1e-6)
@@ -249,7 +264,7 @@ class TestRunAverageLoop:
         dt = 1e-4
         # Large initial condition: the certified alpha makes the trigger
         # floor sit around 24, and the decay claim only applies above it.
-        trace = run_average_loop(model, gain, c, (80.0, 60.0, 30.0), dt, 8.0, ORIGIN)
+        trace = run_average_loop(model, loop_scenario(gain, c, (80.0, 60.0, 30.0), dt, 8.0))
         g = np.stack([trace.g1, trace.g2, trace.g3], axis=1)
         v = np.einsum("ij,jk,ik->i", g, cert.p, g)
         norms = np.linalg.norm(g, axis=1)
@@ -410,7 +425,7 @@ def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as info:
-                run_average_loop(model, PAPER_SIV_GAIN, c, g0, 1e-4, 0.1, ORIGIN)
+                run_average_loop(model, loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-4, 0.1))
         failed_at.append(info.value.t)
     blocked, scalar = traces
     written = np.count_nonzero(~np.isnan(scalar.q))

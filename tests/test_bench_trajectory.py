@@ -165,11 +165,21 @@ def test_in_process_run_is_a_fresh_python_on_the_checkout(tmp_path, monkeypatch)
 def test_tier1_entry_is_the_summary_line(tool):
     assert tool.tier1_summary(TIER1_OUTPUT, 31.9) == {
         "command": tool.TIER1, "wall_s": 31.9, "passed": 338, "failed": 2, "errors": 0,
+        "failing": ["tests/test_acceptance.py::test_criterion_1_paper_reproduction",
+                    "tests/test_acceptance.py::test_criterion_2_update_reduction"],
     }
-    assert tool.tier1_summary("340 passed in 75.10s (0:01:15)\n", 75.4)["failed"] == 0
+    clean = tool.tier1_summary("340 passed in 75.10s (0:01:15)\n", 75.4)
+    assert (clean["failed"], clean["failing"]) == (0, [])
     # A module that fails to import is counted, not read as a pass.
     broken = tool.tier1_summary("2 failed, 330 passed, 1 error in 30.00s\n", 30.2)
     assert (broken["passed"], broken["failed"], broken["errors"]) == (330, 2, 1)
+    # Each FAILED or ERROR line is named by its ID, a parameter id with its
+    # spaces, and without its message.
+    named = tool.tier1_summary(
+        "FAILED tests/test_a.py::test_b[x - y] - assert False\n"
+        "ERROR tests/test_c.py - ModuleNotFoundError: No module named 'numpy'\n"
+        "1 failed, 330 passed, 1 error in 30.00s\n", 30.2)
+    assert named["failing"] == ["tests/test_a.py::test_b[x - y]", "tests/test_c.py"]
     assert tool.tier1_summary("338 passed, 2 errors in 30.00s\n", 30.2)["errors"] == 2
     with pytest.raises(ValueError, match="no pytest summary"):
         tool.tier1_summary("Traceback (most recent call last):\n", 0.5)

@@ -64,7 +64,8 @@ def test_header_only_imports_as_empty_trace(tmp_path, header):
         back = import_trace(path)
     assert len(back) == 0
     assert back.event.dtype == np.int64
-    assert back.system == "full"
+    # A marked header means an averaged-loop trace, rows or none.
+    assert back.system == ("full" if header == CSV_HEADER else "average")
     for name in TRACE_COLUMNS:
         assert back.column(name).shape == (0,)
 
@@ -340,6 +341,7 @@ def test_import_rejects_event_values_other_than_0_and_1(tmp_path, event):
         (CSV_HEADER, ["1", "0,average"]),
         (CSV_HEADER + ",system", ["1,average", "0"]),
         (CSV_HEADER + ",system", ["1,average", "0,full"]),
+        (CSV_HEADER + ",system", ["1,banana"]),
     ],
     ids=[
         "marker-under-plain-header",
@@ -347,6 +349,7 @@ def test_import_rejects_event_values_other_than_0_and_1(tmp_path, event):
         "row-2-marker-under-plain-header",
         "row-2-marker-missing",
         "row-2-marker-differs",
+        "row-1-marker-not-average",
     ],
 )
 def test_import_rejects_a_marker_that_does_not_match_the_header(tmp_path, header, tails):

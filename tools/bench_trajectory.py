@@ -41,10 +41,12 @@ It counts the modules of ``src/etseek/*.py`` and their lines (newlines,
 as ``wc -l`` counts them) into a top-level ``src`` entry.
 
 Then it runs the tier-1 suite once, with the command ``ROADMAP.md``
-gives, from the root of the checkout, and records its wall time and the
+gives, from the root of the checkout, and records its wall time, the
 passed, failed and error counts of pytest's summary line (a module that
-fails to import is an error).  Failing tests do not stop the file (two
-acceptance criteria fail by design).
+fails to import is an error) and, under ``failing``, the test IDs of the
+``FAILED`` and ``ERROR`` lines of its short summary.  Failing tests do
+not stop the file (two acceptance criteria fail by design, and
+``failing`` shows that they are the ones that fail).
 
 ``BENCH_<PR>.json`` is written at the root of the checkout only if every
 workload ran with no failed operation, both calibrations and the
@@ -302,15 +304,20 @@ def tier1_summary(output: str, wall_s: float) -> dict:
     """The tier-1 entry of BENCH_<pr>.json, from pytest's output and the run's wall time.
 
     Reads the summary line that ends the output, such as ``2 failed, 338
-    passed, 1 error in 31.52s``; raises ValueError if there is none.
+    passed, 1 error in 31.52s``; raises ValueError if there is none.  The
+    ``failing`` IDs come from the short summary's ``FAILED <id>`` and
+    ``ERROR <id>`` lines, in their order, without their messages.
     """
     lines = output.strip().splitlines()
     summary = lines[-1] if lines else ""
     if not re.search(r"\d+ \w+.* in [\d.]+s", summary):
         raise ValueError(f"no pytest summary line in the tier-1 output: {summary!r}")
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)s?\b", summary)}
+    # An ID is a path, then a bracketed parameter id that may hold spaces.
+    failing = re.findall(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[[^\]]*\])?)", output, re.MULTILINE)
     return {"command": TIER1, "wall_s": wall_s, "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0), "errors": counts.get("error", 0)}
+            "failed": counts.get("failed", 0), "errors": counts.get("error", 0),
+            "failing": failing}
 
 
 def trajectory(pr: int, seed: int) -> dict:
