@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from etseek.analysis import averaging_error, verify_scenario
 from etseek.config import load_scenario, parse_mode, scale_probing_frequency
-from etseek.engine import run_simulation
+from etseek.engine import _ahead, _full_loop_ahead, run_simulation
 from etseek.trace import NonFiniteStateError, ScenarioError
 from etseek.traceio import export_metrics, export_trace
 from etseek.vehicle import bessel_j
@@ -125,15 +125,19 @@ def _cmd_compare(args) -> int:
             raise ScenarioError(
                 "cli.omega-list", f"--omega-list value {omega} cannot scale the scenario: {exc}"
             ) from exc
+    runs = [[replace(scaled, mode=mode, sample_period=None) for mode in ("full", "average")]
+            for _, scaled in lanes]
     deviations: dict[str, float] = {}
-    for omega, scaled in lanes:
-        # Both lanes from one call site: the grid warning prints once per site.
-        dev = averaging_error(*(
-            run_simulation(replace(scaled, mode=mode, sample_period=None))[0]
-            for mode in ("full", "average")
-        ))
-        deviations[f"{omega:g}"] = dev
-        print(f"omega3={omega:g}: sup deviation = {dev:.6g}")
+    try:
+        for j, (omega, _) in enumerate(lanes):
+            # While this lane runs, a child may run the next lane's full loop.
+            with _full_loop_ahead(runs[j + 1][0] if j + 1 < len(runs) else None):
+                # Both runs from one call site: the grid warning prints once per site.
+                dev = averaging_error(*(run_simulation(run)[0] for run in runs[j]))
+                deviations[f"{omega:g}"] = dev
+                print(f"omega3={omega:g}: sup deviation = {dev:.6g}")
+    finally:
+        _ahead.clear()
     ratios = {}
     for lo, hi in zip(omegas[:-1], omegas[1:]):
         ratios[f"{hi:g}/{lo:g}"] = deviations[f"{hi:g}"] / deviations[f"{lo:g}"]

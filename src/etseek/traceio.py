@@ -33,7 +33,8 @@ part in a child, whose float64 block the parent reads from its spill
 into its slice of the table.  A file that is not LF-only, has a blank
 line or gives one part, and a part that fails are parsed in one
 ``loadtxt`` call, given the scanned row count if any, so every error is
-the one it raises.
+the one it raises.  The same runner serves ``compare``'s lanes: a child
+runs the next lane's full loop (:func:`etseek.engine._full_loop_ahead`).
 """
 
 from __future__ import annotations
@@ -333,7 +334,8 @@ def _in_children(parts, work):
     returns into the parent's code.  ``take(part)`` waits for that child
     and returns the spill's descriptor if it exited 0, else None: no
     spill, no fork, or a child that failed or whose status is lost.  On
-    leaving, every child is reaped and every spill closed.
+    leaving, every child is reaped and every spill closed.  It also runs
+    ``compare``'s next lane (:func:`etseek.engine._full_loop_ahead`).
     """
     spills, pids = {}, {}
     try:

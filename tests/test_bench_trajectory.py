@@ -56,9 +56,10 @@ def tool(tmp_path, monkeypatch):
     Its tier-1 run returns ``TIER1_OUTPUT`` after 31.9 s, its in-process
     run ``IN_PROCESS_OUTPUT`` and its calibrations ``CALIBRATION_BEFORE``
     and ``CALIBRATION_AFTER`` in turn; no pytest, no simulation and no
-    calibration start.
+    calibration start.  The process may run on CPUs 0 and 1.
     """
     module = load_tool()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     shutil.copy(TOOL.parents[1] / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(module, "run_tier1", lambda: (TIER1_OUTPUT, 31.9))
@@ -223,9 +224,18 @@ def test_host_entry_is_the_control_and_its_move(tool):
         # slow's wall_s spread is 6.7% of its median, under the 10% move;
         # fast's is 20%.
         "moved": ["slow"],
+        "usable_cpus": 2,
     }
     steady = tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_BEFORE, workloads)
     assert (steady["move"], steady["moved"]) == (0.0, [])
+
+
+def test_host_entry_counts_the_usable_cpus(tool, monkeypatch):
+    workloads = {"w": {"wall_s": {"median": 0.3, "iqr": 0.02, "n": 5}}}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_AFTER, workloads)["usable_cpus"] == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_AFTER, workloads)["usable_cpus"] is None
 
 
 def test_calibration_record_is_required(tool):

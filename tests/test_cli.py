@@ -3,12 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from test_traceio import _PartFaults, assert_no_child_left
 
 import etseek
 from etseek import engine, traceio
+from etseek.analysis import trigger_model
 from etseek.cli import _build_parser, main
 from etseek.config import packaged_scenario_path
 
@@ -60,17 +63,117 @@ def test_verify_verb(tmp_path, capsys):
     assert "alpha_min" in out
 
 
-def test_compare_verb(tmp_path, capsys):
-    metrics_path = tmp_path / "cmp.json"
-    code = main([
-        "compare", "--config", "smallgain.cfg", "--omega-list", "20,40",
-        "--t-final", "0.5", "--metrics", str(metrics_path),
-    ])
-    assert code == 0
-    payload = json.loads(metrics_path.read_text())
-    assert set(payload["averaging_sup_error"]) == {"20", "40"}
-    assert all(v > 0.0 for v in payload["averaging_sup_error"].values())
-    assert "40/20" in payload["ratios"]
+@pytest.fixture()
+def lane_forks(monkeypatch):
+    """The pids forked in this process; each fork asserts that no other child exists."""
+    pids = []
+    fork = traceio._fork
+
+    def counted():
+        with pytest.raises(ChildProcessError):  # WNOWAIT leaves an exited child unreaped
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(traceio, "_fork", counted)
+    return pids
+
+
+HALF_SECOND = ["--t-final", "0.5"]
+
+
+def run_compare(capsys, tmp_path, monkeypatch, cpus, omegas, *flags):
+    """``compare`` on smallgain at ``cpus`` usable CPUs: exit code, stdout,
+    stderr and the metrics JSON's bytes (None if it wrote none)."""
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    path = tmp_path / f"compare-{cpus}.json"
+    path.unlink(missing_ok=True)
+    code = main(["compare", "--config", "smallgain.cfg", "--omega-list", omegas,
+                 "--metrics", str(path), *flags])
+    out, err = capsys.readouterr()
+    assert engine._ahead == []
+    return code, out, err, path.read_bytes() if path.exists() else None
+
+
+def test_compare_verb(tmp_path, capsys, monkeypatch, lane_forks):
+    # Where two CPUs are usable, a child runs each later lane's full loop
+    # while the parent runs the lane before it; the output is the same.
+    models = []
+    monkeypatch.setattr(engine, "trigger_model", lambda sc: models.append(sc) or trigger_model(sc))
+    for omegas in ("20,40", "20,40,80"):
+        lanes = omegas.split(",")
+        runs = {}
+        for cpus in (1, 2):
+            runs[cpus] = run_compare(capsys, tmp_path, monkeypatch, cpus, omegas, *HALF_SECOND)
+            assert (len(lane_forks), len(models)) == ((cpus - 1) * (len(lanes) - 1), 2 * len(lanes))
+            assert_no_child_left()
+            lane_forks.clear()
+            models.clear()
+        assert runs[1] == runs[2]
+        code, out, err, metrics = runs[2]
+        assert (code, err) == (0, "")
+        assert [line.split(":")[0] for line in out.splitlines()[:len(lanes)]] == [
+            f"omega3={omega}" for omega in lanes
+        ]
+        payload = json.loads(metrics)
+        assert list(payload["averaging_sup_error"]) == lanes
+        assert all(v > 0.0 for v in payload["averaging_sup_error"].values())
+        assert list(payload["ratios"]) == [f"{hi}/{lo}" for lo, hi in zip(lanes, lanes[1:])]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("kinds", [["exit", "exit"], ["spill", "ok"], ["ok", "fork"]])
+def test_compare_runs_a_lane_itself_where_its_child_fails(
+    tmp_path, capsys, monkeypatch, lane_forks, kinds
+):
+    omegas = ("20,40,80", *HALF_SECOND)
+    alone = run_compare(capsys, tmp_path, monkeypatch, 1, *omegas)
+    before = set(os.listdir("/proc/self/fd"))
+    faults = _PartFaults(kinds)
+    monkeypatch.setattr(tempfile, "TemporaryFile", faults.spill)
+    monkeypatch.setattr(traceio, "_fork", faults.forked)
+    assert run_compare(capsys, tmp_path, monkeypatch, 2, *omegas) == alone
+    assert faults.places == kinds
+    assert faults.children == len(lane_forks) == sum(kind in ("ok", "exit") for kind in kinds)
+    assert_no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == before
+
+
+def test_compare_lane_that_turns_non_finite_is_reported_by_the_parent(tmp_path, capsys, monkeypatch, lane_forks):
+    # The 2000 lane's child fails; the parent runs the lane itself and reports it.
+    for cpus in (1, 2):
+        code, out, err, metrics = run_compare(
+            capsys, tmp_path, monkeypatch, cpus, "20,2000", "--t-final", "1"
+        )
+        assert (code, out, metrics) == (2, "omega3=20: sup deviation = 0.725197\n", None)
+        assert err == "numerical failure: state became non-finite at t = 0.243700 s\n"
+        assert len(lane_forks) == cpus - 1
+        assert_no_child_left()
+
+
+def test_compare_that_raises_leaves_no_child_and_no_trace(monkeypatch, lane_forks):
+    # The third model build is lane 2's full run: its trace has been handed
+    # off and lane 3's child runs.
+    class Stop(Exception):
+        pass
+
+    models = []
+
+    def third_raises(sc):
+        models.append(sc)
+        if len(models) == 3:
+            raise Stop
+        return trigger_model(sc)
+
+    monkeypatch.setattr(engine, "trigger_model", third_raises)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    with pytest.raises(Stop):
+        main(["compare", "--config", "smallgain.cfg", "--omega-list", "20,40,80", *HALF_SECOND])
+    assert len(lane_forks) == 2
+    assert engine._ahead == []
+    assert_no_child_left()
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -159,13 +262,16 @@ def test_grid_warning_is_one_plain_line_per_run(capsys, verb, flags, err):
 @pytest.mark.parametrize("verb, flags, code, err", [
     pytest.param("verify", ONE_SECOND, 1, GRID_WARNING.replace("warning: ", "error: ", 1), id="verify"),
     pytest.param("average", ONE_SECOND, 1, GRID_WARNING.replace("warning: ", "error: ", 1), id="average"),
+    pytest.param("compare", [*ONE_SECOND, "--omega-list", "20,40"], 1,
+                 GRID_WARNING.replace("warning: ", "error: ", 1), id="compare"),
     pytest.param("simulate", SAMPLED, 0, "", id="simulate-sampled-data"),
 ])
 def test_grid_warning_raised_as_an_error_is_one_error_line(verb, flags, code, err):
     # Under -W error the warning arrives in main as an exception; a clock
-    # mode has none to raise.
+    # mode has none to raise.  compare raises in its first lane, while the
+    # second lane's child runs, and must leave no child.
     proc = run_cli(verb, "--config", "paper_siv.cfg", "--dt", "0.01", *flags,
-                   python_flags=("-W", "error"))
+                   python_flags=("-W", "error"), cpus=2)
     assert proc.returncode == code
     assert proc.stderr == err
 
@@ -201,14 +307,35 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert _build_parser() is _build_parser()
 
 
-def run_cli(*args, timeout=120, python_flags=()):
+#: ``python -c`` code that runs the CLI on its arguments with ``{cpus}``
+#: usable CPUs and exits 99 instead if the run leaves a child.
+CLI_WITH_CPUS = """
+import os, sys
+from etseek import cli, traceio
+traceio._usable_cpus = lambda: {cpus}
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+def run_cli(*args, timeout=120, python_flags=(), cpus=None):
     # Run as a separate process so that an uncaught exception shows up as
     # a traceback on stderr instead of failing inside the test runner.
+    # Given ``cpus``, the process sees that many usable CPUs, its stdout is
+    # block-buffered, and it exits 99 if the run leaves a child.
     src = str(Path(etseek.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    entry = ["-m", "etseek.cli"]
+    if cpus is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        entry = ["-c", CLI_WITH_CPUS.format(cpus=cpus)]
     proc = subprocess.run(
-        [sys.executable, *python_flags, "-m", "etseek.cli", *args],
+        [sys.executable, *python_flags, *entry, *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert "Traceback" not in proc.stderr
@@ -448,3 +575,16 @@ def test_trace_in_two_parts_to_stdout(tmp_path):
     path = tmp_path / "trace.csv"
     assert main([*SIV_1S, "--out", str(path)]) == 0
     assert proc.stdout.replace(summary[0], b"") == path.read_bytes()
+
+
+def test_compare_lanes_to_block_buffered_stdout():
+    # Lane 3's child forks while lane 1's line is still in the buffer; no
+    # child may flush it.
+    omegas = ["20", "40", "80"]
+    proc = run_cli("compare", "--config", "smallgain.cfg", "--omega-list", ",".join(omegas),
+                   "--t-final", "0.5", python_flags=("-W", "error"), cpus=2)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = [f"omega3={omega}: sup deviation = " for omega in omegas] + [
+        f"deviation ratio {hi}/{lo} = " for lo, hi in zip(omegas, omegas[1:])
+    ]
+    assert [line.split("= ")[0] + "= " for line in proc.stdout.splitlines()] == lines

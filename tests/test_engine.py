@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etseek import analysis, engine, trigger
+from etseek import analysis, engine, traceio, trigger
 from etseek.config import Scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
 from etseek.trace import TRACE_COLUMNS, SimulationTrace, grid_steps
@@ -343,3 +343,25 @@ def test_grid_steps_bounds_round_half_to_even(monkeypatch):
         grid_steps(100.75, 1.0)
     with pytest.raises(ValueError, match="at least one step"):
         grid_steps(0.5, 1.0)
+
+
+def test_a_full_loop_run_ahead_goes_to_its_scenario_object_only(monkeypatch, smallgain_scenario):
+    # The child's trace is bit-identical to the parent's own run, and only
+    # the very object it ran for receives it; an equal copy runs its loop
+    # and drops it.
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    sc = replace(smallgain_scenario, t_final=0.2)
+    own = run_simulation(sc)[0]
+    with engine._full_loop_ahead(replace(sc, mode="average")):  # no child: not a full run
+        pass
+    assert engine._ahead == []
+    for receiver in (replace(sc), sc):
+        with engine._full_loop_ahead(sc):
+            pass
+        (ran_for, handed), = engine._ahead
+        assert ran_for is sc
+        trace = run_simulation(receiver)[0]
+        assert engine._ahead == []
+        assert (trace is handed) == (receiver is sc)
+        for name in TRACE_COLUMNS:
+            assert trace.column(name).tobytes() == own.column(name).tobytes(), name

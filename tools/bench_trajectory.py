@@ -22,11 +22,13 @@ a numpy kernel, five times each.  The ``host`` entry keeps each kernel's
 min from both runs and their sum, averaged over the two runs, as the
 control; each workload's ``wall_s`` median as a multiple of the control;
 the calibration's move, the larger relative change of a kernel's min
-between the two runs; and the workloads whose ``wall_s`` relative
+between the two runs; the workloads whose ``wall_s`` relative
 interquartile range (IQR over median) is below that move, for which the
-host changed more during the run than the workload's own spread.  The
-multiples let a reader of several ``BENCH_*.json`` tell a change of the
-code from a change of the host.
+host changed more during the run than the workload's own spread; and
+``usable_cpus``, the CPUs this process may run on (None where the
+platform cannot say), since the CSV split forks a child per usable CPU
+and ``compare`` overlaps its lanes from two on.  The multiples let a reader of several ``BENCH_*.json``
+tell a change of the code from a change of the host.
 
 Next it times what no workload measures, in a fresh Python process on
 the checkout's ``src/``, each three times and recorded as the min and
@@ -238,6 +240,12 @@ def calibration_summary(output: str) -> dict:
         raise ValueError(f"no calibration record in its output: {output[-200:]!r}") from None
 
 
+def usable_cpus() -> int | None:
+    """CPUs this process may run on, or None where ``os.sched_getaffinity`` is missing."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return None if affinity is None else len(affinity(0))
+
+
 def host_summary(before: str, after: str, workloads: dict) -> dict:
     """The host entry of BENCH_<pr>.json, from the two calibrations' outputs
     and the workload entries.
@@ -245,7 +253,8 @@ def host_summary(before: str, after: str, workloads: dict) -> dict:
     The control is the sum of the kernels' mins, averaged over the two
     runs.  The move is the larger relative change of a kernel's min from
     the first run to the second; ``moved`` names the workloads whose
-    ``wall_s`` relative IQR is below it.
+    ``wall_s`` relative IQR is below it.  ``usable_cpus`` is
+    :func:`usable_cpus`.
     """
     first, second = calibration_summary(before), calibration_summary(after)
     control = (sum(first.values()) + sum(second.values())) / 2.0
@@ -255,6 +264,7 @@ def host_summary(before: str, after: str, workloads: dict) -> dict:
         "before": first, "after": second, "control_s": control, "move": move,
         "wall_s_per_control": {name: wall["median"] / control for name, wall in walls.items()},
         "moved": [name for name, wall in walls.items() if wall["iqr"] / wall["median"] < move],
+        "usable_cpus": usable_cpus(),
     }
 
 
