@@ -37,7 +37,7 @@ import numpy as np
 
 from etseek import trigger
 from etseek.config import Scenario
-from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace, grid_steps
+from etseek.trace import Q_LIMIT, NonFiniteStateError, SimulationTrace
 from etseek.vehicle import DitherParams, bessel_j, estimator_pose
 
 _SQRT2_2 = math.sqrt(2.0) / 2.0
@@ -86,7 +86,7 @@ def run_average_loop(model: AverageModel, sc: Scenario) -> SimulationTrace:
     aligned with full-plant runs.
     """
     gain, consts, field, dt = sc.gain, sc.trigger, sc.field, sc.dt
-    n = grid_steps(sc.t_final, dt)
+    n = sc.steps
     bk = model.b @ np.asarray(gain.rows, dtype=float)
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = bk.tolist()
     a13 = float(model.a[0, 2])

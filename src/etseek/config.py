@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from etseek import trace
 from etseek.trace import ScenarioError
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, QuadraticField, VehicleState
@@ -59,6 +60,23 @@ class Scenario:
                 raise ScenarioError("run.mode", "sampled-data requires a finite positive period")
         elif self.sample_period is not None:
             raise ScenarioError("run.mode", "sample_period only applies to sampled-data")
+
+    @property
+    def steps(self) -> int:
+        """Steps of the run's uniform grid, ``round(t_final / dt)``, at least one.
+
+        Raises ValueError for more than :data:`etseek.trace.MAX_STEPS`,
+        checked on the ratio, since ``round`` cannot convert a ratio that
+        overflowed to infinity.  Checked when read, not when built, so a
+        file's scenario may exceed the cap until its overrides apply.
+        """
+        steps = self.t_final / self.dt
+        if steps > trace.MAX_STEPS + 0.5:
+            raise ValueError(
+                f"run.t_final / run.dt = {steps:.3g} steps exceed the cap of {trace.MAX_STEPS}; "
+                "raise run.dt or shorten run.t_final"
+            )
+        return round(steps)
 
 
 def parse_mode(text: str) -> tuple[str, float | None]:

@@ -43,9 +43,7 @@ from etseek import traceio, trigger
 from etseek.analysis import trigger_model
 from etseek.average import run_average_loop
 from etseek.config import Scenario
-from etseek.trace import (
-    Q_LIMIT, NonFiniteStateError, RunMetrics, SimulationTrace, grid_steps, inter_event_stats,
-)
+from etseek.trace import Q_LIMIT, NonFiniteStateError, RunMetrics, SimulationTrace, inter_event_stats
 
 #: The full trace a forked child ran ahead, with the Scenario object it is
 #: for: one ``(sc, trace)`` pair or none (see :func:`_full_loop_ahead`).
@@ -136,7 +134,7 @@ def _full_loop_ahead(sc: Scenario | None):
     with traceio._in_children([0], run) as take:
         yield
         if (spill := take(0)) is not None:
-            trace = SimulationTrace.preallocate(grid_steps(sc.t_final, sc.dt) + 1)
+            trace = SimulationTrace.preallocate(sc.steps + 1)
             columns = [trace.t.base, trace.event]
             with contextlib.suppress(OSError):
                 if os.preadv(spill, columns, 0) == sum(c.nbytes for c in columns):
@@ -152,7 +150,7 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     (k00, k01, k02), (k10, k11, k12) = sc.gain.rows
     sigma, alpha, bias = sc.trigger.sigma, sc.trigger.alpha, sc.trigger.bias
     dt = sc.dt
-    n = grid_steps(sc.t_final, dt)
+    n = sc.steps
     trace = SimulationTrace.preallocate(n + 1, system="full")
     np.multiply(np.arange(n + 1), dt, out=trace.t)
     # Constant prefixes of the building blocks' expressions, grouped the way

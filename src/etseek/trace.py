@@ -15,32 +15,13 @@ import numpy as np
 
 #: Most grid steps one run may take.  A trace row is 120 bytes, so this
 #: caps a trace at 1.2 GB: 1000 s at the default dt = 1e-4, 16 times the
-#: longest shipped run.  Checked before any column is allocated.
+#: longest shipped run.  ``Scenario.steps`` checks it before any allocation.
 MAX_STEPS = 10_000_000
 
 
 #: Largest |q| a run may reach.  Beyond it the downstream norms would
 #: overflow, so both loops treat it like a non-finite state.
 Q_LIMIT = 1e100
-
-
-def grid_steps(t_final: float, dt: float) -> int:
-    """Steps of a run's uniform grid, ``round(t_final / dt)``.
-
-    Raises ValueError for more than :data:`MAX_STEPS` steps, then for
-    fewer than one: ``t_final < dt/2`` would leave row 0 as the last row,
-    and so not an event.  Both are checked on the ratio before rounding,
-    since ``round`` cannot convert a ratio that overflowed to infinity.
-    """
-    steps = t_final / dt if dt > 0.0 else 0.0
-    if steps > MAX_STEPS + 0.5:
-        raise ValueError(
-            f"run.t_final / run.dt = {steps:.3g} steps exceed the cap of {MAX_STEPS}; "
-            "raise run.dt or shorten run.t_final"
-        )
-    if not steps > 0.5:
-        raise ValueError(f"dt = {dt}, t_final = {t_final}: need dt > 0 and at least one step")
-    return round(steps)
 
 
 class ScenarioError(ValueError):
@@ -95,7 +76,7 @@ class SimulationTrace:
 
     @classmethod
     def preallocate(cls, n_rows: int, system: str = "full") -> "SimulationTrace":
-        """Empty trace of ``n_rows`` rows (a run's from :func:`grid_steps`).
+        """Empty trace of ``n_rows`` rows (a run's :attr:`etseek.config.Scenario.steps` + 1).
 
         The float columns are the rows of one C-order ``(k, n_rows)``
         block, each a contiguous 1-D view, so a run makes one allocation

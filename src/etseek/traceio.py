@@ -43,6 +43,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import tempfile
 import warnings
 from pathlib import Path
@@ -334,8 +335,10 @@ def _in_children(parts, work):
     returns into the parent's code.  ``take(part)`` waits for that child
     and returns the spill's descriptor if it exited 0, else None: no
     spill, no fork, or a child that failed or whose status is lost.  On
-    leaving, every child is reaped and every spill closed.  It also runs
-    ``compare``'s next lane (:func:`etseek.engine._full_loop_ahead`).
+    leaving, every child whose part was not taken is killed, since no one
+    will read it (an early return or an error in the body), then every
+    child is reaped and every spill closed.  It also runs ``compare``'s
+    next lane (:func:`etseek.engine._full_loop_ahead`).
     """
     spills, pids = {}, {}
     try:
@@ -358,6 +361,9 @@ def _in_children(parts, work):
 
         yield take
     finally:
+        for pid in pids.values():
+            with contextlib.suppress(ProcessLookupError):  # already reaped by the kernel
+                os.kill(pid, signal.SIGKILL)
         for pid in pids.values():
             _exit_code(pid)
         for spill in spills.values():

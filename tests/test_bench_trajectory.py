@@ -210,7 +210,8 @@ def test_a_failed_operation_writes_nothing(tool, monkeypatch, capsys):
     )
 
 
-def test_host_entry_is_the_control_and_its_move(tool):
+def test_host_entry_is_the_control_and_its_move(tool, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     workloads = {"slow": {"wall_s": {"median": 0.3, "iqr": 0.02, "n": 5}},
                  "fast": {"wall_s": {"median": 0.01, "iqr": 0.002, "n": 5}}}
     host = tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_AFTER, workloads)
@@ -225,6 +226,7 @@ def test_host_entry_is_the_control_and_its_move(tool):
         # fast's is 20%.
         "moved": ["slow"],
         "usable_cpus": 2,
+        "bytecode_cache": True,
     }
     steady = tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_BEFORE, workloads)
     assert (steady["move"], steady["moved"]) == (0.0, [])
@@ -236,6 +238,18 @@ def test_host_entry_counts_the_usable_cpus(tool, monkeypatch):
     assert tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_AFTER, workloads)["usable_cpus"] == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_AFTER, workloads)["usable_cpus"] is None
+
+
+@pytest.mark.parametrize("value, cache", [(None, True), ("", True), ("1", False), ("x", False)])
+def test_host_entry_says_whether_workloads_may_write_bytecode_caches(tool, monkeypatch, value, cache):
+    # Without caches every worker compiles src/, which setup_s and peak_rss_mb then include.
+    workloads = {"w": {"wall_s": {"median": 0.3, "iqr": 0.02, "n": 5}}}
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    host = tool.host_summary(CALIBRATION_BEFORE, CALIBRATION_AFTER, workloads)
+    assert host["bytecode_cache"] is cache
 
 
 def test_calibration_record_is_required(tool):

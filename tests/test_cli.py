@@ -4,10 +4,11 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from test_traceio import _PartFaults, assert_no_child_left
+from test_traceio import SLEEP_S, _PartFaults, assert_no_child_left
 
 import etseek
 from etseek import engine, traceio
@@ -151,6 +152,24 @@ def test_compare_lane_that_turns_non_finite_is_reported_by_the_parent(tmp_path, 
         assert err == "numerical failure: state became non-finite at t = 0.243700 s\n"
         assert len(lane_forks) == cpus - 1
         assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_compare_that_fails_in_a_lane_kills_the_next_lanes_child(tmp_path, capsys, monkeypatch, lane_forks):
+    # Lane 1 turns non-finite while lane 2's child sleeps: compare reports at
+    # once, and the child, whose lane no one will take, is killed.
+    before = set(os.listdir("/proc/self/fd"))
+    faults = _PartFaults(["sleep"])
+    monkeypatch.setattr(tempfile, "TemporaryFile", faults.spill)
+    monkeypatch.setattr(traceio, "_fork", faults.forked)
+    start = time.monotonic()
+    code, out, err, metrics = run_compare(capsys, tmp_path, monkeypatch, 2, "2000,20", "--t-final", "1")
+    assert time.monotonic() - start < SLEEP_S / 3
+    assert (code, out, metrics) == (2, "", None)
+    assert err == "numerical failure: state became non-finite at t = 0.243700 s\n"
+    assert faults.children == len(lane_forks) == 1
+    assert_no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == before
 
 
 def test_compare_that_raises_leaves_no_child_and_no_trace(monkeypatch, lane_forks):
@@ -392,12 +411,18 @@ def test_step_count_cap_message_is_short_and_names_the_keys():
     assert max(len(number) for number in re.findall(r"[-+.\deE]+", err)) <= 40
 
 
-@pytest.mark.parametrize("verb", ["simulate", "average", "verify"])
-def test_step_count_cap_covers_every_loop(monkeypatch, capsys, verb):
+@pytest.mark.parametrize("verb, flags", [
+    pytest.param("simulate", [], id="simulate"),
+    pytest.param("average", [], id="average"),
+    pytest.param("verify", [], id="verify"),
+    pytest.param("compare", ["--omega-list", "20,40"], id="compare"),
+])
+def test_step_count_cap_covers_every_loop(monkeypatch, capsys, verb, flags):
+    # The file's 30 s horizon exceeds the cap until --t-final applies.
     monkeypatch.setattr("etseek.trace.MAX_STEPS", 100)
-    assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.0101"]) == 1
+    assert main([verb, "--config", "smallgain.cfg", *flags, "--t-final", "0.0101"]) == 1
     assert "exceed the cap of 100" in capsys.readouterr().err
-    assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.01"]) == 0
+    assert main([verb, "--config", "smallgain.cfg", *flags, "--t-final", "0.01"]) == 0
 
 
 @pytest.mark.parametrize("verb", ["simulate", "average", "verify"])

@@ -8,7 +8,7 @@ import pytest
 from etseek import analysis, engine, traceio, trigger
 from etseek.config import Scenario
 from etseek.engine import NonFiniteStateError, integrate_step, run_simulation
-from etseek.trace import TRACE_COLUMNS, SimulationTrace, grid_steps
+from etseek.trace import TRACE_COLUMNS, SimulationTrace
 from etseek.trigger import GainMatrix, TriggerConstants
 from etseek.vehicle import DitherParams, QuadraticField, VehicleState
 from tests.conftest import PAPER_SIV_GAIN
@@ -334,15 +334,20 @@ def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_sce
     }
 
 
-def test_grid_steps_bounds_round_half_to_even(monkeypatch):
-    # The bounds are checked on the ratio, and must agree with round().
+def test_scenario_steps_bound_rounds_half_to_even(monkeypatch):
+    # The cap is checked on the ratio, when steps is read, and must agree
+    # with round().  A horizon under one step is refused by Scenario itself
+    # (test_average.py::TestRunAverageLoop::test_horizon_must_hold_a_step).
     monkeypatch.setattr("etseek.trace.MAX_STEPS", 100)
-    assert grid_steps(100.5, 1.0) == 100
-    assert grid_steps(1.5, 1.0) == 2
+
+    def grid(t_final):
+        return replace(equilibrium_scenario(), dt=1.0, t_final=t_final)
+
+    assert grid(100.5).steps == 100
+    assert grid(1.5).steps == 2
+    over = grid(100.75)
     with pytest.raises(ValueError, match="cap of 100"):
-        grid_steps(100.75, 1.0)
-    with pytest.raises(ValueError, match="at least one step"):
-        grid_steps(0.5, 1.0)
+        over.steps
 
 
 def test_a_full_loop_run_ahead_goes_to_its_scenario_object_only(monkeypatch, smallgain_scenario):

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -741,12 +742,17 @@ def test_export_to_dev_null_spills_in_the_temporary_directory(
     assert b"".join(copied) == b"".join(rows[1 + SPLIT_ROWS // 2:])
 
 
+#: Seconds a ``sleep`` child of :class:`_PartFaults` waits before its work.
+SLEEP_S = 30
+
+
 class _PartFaults:
     """Fault each part a runner is given by its place: ``kinds[place]``.
 
-    A kind is ``ok``, ``exit`` (the child exits 3), ``spill`` (its spill
-    is refused) or ``fork`` (its fork raises).  ``children`` counts the
-    forks that made a child.
+    A kind is ``ok``, ``exit`` (the child exits 3), ``sleep`` (the child
+    sleeps :data:`SLEEP_S` before its work), ``spill`` (its spill is
+    refused) or ``fork`` (its fork raises).  ``children`` counts the forks
+    that made a child.
     """
 
     def __init__(self, kinds):
@@ -765,8 +771,28 @@ class _PartFaults:
         pid = self.fork()
         if pid == 0 and self.places[-1] == "exit":
             os._exit(3)
+        if pid == 0 and self.places[-1] == "sleep":
+            time.sleep(SLEEP_S)
         self.children += 1
         return pid
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_failed_part_stops_the_children_no_one_will_take(split_csv, monkeypatch, forks):
+    # Part 0's child fails, so every row is parsed again in one call: the
+    # sleeping children of parts 1 and 2 are killed, not waited for.
+    path = split_csv("full")
+    before = set(os.listdir("/proc/self/fd"))
+    faults = _PartFaults(["exit", "sleep", "sleep"])
+    monkeypatch.setattr(tempfile, "TemporaryFile", faults.spill)
+    monkeypatch.setattr(traceio, "_fork", faults.forked)
+    start = time.monotonic()
+    back = import_trace(path)
+    assert time.monotonic() - start < SLEEP_S / 3
+    assert faults.children == len(forks) == 3
+    assert_no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == before
+    assert back.xi.tobytes() == _one_call(path, False)[:, 13].tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -24,11 +24,15 @@ control; each workload's ``wall_s`` median as a multiple of the control;
 the calibration's move, the larger relative change of a kernel's min
 between the two runs; the workloads whose ``wall_s`` relative
 interquartile range (IQR over median) is below that move, for which the
-host changed more during the run than the workload's own spread; and
+host changed more during the run than the workload's own spread;
 ``usable_cpus``, the CPUs this process may run on (None where the
 platform cannot say), since the CSV split forks a child per usable CPU
-and ``compare`` overlaps its lanes from two on.  The multiples let a reader of several ``BENCH_*.json``
-tell a change of the code from a change of the host.
+and ``compare`` overlaps its lanes from two on; and ``bytecode_cache``,
+False where ``PYTHONDONTWRITEBYTECODE`` is set and non-empty in the
+environment the workloads inherit, since then every worker compiles
+``src/`` and ``setup_s`` and ``peak_rss_mb`` grow with its length.  The
+multiples let a reader of several ``BENCH_*.json`` tell a change of the
+code from a change of the host.
 
 Next it times what no workload measures, in a fresh Python process on
 the checkout's ``src/``, each three times and recorded as the min and
@@ -254,7 +258,8 @@ def host_summary(before: str, after: str, workloads: dict) -> dict:
     runs.  The move is the larger relative change of a kernel's min from
     the first run to the second; ``moved`` names the workloads whose
     ``wall_s`` relative IQR is below it.  ``usable_cpus`` is
-    :func:`usable_cpus`.
+    :func:`usable_cpus`; ``bytecode_cache`` is whether the workloads,
+    which inherit this environment, may write bytecode caches.
     """
     first, second = calibration_summary(before), calibration_summary(after)
     control = (sum(first.values()) + sum(second.values())) / 2.0
@@ -265,6 +270,7 @@ def host_summary(before: str, after: str, workloads: dict) -> dict:
         "wall_s_per_control": {name: wall["median"] / control for name, wall in walls.items()},
         "moved": [name for name, wall in walls.items() if wall["iqr"] / wall["median"] < move],
         "usable_cpus": usable_cpus(),
+        "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
