@@ -21,13 +21,12 @@ composable functions (:func:`integrate_step`, :func:`~etseek.vehicle.dither_velo
 are its tested reference: the loop keeps their float expressions in the
 same evaluation order, so it reproduces them bit for bit.
 
-In ``full`` mode, long holds go to the hold-block runner of
-:mod:`etseek.trigger`, which the averaged loop shares.  Under the held
-control the plant's right-hand side reads only theta and t, so a block
-computes the scalar loop's expressions elementwise, with theta, x and y
-as left folds of their RK4 increments; the trace stays bit-identical.
-The sample clocks of ``continuous-control`` and ``sampled-data`` keep
-every row on the scalar loop.
+Long holds, under the trigger or a sample clock, go to the hold-block
+runner of :mod:`etseek.trigger`, which the averaged loop shares.  Under
+the held control the plant's right-hand side reads only theta and t, so a
+block computes the scalar loop's expressions elementwise, with theta, x
+and y as left folds of their RK4 increments; the trace stays
+bit-identical.
 """
 
 from __future__ import annotations
@@ -175,10 +174,11 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     h1 = h2 = h3 = 0.0
     u1 = u2 = 0.0
     next_sample = 0.0
-    # Unfired rows from `block_from` on go to hold blocks.  Only the event
-    # trigger holds for long; a sample clock keeps the scalar path.
+    # Unfired rows from `block_from` on go to hold blocks: a trigger's hold,
+    # which may end on any row, after _SCALAR_HOLD rows; a clock's from its
+    # first row if the period spans _SCALAR_HOLD // 2 steps, else none.
     block_from = n + 1
-    scalar_hold = trigger._SCALAR_HOLD if period is None else n + 1
+    scalar_hold = trigger._SCALAR_HOLD if period is None else 1 if period >= trigger._SCALAR_HOLD // 2 * dt else n + 1
 
     def hold_block(t, pose):
         """One hold block of the full loop, a fold for :func:`etseek.trigger.run_blocks`.
@@ -329,7 +329,9 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
             th = th + sixth * (wr1 + 2.0 * wrm + 2.0 * wrm + wre)
         else:
             break  # the scalar loop wrote the last row
-        start, (x, y, th) = trigger.run_blocks(trace, i, hold_block, (x, y, th))
+        # A clock's hold ends at its next firing row, by the scalar loop's test, or past row n, which never fires.
+        stop = None if period is None else max(int(np.searchsorted(trace.t, next_sample - half)), i + 1)
+        start, (x, y, th) = trigger.run_blocks(trace, i, hold_block, (x, y, th), stop)
         # The scalar loop takes row `start`.  Should it not fire there,
         # blocks resume a row later.
         block_from = start + 1

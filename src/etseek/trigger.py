@@ -19,16 +19,17 @@ The averaged loop's Xi squares G with ``g * g`` where
 :func:`trigger_value` uses ``** 2``, so its reference fires on the Xi it
 records and latches with :func:`control_input`.
 
-Holds, for both event-triggered loops: hold blocks and the held control.
+Holds, for every update policy: hold blocks and the held control.
 
-Between events the latched control is constant, and a hold can last for
+Between updates the latched control is constant, and a hold can last for
 the rest of a run (the 60 s ``paper_siv`` run holds for its last 56 s in
-the full loop, and for its last 59.9 s in the averaged loop).  Once a hold
-has lasted ``_SCALAR_HOLD`` steps, the event-triggered loops hand its
-rows to :func:`run_blocks`, which computes them in blocks of doubling
-width and hands back to the scalar loop at the first row that fires.
-Both loops fire on the Xi they record, so the runner reads that rule off
-the block's ``xi`` column.  Blocks read their times off the trace's
+the full loop, and for its last 59.9 s in the averaged loop).  The loops
+hand a hold's rows to :func:`run_blocks`, which computes them in blocks
+of doubling width and hands back to the scalar loop where the hold ends.
+A trigger's hold ends at the first row that fires; both loops fire on the
+Xi they record, so the runner reads that rule off the block's ``xi``
+column.  A sample clock's hold ends at its next firing row, known in
+advance, whatever Xi's sign.  Blocks read their times off the trace's
 ``t``, filled before the run; :func:`fill_control` writes u after it.
 
 Each loop supplies its fold: its scalar step's arithmetic done
@@ -182,13 +183,14 @@ def step_trigger(
 # Hold blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK (about
 # 1 MB of temporaries).  A first block costs about as much as 40 (averaged)
 # to 60 (full) scalar steps, so short holds, as inside the trigger-floor
-# ball, stay on the scalar path.
+# ball, stay on the scalar path: a trigger's hold for _SCALAR_HOLD steps,
+# and a sample clock's whole hold unless its period spans _SCALAR_HOLD // 2.
 _SCALAR_HOLD = 128
 _FIRST_BLOCK = 256
 _MAX_BLOCK = 4096
 
 
-def run_blocks(trace: SimulationTrace, start: int, fold, state: tuple):
+def run_blocks(trace: SimulationTrace, start: int, fold, state: tuple, stop: int | None = None):
     """Fill the rows of a hold from row ``start`` on, block by block.
 
     ``fold(t, state)`` computes one block from the times ``t`` of its rows
@@ -197,24 +199,25 @@ def run_blocks(trace: SimulationTrace, start: int, fold, state: tuple):
     and the block's trace columns by name.
 
     Returns the row where the scalar loop resumes, and the running state
-    there: the first row that fires (its ``xi`` is negative or not finite)
-    or fails (its ``|q|`` exceeds ``Q_LIMIT`` or is NaN), or one past the
-    last row once the hold reaches it.
+    there: the first row that fails (its ``xi`` is not finite, or its ``|q|``
+    exceeds ``Q_LIMIT`` or is NaN) or ends the hold.  A sample clock's hold
+    ends at its firing row ``stop``; the trigger's at the first row whose
+    ``xi`` is negative, or one past the last row.
     """
-    n = len(trace) - 1
+    end = len(trace) if stop is None else stop
     width = _FIRST_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            rows = min(width, n + 1 - start)
+            rows = min(width, end - start)
             states, columns = fold(trace.t[start:start + rows], state)
             xi = columns["xi"]
-            held = np.isfinite(xi) & (xi >= 0.0) & (np.abs(columns["q"]) <= Q_LIMIT)
+            held = np.isfinite(xi) & (np.abs(columns["q"]) <= Q_LIMIT) & (xi >= 0.0 if stop is None else True)
             k = rows if held.all() else int(held.argmin())
             for name, values in columns.items():
                 trace.column(name)[start:start + k] = values[:k]
             start += k
             state = tuple(float(s[k]) for s in states)
-            if k < rows or start > n:
+            if k < rows or start == end:
                 return start, state
             width = min(2 * width, _MAX_BLOCK)
 

@@ -318,6 +318,29 @@ def test_full_loop_full_horizon_digests(name):
     assert trace_digest(trace) == FULL_LOOP_DIGESTS[name]
 
 
+# The sample clocks over the same horizons, pinned while every clock row ran
+# on the scalar loop.  A 20 ms or 50 ms clock now holds in hold blocks; a
+# diverging run pins the time of its NonFiniteStateError.
+CLOCK_DIGESTS = {
+    ("paper_siv.cfg", 0.05): 0.3501,
+    ("smallgain.cfg", 0.02): "209a99eb9b187de28c6ccfe1fee3e4e71ea1a504c8ff8879338a70dbe091dccb",
+    ("smallgain.cfg", 0.05): "65fef7e4f68f7e3b616d028c10779d3757375d31bc7ef0c2558c19a8a6e069d0",
+}
+
+
+@pytest.mark.parametrize("name, period", sorted(CLOCK_DIGESTS))
+def test_sample_clock_full_horizon_digests(name, period):
+    sc = replace(load_scenario(name), mode="sampled-data", sample_period=period)
+    expected = CLOCK_DIGESTS[(name, period)]
+    if isinstance(expected, float):
+        with pytest.raises(NonFiniteStateError) as info:
+            run_simulation(sc)
+        assert info.value.t == expected
+        return
+    trace, _ = run_simulation(sc)
+    assert trace_digest(trace) == expected
+
+
 HOLD_CASES = {
     # Two events, then one hold that runs to the horizon.
     "paper_siv": replace(load_scenario("paper_siv.cfg"), mode="average", t_final=0.5),

@@ -23,6 +23,7 @@ TIER1_OUTPUT = (
 #: The output of the in-process run: one JSON line.
 IN_PROCESS_OUTPUT = (
     '{"runs": {"paper_siv full, 60 s": [0.52, 0.49, 0.61],'
+    ' "smallgain sampled-data(0.05), 30 s": [0.27, 0.25, 0.33],'
     ' "verify paper_siv, 60 s": [0.1, 0.098, 0.11]},'
     ' "export_s": [1.31, 1.05, 1.12], "import_s": [2.4, 2.2, 2.6], "rows": 600001,'
     ' "csv_bytes": 161234567}\n'
@@ -132,6 +133,7 @@ def test_in_process_entry_is_min_and_median(tool):
         "export_s": {"min": 1.05, "median": 1.12, "n": 3},
         "import_s": {"min": 2.2, "median": 2.4, "n": 3},
         "runs": {"paper_siv full, 60 s": {"min": 0.49, "median": 0.52, "n": 3},
+                 "smallgain sampled-data(0.05), 30 s": {"min": 0.25, "median": 0.27, "n": 3},
                  "verify paper_siv, 60 s": {"min": 0.098, "median": 0.1, "n": 3}},
     }
     record = json.loads(IN_PROCESS_OUTPUT)

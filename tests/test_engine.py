@@ -283,19 +283,60 @@ def test_overflowing_estimate_raises_at_the_same_row_in_blocks(monkeypatch, siv_
         assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column
 
 
-@pytest.mark.parametrize("mode, period", [("continuous-control", None), ("sampled-data", 0.01)])
-def test_sample_clocks_never_enter_hold_blocks(monkeypatch, siv_scenario, mode, period):
-    # paper_siv under a 10 ms clock holds for 100 steps at a time; with
-    # _SCALAR_HOLD = 0 any hold would reach the runner.  The full loop is
-    # the control that shows the stand-in is reachable.
-    def refuse(*args):
-        raise AssertionError("entered the hold-block runner")
+# (scenario fixture, mode, period, t_final, the rows where the shipped
+# threshold enters the runner).  A 1.5e-4 s clock holds for 0 or 1 row, a
+# 12.9 ms clock for 128 rows and a 50 ms clock for 499, and a 0.6 s clock
+# holds from row 1 to the horizon.  The 20 ms run ends on a clock row, which
+# never fires, and paper_siv diverges under a 50 ms clock at 0.3501 s, on
+# the first row of a hold.
+CLOCK_RUNS = [
+    ("smallgain_scenario", "continuous-control", None, 0.05, []),
+    ("smallgain_scenario", "sampled-data", 1.5e-4, 0.05, []),
+    ("smallgain_scenario", "sampled-data", 0.0129, 0.5, list(range(1, 5000, 129))),
+    ("smallgain_scenario", "sampled-data", 0.02, 1.02, list(range(1, 10200, 200))),
+    ("smallgain_scenario", "sampled-data", 0.05, 0.5, list(range(1, 5000, 500))),
+    ("smallgain_scenario", "sampled-data", 0.6, 0.5, [1]),
+    ("siv_scenario", "sampled-data", 0.05, 0.5, list(range(1, 3501, 500))),
+]
 
-    monkeypatch.setattr(trigger, "_SCALAR_HOLD", 0)
-    monkeypatch.setattr(trigger, "run_blocks", refuse)
-    run_simulation(replace(siv_scenario, mode=mode, sample_period=period, t_final=0.5))
-    with pytest.raises(AssertionError, match="hold-block runner"):
-        run_simulation(replace(siv_scenario, t_final=0.5))
+
+@pytest.mark.parametrize("scalar_hold", [0, 1, 2, 128])
+@pytest.mark.parametrize("fixture, mode, period, t_final, entries", CLOCK_RUNS)
+def test_sample_clock_holds_match_the_scalar_loop(
+    monkeypatch, request, scalar_hold, fixture, mode, period, t_final, entries
+):
+    # A clock's hold ends at its next sample, whatever Xi's sign, so the
+    # shipped threshold hands each long hold to the runner once, from its
+    # first row.  At every threshold, down to 0 where even
+    # continuous-control hands its last row to the runner, the trace (or
+    # the time of the failure) is the one the scalar loop alone writes.
+    sc = replace(request.getfixturevalue(fixture), mode=mode, sample_period=period, t_final=t_final)
+    entered = []
+    run_blocks = trigger.run_blocks
+
+    def recorded(trace, start, *args):
+        entered.append(start)
+        return run_blocks(trace, start, *args)
+
+    def run():
+        try:
+            return run_simulation(sc)[0]
+        except NonFiniteStateError as exc:
+            return exc.t
+
+    monkeypatch.setattr(trigger, "run_blocks", recorded)
+    monkeypatch.setattr(trigger, "_SCALAR_HOLD", 10**9)
+    scalar = run()
+    assert not entered
+    monkeypatch.setattr(trigger, "_SCALAR_HOLD", scalar_hold)
+    blocked = run()
+    if scalar_hold == 128:
+        assert entered == entries
+    if isinstance(scalar, float):
+        assert blocked == scalar
+        return
+    for column in TRACE_COLUMNS:
+        assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column
 
 
 def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_scenario):

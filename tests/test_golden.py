@@ -4,8 +4,9 @@ Each case runs 2 s of a shipped scenario and pins the sha256 of every
 trace column and of the event log, so any change to a single output bit
 fails here.  A case whose run diverges pins the time carried by its
 ``NonFiniteStateError`` instead.  The digests were generated before the
-full-plant loop was inlined and must not change with refactors of the
-engine or of the trace I/O.
+full-plant loop was inlined, those of the 20 ms and 50 ms sample clocks
+before their holds went to hold blocks, and must not change with
+refactors of the engine or of the trace I/O.
 """
 
 import hashlib
@@ -59,6 +60,7 @@ GOLDEN = {
     },
     ("paper_siv.cfg", "continuous-control"): 1.5082,
     ("paper_siv.cfg", "sampled-data(0.01)"): 1.1101,
+    ("paper_siv.cfg", "sampled-data(0.05)"): 0.3501,
     ("smallgain.cfg", "full"): {
         "t": "c3438ffac7ace05c91efd7024076fb2af88f68749014fd8f01ab2b546dda708c",
         "x": "87409daf4ee15925aa8849110de2710183b441c3ca137d49900ad66dc61642fd",
@@ -131,6 +133,42 @@ GOLDEN = {
         "event": "e1e8a9497c14a96ce2e811a524dbd3c2fcffd7bb705c3b780cadf61e61403cd8",
         "events": "3e0fd177f8fbbe5e697bec84982a78824f4e7ac02255cf57afe9be1adcf92894",
     },
+    ("smallgain.cfg", "sampled-data(0.02)"): {
+        "t": "c3438ffac7ace05c91efd7024076fb2af88f68749014fd8f01ab2b546dda708c",
+        "x": "c169fdb18df0a34f945f7d75ae0b0425008def3c9e0c889e49750fee7653f06f",
+        "y": "f6d9424e3e8ca70d1c8c0a66f924879aa4e3ed06a964bc60987152ac847a4187",
+        "theta": "393c05c84160d7daf555d99d925b1b75131dd3967eeee0c9f765d622393e5354",
+        "xhat": "37bc73ce0f49b689398b01595b247d7259058639601adb6a99ceaf1372399ff6",
+        "yhat": "e3b362521c6e8f40bac77d2caa093a235fb6d9bbe7204470c9ce16da4741f308",
+        "thetahat": "93cc10c43667270570afb5bd2b5a5d1af0765e004c463eb62bdc2615485938cc",
+        "q": "9f19357fdd453858495187babfcb16df250407070479d03edcaff7beebaa50b6",
+        "g1": "2bcdee1d907d96c01af9dcc039ad8c889e7a779682e46b258c9d432ac1f3f175",
+        "g2": "3da701f51eeb78e0c85b0e3efe5c45cfa8865c132178c831b4c4f7e9cf1bb27c",
+        "g3": "f84dcfe70a1d6307108dcb5d23cebdf1c56b718368ba6ef327727f90fbf71ab5",
+        "u1": "175344e5fd32a5045a0f4c0017df7fbd6ef9dad80fabf028b260a54ea6a5b2eb",
+        "u2": "01fcc7e557b1f4a720e649f737ceb7e688a6f1015f0b7f0323393de0096bfefa",
+        "xi": "10e057c14701ed4f6c19c9a7263132ddb503b738dd22ac240ec525f3bea77d11",
+        "event": "e5819737036603b23c8bbf5a72320920d2a91d9785997d67a428432cc319ae80",
+        "events": "72b6cb8527b48a29866d4b7fbda371e100867f29c512fc5c38cd53d612145fef",
+    },
+    ("smallgain.cfg", "sampled-data(0.05)"): {
+        "t": "c3438ffac7ace05c91efd7024076fb2af88f68749014fd8f01ab2b546dda708c",
+        "x": "80ccfbefeea5578fefb0ddd94f83a24ccf3125d5b18a120e3144dd66458f802b",
+        "y": "eb9a03f20634eb337e228412c5f73c3bb5f0ab7df64cac2c65b7cd38eadc305e",
+        "theta": "a6def395166d87c3abb6a29abe0ccf34512cbe4873e126d18480e4d9fddf626d",
+        "xhat": "c218cc4144ae5ab13d567527e8f004d5cd1af7718d298260db17b966d03c3481",
+        "yhat": "c4aeed0f6126cd9062115f04f527347a5b76c68dc80d42698feb3d14a4ad3283",
+        "thetahat": "f266dafc525432fa288f91a3655d0eb6959fc31d71362cedff5e76315a1b1dcb",
+        "q": "bc407241ab65d8ed38ecd9ad14c91bbca539b83a717178df7734e2df43113750",
+        "g1": "14fc052444bba289292dc4db43afd607537badc3dafa61dfc2259157c3e5717c",
+        "g2": "6e84fed27ca8f35a85a89177bdfcdf804f960690a417f4c1c430e38300963672",
+        "g3": "231aa2fded4708c09bd634c1784f0ca1fd481ba8701496dc67a1ab6e4e1e189a",
+        "u1": "5b44a3e80c3c301398258e4ab119481912f4147b5133c45f9def3c78b4204d00",
+        "u2": "f63a9c64c80c8987ff4869bcd5f1e2465c5ee121e845f1917e9435906a99b8de",
+        "xi": "956437ea041d3e8d8c3840b036ae3a3aa57382b366c437e072ce2965c7d8b757",
+        "event": "045cd03dd1f9912fce84728c49a3a176258b156aafad0c190e6806ed6d210302",
+        "events": "179e4ba0a572f381dcd9fc47f7530d3758348767a603d90df54eda6ee8d47907",
+    },
 }
 
 
@@ -169,6 +207,12 @@ GOLDEN_METRICS = {
     ),
     ("smallgain.cfg", "sampled-data(0.01)"): (
         20000, 200, 0.009999999999999787, 0.009999999999999998, 0.4005682046041331
+    ),
+    ("smallgain.cfg", "sampled-data(0.02)"): (
+        20000, 100, 0.019999999999999796, 0.02, 0.6564557541877724
+    ),
+    ("smallgain.cfg", "sampled-data(0.05)"): (
+        20000, 40, 0.04999999999999982, 0.05, 0.7056212560959739
     ),
 }
 

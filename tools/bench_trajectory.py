@@ -38,10 +38,10 @@ Next it times what no workload measures, in a fresh Python process on
 the checkout's ``src/``, each three times and recorded as the min and
 the median: the runs of ``ROADMAP.md`` item 1's "Current figures" table
 (``paper_siv`` full and averaged for 60 s, ``smallgain`` full,
-``continuous-control`` and averaged for 30 s, and ``verify`` on
-``paper_siv`` for 60 s), then the CSV export and import of the 60 s
-``paper_siv`` full trace (600,001 rows, about 161 MB) into a temporary
-directory.
+``continuous-control``, ``sampled-data(0.05)`` and averaged for 30 s,
+and ``verify`` on ``paper_siv`` for 60 s), then the CSV export and
+import of the 60 s ``paper_siv`` full trace (600,001 rows, about
+161 MB) into a temporary directory.
 
 It counts the modules of ``src/etseek/*.py`` and their lines (newlines,
 as ``wc -l`` counts them) into a top-level ``src`` entry.
@@ -92,8 +92,8 @@ from etseek.traceio import export_trace, import_trace
 siv, smallgain = load_scenario("paper_siv.cfg"), load_scenario("smallgain.cfg")
 
 
-def scenario(base, mode, seconds):
-    return replace(base, t_final=seconds, mode=mode, sample_period=None)
+def scenario(base, mode, seconds, period=None):
+    return replace(base, t_final=seconds, mode=mode, sample_period=period)
 
 
 RUNS = {
@@ -101,6 +101,8 @@ RUNS = {
     "smallgain full, 30 s": (run_simulation, scenario(smallgain, "full", 30.0)),
     "smallgain continuous-control, 30 s":
         (run_simulation, scenario(smallgain, "continuous-control", 30.0)),
+    "smallgain sampled-data(0.05), 30 s":
+        (run_simulation, scenario(smallgain, "sampled-data", 30.0, 0.05)),
     "paper_siv average, 60 s": (run_simulation, scenario(siv, "average", 60.0)),
     "smallgain average, 30 s": (run_simulation, scenario(smallgain, "average", 30.0)),
     "verify paper_siv, 60 s": (verify_scenario, scenario(siv, "full", 60.0)),
