@@ -243,7 +243,7 @@ def verify_scenario(sc: Scenario) -> tuple[TheoryReport, SimulationTrace | None]
     report.decay_rate = lam_q_min * (1.0 - sc.trigger.sigma) / lam_p_max
     avg_trace = run_average_loop(model, sc)
     report.envelope_violations = decay_envelope_check(
-        avg_trace, cert.p, report.decay_rate, 0.05, floor=trigger_floor(sc.trigger)
+        avg_trace, cert.p, report.decay_rate, 0.05, floor=trigger_floor(sc.trigger, sc.bias)
     )
     report.min_inter_event, _ = inter_event_stats(avg_trace)
     return report, avg_trace

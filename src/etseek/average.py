@@ -92,7 +92,7 @@ def run_average_loop(model: AverageModel, sc: Scenario) -> SimulationTrace:
     a13 = float(model.a[0, 2])
     a23 = float(model.a[1, 2])
     d1, d2, d3 = model.delta_bar.tolist()
-    sigma, alpha, bias, q_star = consts.sigma, consts.alpha, consts.bias, field.q_star
+    sigma, alpha, bias, q_star = consts.sigma, consts.alpha, sc.bias, field.q_star
     trace = SimulationTrace.preallocate(n + 1, system="average")
     np.multiply(np.arange(n + 1), dt, out=trace.t)
     half = 0.5 * dt

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from etseek import trace
 from etseek.trace import ScenarioError
-from etseek.trigger import GainMatrix, TriggerConstants
+from etseek.trigger import GainMatrix, TriggerConstants, trigger_bias
 from etseek.vehicle import DitherParams, QuadraticField, VehicleState
 
 MODES = ("full", "average", "continuous-control", "sampled-data")
@@ -46,6 +46,7 @@ class Scenario:
     sample_period: float | None = None
 
     def __post_init__(self) -> None:
+        trigger_bias(self.dithers)  # refuses a3 outside J_2's domain and a bias that overflows
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ScenarioError("run.dt", "must be finite and > 0")
         if not math.isfinite(self.t_final):
@@ -60,6 +61,11 @@ class Scenario:
                 raise ScenarioError("run.mode", "sampled-data requires a finite positive period")
         elif self.sample_period is not None:
             raise ScenarioError("run.mode", "sample_period only applies to sampled-data")
+
+    @property
+    def bias(self) -> float:
+        """The trigger bias of the dithers, :func:`etseek.trigger.trigger_bias`."""
+        return trigger_bias(self.dithers)
 
     @property
     def steps(self) -> int:
@@ -229,8 +235,7 @@ def load_scenario(path: str | Path) -> Scenario:
     gn.reject_unknown()
 
     trg = _SectionReader(parser, "trigger")
-    sigma, alpha = trg.get_float("sigma"), trg.get_float("alpha")
-    trigger = TriggerConstants.from_dithers(sigma, alpha, dithers)
+    trigger = TriggerConstants(trg.get_float("sigma"), trg.get_float("alpha"))
     trg.reject_unknown()
 
     run = _SectionReader(parser, "run")
@@ -260,19 +265,13 @@ def scale_probing_frequency(sc: Scenario, factor: float) -> Scenario:
 
     All three probing frequencies are multiplied and all amplitudes
     divided by the same factor, preserving the frequency pattern and all
-    a_i*omega_i products; the trigger bias is re-derived accordingly.
+    a_i*omega_i products; the trigger bias follows the new dithers.
     """
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"frequency scale factor must be finite and > 0, got {factor}")
     d = sc.dithers
-    scaled = DitherParams(
-        a1=d.a1 / factor,
-        a2=d.a2 / factor,
-        a3=d.a3 / factor,
-        omega1=d.omega1 * factor,
-        omega2=d.omega2 * factor,
-        omega3=d.omega3 * factor,
-        frequency_override=d.frequency_override,
+    scaled = replace(
+        d, a1=d.a1 / factor, a2=d.a2 / factor, a3=d.a3 / factor,
+        omega1=d.omega1 * factor, omega2=d.omega2 * factor, omega3=d.omega3 * factor,
     )
-    trigger = TriggerConstants.from_dithers(sc.trigger.sigma, sc.trigger.alpha, scaled)
-    return replace(sc, dithers=scaled, trigger=trigger)
+    return replace(sc, dithers=scaled)

@@ -147,7 +147,7 @@ def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
     field = sc.field
     x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star
     (k00, k01, k02), (k10, k11, k12) = sc.gain.rows
-    sigma, alpha, bias = sc.trigger.sigma, sc.trigger.alpha, sc.trigger.bias
+    sigma, alpha, bias = sc.trigger.sigma, sc.trigger.alpha, sc.bias
     dt = sc.dt
     n = sc.steps
     trace = SimulationTrace.preallocate(n + 1, system="full")

@@ -5,9 +5,9 @@ Events fire at the first time where
     Xi = sigma*||Ghat|| - alpha*(||e|| + bias) < 0,
 
 with e the deviation of the gradient estimate from its value at the last
-event and bias the constant a1*omega3*|J_2(a3)| that dominates the norm
-of the averaged disturbance.  Between events the control is held
-constant; t = 0 is always an event.
+event and bias the constant a1*omega3*|J_2(a3)| (:func:`trigger_bias`)
+that dominates the norm of the averaged disturbance.  Between events the
+control is held constant; t = 0 is always an event.
 
 The full-plant and averaged loops inline this rule over local floats as
 ``i == 0 or xi < 0.0`` on grid row i: each fires on the Xi it records in
@@ -25,7 +25,7 @@ Between updates the latched control is constant, and a hold can last for
 the rest of a run (the 60 s ``paper_siv`` run holds for its last 56 s in
 the full loop, and for its last 59.9 s in the averaged loop).  The loops
 hand a hold's rows to :func:`run_blocks`, which computes them in blocks
-of doubling width and hands back to the scalar loop where the hold ends.
+and hands back to the scalar loop where the hold ends.
 A trigger's hold ends at the first row that fires; both loops fire on the
 Xi they record, so the runner reads that rule off the block's ``xi``
 column.  A sample clock's hold ends at its next firing row, known in
@@ -59,31 +59,28 @@ from etseek.vehicle import DitherParams, GradientEstimate, bessel_j
 
 @dataclass(frozen=True)
 class TriggerConstants:
-    """sigma in (0, 1), alpha > 0 and bias >= 0, each refused under its file key."""
+    """sigma in (0, 1) and alpha > 0, each refused under its file key."""
 
     sigma: float
     alpha: float
-    bias: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.sigma < 1.0):
             raise ScenarioError("trigger.sigma", f"must lie in (0, 1), got {self.sigma}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ScenarioError("trigger.alpha", f"must be > 0, got {self.alpha}")
-        if not (math.isfinite(self.bias) and self.bias >= 0.0):
-            msg = f"trigger bias a1*omega3*|J_2(a3)|: must be finite and >= 0, got {self.bias}"
-            raise ScenarioError("dithers", msg)
 
-    @classmethod
-    def from_dithers(
-        cls, sigma: float, alpha: float, d: DitherParams
-    ) -> "TriggerConstants":
-        """Derive the bias a1*omega3*|J_2(a3)|; J_2 refuses |a3| > 10 as ``dithers.a3``."""
-        try:
-            j2 = bessel_j(2, d.a3)
-        except ValueError as exc:
-            raise ScenarioError("dithers.a3", str(exc)) from exc
-        return cls(sigma, alpha, d.a1 * d.omega3 * abs(j2))
+
+def trigger_bias(d: DitherParams) -> float:
+    """a1*omega3*|J_2(a3)|; refuses |a3| > 10 as ``dithers.a3``, an overflow as ``dithers``."""
+    try:
+        bias = d.a1 * d.omega3 * abs(bessel_j(2, d.a3))
+    except ValueError as exc:
+        raise ScenarioError("dithers.a3", str(exc)) from exc
+    if not (math.isfinite(bias) and bias >= 0.0):
+        msg = f"trigger bias a1*omega3*|J_2(a3)|: must be finite and >= 0, got {bias}"
+        raise ScenarioError("dithers", msg)
+    return bias
 
 
 @dataclass(frozen=True)
@@ -126,12 +123,12 @@ def error_vector(
 
 
 def trigger_value(
-    current: GradientEstimate, e: tuple[float, float, float], c: TriggerConstants
+    current: GradientEstimate, e: tuple[float, float, float], c: TriggerConstants, bias: float
 ) -> float:
     """Xi = sigma*||Ghat|| - alpha*(||e|| + bias), Euclidean norms."""
     g_norm = math.sqrt(current[0] ** 2 + current[1] ** 2 + current[2] ** 2)
     e_norm = math.sqrt(e[0] ** 2 + e[1] ** 2 + e[2] ** 2)
-    return c.sigma * g_norm - c.alpha * (e_norm + c.bias)
+    return c.sigma * g_norm - c.alpha * (e_norm + bias)
 
 
 def control_input(gain: GainMatrix, latched: GradientEstimate) -> tuple[float, float]:
@@ -143,9 +140,9 @@ def control_input(gain: GainMatrix, latched: GradientEstimate) -> tuple[float, f
     )
 
 
-def trigger_floor(c: TriggerConstants) -> float:
+def trigger_floor(c: TriggerConstants, bias: float) -> float:
     """Radius 2*(alpha/sigma)*bias of the steady-state trigger floor ball."""
-    return 2.0 * (c.alpha / c.sigma) * c.bias
+    return 2.0 * (c.alpha / c.sigma) * bias
 
 
 def step_trigger(
@@ -153,6 +150,7 @@ def step_trigger(
     t: float,
     current: GradientEstimate,
     c: TriggerConstants,
+    bias: float,
     gain: GainMatrix,
 ) -> bool:
     """Evaluate the trigger at time t and latch on Xi < 0.
@@ -170,7 +168,7 @@ def step_trigger(
         fire = True
     else:
         e = error_vector(state.held_gradient, current)
-        fire = trigger_value(current, e, c) < 0.0 and t > state.last_event_time
+        fire = trigger_value(current, e, c, bias) < 0.0 and t > state.last_event_time
     if fire:
         control = control_input(gain, current)
         state.held_gradient = current
@@ -180,11 +178,11 @@ def step_trigger(
     return fire
 
 
-# Hold blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK (about
-# 1 MB of temporaries).  A first block costs about as much as 40 (averaged)
-# to 60 (full) scalar steps, so short holds, as inside the trigger-floor
-# ball, stay on the scalar path: a trigger's hold for _SCALAR_HOLD steps,
-# and a sample clock's whole hold unless its period spans _SCALAR_HOLD // 2.
+# Blocks span up to _MAX_BLOCK rows (about 1 MB of temporaries); a trigger's
+# hold, of unknown length, starts at _FIRST_BLOCK rows and doubles.  A first
+# block costs as much as 40 (averaged) to 60 (full) scalar steps, so short
+# holds stay scalar: a trigger's for _SCALAR_HOLD steps, as inside the
+# trigger-floor ball, and a clock's unless its period spans _SCALAR_HOLD // 2.
 _SCALAR_HOLD = 128
 _FIRST_BLOCK = 256
 _MAX_BLOCK = 4096
@@ -205,7 +203,7 @@ def run_blocks(trace: SimulationTrace, start: int, fold, state: tuple, stop: int
     ``xi`` is negative, or one past the last row.
     """
     end = len(trace) if stop is None else stop
-    width = _FIRST_BLOCK
+    width = _FIRST_BLOCK if stop is None else _MAX_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             rows = min(width, end - start)

@@ -10,8 +10,10 @@ source position for its pose.
 
 The gradient estimate is the instantaneous product of the demodulation
 sinusoids with the raw measured signal; no washout or low-pass stage is
-inserted.  Its one-period average recovers the pose-estimation error to
-first order, which is what the averaged analysis relies on.
+inserted.  The averaged analysis takes its one-period average for the
+pose-estimation error, but with omega1 = omega2 = 2*omega3 the plant's
+planar average moves by about I + J0(a3) R(2 theta*) per unit of error,
+not by I (README "Known defects" 5 defines the reflection R).
 
 The averaged loop matrices and the trigger bias need J_0 and J_2, the
 Bessel functions of the first kind, at the angular dither amplitude

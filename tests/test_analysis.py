@@ -169,7 +169,7 @@ def _verify_trace(config, t_final):
     model = build_average_matrices(sc.field.theta_star, sc.dithers)
     k = np.asarray(sc.gain.rows, dtype=float)
     p = solve_lyapunov(model.a - model.b @ k, np.eye(3)).p
-    return trace, p, report.decay_rate, trigger_floor(sc.trigger)
+    return trace, p, report.decay_rate, trigger_floor(sc.trigger, sc.bias)
 
 
 class TestDecayEnvelope:

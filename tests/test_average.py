@@ -12,25 +12,27 @@ from etseek.average import AverageModel, build_average_matrices, run_average_loo
 from etseek.config import Scenario, load_scenario, scale_probing_frequency
 from etseek.engine import run_simulation
 from etseek.trace import TRACE_COLUMNS, NonFiniteStateError, ScenarioError, SimulationTrace
-from etseek.trigger import TriggerConstants, trigger_floor
+from etseek.trigger import TriggerConstants, trigger_bias, trigger_floor
 from etseek.vehicle import DitherParams, QuadraticField, VehicleState, bessel_j
 from tests.conftest import PAPER_SIV_GAIN, THETA_STAR
 from tests.reference import average_derivative, delta_bar_norm_bound, period_average_drift
 
 # Source at the origin: the pose columns then carry the averaged error itself.
 ORIGIN = QuadraticField(0.0, 0.0, 0.0, 0.0)
+NO_DITHERS = DitherParams(0.0, 0.0, 0.0, 4.0, 4.0, 2.0)
 
 
-def loop_scenario(gain, consts, g0, dt, t_final):
-    """A scenario whose averaged loop starts from G(0) = g0 exactly.
+def loop_scenario(gain, consts, g0, dt, t_final, dithers=NO_DITHERS):
+    """A scenario whose averaged loop starts from G(0) = g0 exactly, under
+    the trigger bias a1*omega3*|J_2(a3)| of ``dithers``.
 
-    With the source at the origin and zero dither amplitudes the estimator
-    pose at t = 0 is the initial pose itself (pinned by
-    tests/test_vehicle.py::TestEstimatorPose::test_zero_amplitudes_identity).
-    The model is passed to the loop on its own, so the dithers set nothing else.
+    With the source at the origin the estimator pose at t = 0 is the
+    initial pose with y offset by a2/2, so the scenario takes ``dithers``
+    with a2 = 0, which the bias does not read.  The model is passed to the
+    loop on its own, so the dithers set nothing else.
     """
     return Scenario(
-        field=ORIGIN, dithers=DitherParams(0.0, 0.0, 0.0, 4.0, 4.0, 2.0), gain=gain,
+        field=ORIGIN, dithers=replace(dithers, a2=0.0), gain=gain,
         trigger=consts, initial=VehicleState(*g0), dt=dt, t_final=t_final, mode="average",
     )
 
@@ -117,6 +119,29 @@ def test_period_average_drift_closed_forms(thetahat):
     assert period_average_drift(d, thetahat, (0.0, 0.0)) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, a_col, d_delta",
+    [("smallgain.cfg", (-0.03612, 0.13479), 0.07223), ("paper_siv.cfg", (-0.05601, 0.20903), 0.11202)],
+)
+def test_a_third_column_is_not_the_derivative_of_delta_bar(name, a_col, d_delta):
+    # The transcribed model is not self-consistent: A[:, 2] should be
+    # d(delta_bar)/d(theta*), the drift's linearization in the heading
+    # error, but A[1, 2] is delta_bar[0] itself and A[0, 2] half its
+    # derivative, so A[:2, 2] is neither (README "Known defects" 5).
+    sc = load_scenario(name)
+    d, theta_star = sc.dithers, sc.field.theta_star
+    model = build_average_matrices(theta_star, d)
+    h = 1e-5
+    ahead = build_average_matrices(theta_star + h, d).delta_bar
+    behind = build_average_matrices(theta_star - h, d).delta_bar
+    derivative = (ahead - behind) / (2.0 * h)
+    assert model.a[1, 2] == model.delta_bar[0]
+    assert model.a[0, 2] == pytest.approx(0.5 * derivative[0], rel=1e-9)
+    assert model.a[:2, 2] == pytest.approx(a_col, abs=1e-5)
+    assert derivative[:2] == pytest.approx((-d_delta, d_delta), abs=1e-5)
+    assert not np.allclose(model.a[:2, 2], derivative[:2], rtol=0.1)
+
+
 class TestDeltaBarNormBound:
     def test_siv_values(self):
         model, d = siv_model()
@@ -178,7 +203,7 @@ class TestRunAverageLoop:
     def test_equilibrium_at_origin(self):
         model, _ = siv_model()
         no_bias = AverageModel(a=model.a, b=model.b, delta_bar=np.zeros(3))
-        c = TriggerConstants(0.5, 0.195, 0.0)
+        c = TriggerConstants(0.5, 0.195)
         trace = run_average_loop(
             no_bias, loop_scenario(PAPER_SIV_GAIN, c, (0.0, 0.0, 0.0), 1e-3, 0.5)
         )
@@ -192,25 +217,27 @@ class TestRunAverageLoop:
         # the last row and so not an event.  The scenario refuses any
         # t_final < dt before the loop can see it.
         model, d = siv_model()
-        c = TriggerConstants.from_dithers(0.5, 0.195, d)
+        c = TriggerConstants(0.5, 0.195)
         g0 = (2.5, 2.75, math.pi / 6)
         with pytest.raises(ScenarioError, match="run.t_final"):
-            loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-3, 3e-4)
-        trace = run_average_loop(model, loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-3, 1e-3))
+            loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-3, 3e-4, d)
+        trace = run_average_loop(model, loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-3, 1e-3, d))
         assert len(trace) == 2
         assert trace.event_indices().tolist() == [0]
 
     def test_continuous_decay(self):
         # The Euclidean norm of a non-normal stable system is not monotone
         # (it transiently grows here); the Lyapunov-weighted norm is, and
-        # the state must contract to zero.  The trigger bias puts the whole
-        # run inside the floor ball of radius 2*(alpha/sigma)*bias = 780,
+        # the state must contract to zero.  A trigger bias of 1e3 puts the
+        # whole run inside the floor ball of radius 2*(alpha/sigma)*bias = 780,
         # where Xi < 0 at every step, so the control is updated every step.
         model, _ = siv_model()
         no_bias = AverageModel(a=model.a, b=model.b, delta_bar=np.zeros(3))
-        c = TriggerConstants(0.5, 0.195, 1e3)
+        c = TriggerConstants(0.5, 0.195)
+        d = replace(NO_DITHERS, a1=1e3 / (2.0 * bessel_j(2, 1.0)), a3=1.0)
+        assert trigger_bias(d) == pytest.approx(1e3, rel=1e-15)
         trace = run_average_loop(
-            no_bias, loop_scenario(PAPER_SIV_GAIN, c, (1.0, -0.5, 0.3), 1e-3, 12.0)
+            no_bias, loop_scenario(PAPER_SIV_GAIN, c, (1.0, -0.5, 0.3), 1e-3, 12.0, d)
         )
         assert trace.event[:-1].all()
         k = np.asarray(PAPER_SIV_GAIN.rows)
@@ -230,14 +257,14 @@ class TestRunAverageLoop:
         known-defects section of the README.
         """
         model, d = siv_model()
-        c = TriggerConstants.from_dithers(0.5, 0.195, d)
+        c = TriggerConstants(0.5, 0.195)
         trace = run_average_loop(
-            model, loop_scenario(PAPER_SIV_GAIN, c, (2.5, 2.75, math.pi / 6), 1e-4, 60.0)
+            model, loop_scenario(PAPER_SIV_GAIN, c, (2.5, 2.75, math.pi / 6), 1e-4, 60.0, d)
         )
         assert trace.events.shape[0] == 2
         assert trace.events[1, 0] == pytest.approx(0.0953, abs=1e-6)
         final_norm = math.sqrt(trace.g1[-1] ** 2 + trace.g2[-1] ** 2 + trace.g3[-1] ** 2)
-        assert final_norm > trigger_floor(c)
+        assert final_norm > trigger_floor(c, trigger_bias(d))
 
     def test_lyapunov_rate_between_events_with_certified_alpha(self):
         """Finite-difference check of dV/dt <= -lmin(Q)(1-sigma)||G||^2.
@@ -260,15 +287,15 @@ class TestRunAverageLoop:
             2.0 * np.linalg.norm(cert.p, 2) / lam_q,
         )
         sigma = 0.5
-        c = TriggerConstants.from_dithers(sigma, alpha, d)
+        c = TriggerConstants(sigma, alpha)
         dt = 1e-4
         # Large initial condition: the certified alpha makes the trigger
         # floor sit around 24, and the decay claim only applies above it.
-        trace = run_average_loop(model, loop_scenario(gain, c, (80.0, 60.0, 30.0), dt, 8.0))
+        trace = run_average_loop(model, loop_scenario(gain, c, (80.0, 60.0, 30.0), dt, 8.0, d))
         g = np.stack([trace.g1, trace.g2, trace.g3], axis=1)
         v = np.einsum("ij,jk,ik->i", g, cert.p, g)
         norms = np.linalg.norm(g, axis=1)
-        floor = trigger_floor(c)
+        floor = trigger_floor(c, trigger_bias(d))
         rate = lam_q * (1.0 - sigma)
         checked = 0
         for i in range(len(trace) - 1):
@@ -439,7 +466,7 @@ def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
 
     monkeypatch.setattr(SimulationTrace, "preallocate", marked)
     model, d = siv_model()
-    c = TriggerConstants.from_dithers(0.5, 0.195, d)
+    c = TriggerConstants(0.5, 0.195)
     g0 = (7e49, -7e49, 3.5e49)
     first_blocks = trigger._SCALAR_HOLD + trigger._FIRST_BLOCK
     failed_at = []
@@ -448,7 +475,7 @@ def test_overflow_in_a_hold_block_raises_at_the_scalar_row(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as info:
-                run_average_loop(model, loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-4, 0.1))
+                run_average_loop(model, loop_scenario(PAPER_SIV_GAIN, c, g0, 1e-4, 0.1, d))
         failed_at.append(info.value.t)
     blocked, scalar = traces
     written = np.count_nonzero(~np.isnan(scalar.q))

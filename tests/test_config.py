@@ -57,7 +57,7 @@ class TestPaperScenario:
         assert sc.gain.rows == ((4.3822, 4.3822, 0.1437), (-9.4326, 9.4326, 4.0))
         assert sc.trigger.sigma == 0.5
         assert sc.trigger.alpha == 0.195
-        assert sc.trigger.bias == pytest.approx(SIV_BIAS, abs=1e-15)
+        assert sc.bias == pytest.approx(SIV_BIAS, abs=1e-15)
         assert (sc.initial.x, sc.initial.y) == (12.5, 7.5)
         assert sc.initial.theta == pytest.approx(math.pi / 3, abs=1e-15)
         assert sc.dt == 1e-4 and sc.t_final == 60.0 and sc.mode == "full"
@@ -173,7 +173,7 @@ class TestValidation:
         from etseek.vehicle import bessel_j
 
         expected = 0.5 * 2.0 * abs(bessel_j(2, 0.25))
-        assert sc.trigger.bias == pytest.approx(expected, abs=1e-15)
+        assert sc.bias == pytest.approx(expected, abs=1e-15)
 
 
 class TestModes:
@@ -230,9 +230,32 @@ class TestFrequencyScaling:
         from etseek.vehicle import bessel_j
 
         d = scaled.dithers
-        assert scaled.trigger.bias == pytest.approx(
+        assert scaled.bias == pytest.approx(
             d.a1 * d.omega3 * abs(bessel_j(2, d.a3)), abs=1e-15
         )
+
+
+def test_replaced_dithers_run_like_a_file_with_them(tmp_path, smallgain_scenario):
+    # The trigger bias is read off the dithers, so halving a1 through
+    # dataclasses.replace halves it too: the run is the one a file with a1
+    # halved gives, bit for bit, events included.
+    from dataclasses import replace
+
+    from etseek.engine import run_simulation
+    from etseek.trace import TRACE_COLUMNS
+
+    text = packaged_scenario_path("smallgain.cfg").read_text(encoding="utf-8")
+    assert text.count("\na1 = 0.5\n") == 1
+    path = tmp_path / "halved.cfg"
+    path.write_text(text.replace("\na1 = 0.5\n", "\na1 = 0.25\n"), encoding="utf-8")
+    sc = smallgain_scenario
+    replaced = replace(sc, dithers=replace(sc.dithers, a1=0.5 * sc.dithers.a1), t_final=1.0)
+    loaded = replace(load_scenario(path), t_final=1.0)
+    (a, _), (b, _) = run_simulation(replaced), run_simulation(loaded)
+    for column in TRACE_COLUMNS:
+        assert a.column(column).tobytes() == b.column(column).tobytes(), column
+    assert a.events.tobytes() == b.events.tobytes()
+    assert replaced == loaded and replaced.bias == 0.5 * sc.bias
 
 
 # Valid [run] and [trigger] values, of which up to three are replaced by

@@ -41,7 +41,7 @@ def equilibrium_scenario():
         field=QuadraticField(10.0, 5.0, math.pi / 6, 7.0),
         dithers=DitherParams(0.0, 0.0, 0.0, 4.0, 4.0, 2.0),
         gain=PAPER_SIV_GAIN,
-        trigger=TriggerConstants(0.5, 0.195, 0.0),
+        trigger=TriggerConstants(0.5, 0.195),
         initial=VehicleState(10.0, 5.0, math.pi / 6),
         dt=1e-3,
         t_final=0.05,
@@ -168,11 +168,11 @@ class TestRunSimulation:
             run_simulation(sc)
 
     def test_smallgain_converges_end_to_end(self, smallgain_scenario):
-        """Full-horizon run of the compliant scenario reaches the source.
+        """Full-horizon run of the compliant scenario ends near the source.
 
         The neighborhood radius is set by the dither amplitudes and the
-        averaged bias amplification; observed final errors sit near 0.9 m
-        (3-norm over position and heading).
+        averaged bias amplification; the 30 s run ends at 0.853 (3-norm
+        over position and heading), 0.849 m from the source.
         """
         trace, metrics = run_simulation(smallgain_scenario)
         assert metrics.final_error_norm <= 1.5
@@ -337,6 +337,33 @@ def test_sample_clock_holds_match_the_scalar_loop(
         return
     for column in TRACE_COLUMNS:
         assert blocked.column(column).tobytes() == scalar.column(column).tobytes(), column
+
+
+def test_a_clock_hold_is_one_block_and_a_trigger_hold_doubles(
+    monkeypatch, smallgain_scenario, siv_scenario
+):
+    # A clock's hold ends at a row known in advance, so the runner takes it
+    # in one block of up to _MAX_BLOCK rows: a 50 ms clock's 499-row holds
+    # are one fold each, not 256 + 243.  A trigger's hold, whose end is not
+    # known, starts at _FIRST_BLOCK rows and doubles.
+    folds = []
+    run_blocks = trigger.run_blocks
+
+    def recorded(trace, start, fold, *args):
+        def counted(t, state):
+            folds[-1].append(len(t))
+            return fold(t, state)
+
+        folds.append([])
+        return run_blocks(trace, start, counted, *args)
+
+    monkeypatch.setattr(trigger, "run_blocks", recorded)
+    run_simulation(replace(smallgain_scenario, mode="sampled-data", sample_period=0.05, t_final=0.5))
+    assert folds == [[499]] * 10
+    folds.clear()
+    run_simulation(replace(siv_scenario, t_final=4.0))
+    assert folds[-1][:3] == [256, 512, 1024]
+    assert all(width <= trigger._MAX_BLOCK for widths in folds for width in widths)
 
 
 def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_scenario):

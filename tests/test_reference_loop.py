@@ -61,11 +61,11 @@ def reference_run_full(sc):
         else:
             h = trig.held_gradient
             e = (h[0] - g[0], h[1] - g[1], h[2] - g[2])
-        xi = trigger_value(g, e, sc.trigger)
+        xi = trigger_value(g, e, sc.trigger, sc.bias)
         fired = False
         if i < n:
             if sc.mode == "full":
-                fired = step_trigger(trig, t, g, sc.trigger, sc.gain)
+                fired = step_trigger(trig, t, g, sc.trigger, sc.bias, sc.gain)
             elif sc.mode == "continuous-control" or t >= next_sample - 0.5 * dt:
                 trig.held_gradient = g
                 trig.held_control = control_input(sc.gain, g)
@@ -123,7 +123,7 @@ def reference_run_average(sc):
             e = (h[0] - g1, h[1] - g2, h[2] - g3)
         e_norm = math.sqrt(e[0] ** 2 + e[1] ** 2 + e[2] ** 2)
         g_norm = math.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
-        xi = consts.sigma * g_norm - consts.alpha * (e_norm + consts.bias)
+        xi = consts.sigma * g_norm - consts.alpha * (e_norm + sc.bias)
         # The averaged loop fires on the Xi it records, whose norm squares
         # with g * g where trigger_value uses ** 2; latch like step_trigger.
         fired = i < n and (i == 0 or xi < 0.0)

@@ -17,6 +17,7 @@ from etseek.trigger import (
     control_input,
     error_vector,
     step_trigger,
+    trigger_bias,
     trigger_floor,
     trigger_value,
 )
@@ -24,27 +25,24 @@ from etseek.vehicle import VehicleState
 from tests.conftest import PAPER_SIV_GAIN
 
 SIV_BIAS = 0.3060402345868264
-SIV_CONSTS = TriggerConstants(sigma=0.5, alpha=0.195, bias=SIV_BIAS)
+SIV_CONSTS = TriggerConstants(sigma=0.5, alpha=0.195)
 
 
 class TestConstants:
     def test_bias_from_dithers(self, siv_dithers):
-        c = TriggerConstants.from_dithers(0.5, 0.195, siv_dithers)
-        assert c.bias == pytest.approx(SIV_BIAS, abs=1e-15)
+        assert trigger_bias(siv_dithers) == pytest.approx(SIV_BIAS, abs=1e-15)
 
     def test_validation(self, siv_dithers):
         # Each rule names the scenario-file key of its value.
         with pytest.raises(ScenarioError, match=r"^trigger\.sigma: must lie in \(0, 1\), got 1.2$"):
-            TriggerConstants(sigma=1.2, alpha=0.1, bias=0.0)
+            TriggerConstants(sigma=1.2, alpha=0.1)
         with pytest.raises(ScenarioError, match=r"^trigger\.alpha: must be > 0, got 0\.0$"):
-            TriggerConstants(sigma=0.5, alpha=0.0, bias=0.0)
-        with pytest.raises(ScenarioError, match=r"^dithers: trigger bias .*got -1\.0$"):
-            TriggerConstants(sigma=0.5, alpha=0.1, bias=-1.0)
+            TriggerConstants(sigma=0.5, alpha=0.0)
         with pytest.raises(ScenarioError, match=r"^dithers\.a3: Bessel series is accurate only"):
-            TriggerConstants.from_dithers(0.5, 0.195, replace(siv_dithers, a3=12.0))
+            trigger_bias(replace(siv_dithers, a3=12.0))
 
     def test_floor(self):
-        assert trigger_floor(SIV_CONSTS) == pytest.approx(0.2387113829777246, abs=1e-12)
+        assert trigger_floor(SIV_CONSTS, SIV_BIAS) == pytest.approx(0.2387113829777246, abs=1e-12)
 
 
 class TestErrorVector:
@@ -61,17 +59,17 @@ class TestErrorVector:
 
 class TestTriggerValue:
     def test_zero_gradient(self):
-        xi = trigger_value((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), SIV_CONSTS)
+        xi = trigger_value((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), SIV_CONSTS, SIV_BIAS)
         assert xi == pytest.approx(-0.05967784574443115, abs=1e-12)
 
     def test_unit_gradient(self):
-        xi = trigger_value((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), SIV_CONSTS)
+        xi = trigger_value((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), SIV_CONSTS, SIV_BIAS)
         assert xi == pytest.approx(0.44032215425556885, abs=1e-12)
 
     def test_boundary_is_exactly_zero(self):
         # sigma, alpha, bias and the norms are all exact binary fractions.
-        c = TriggerConstants(sigma=0.5, alpha=0.25, bias=0.75)
-        xi = trigger_value((0.5, 0.0, 0.0), (0.25, 0.0, 0.0), c)
+        c = TriggerConstants(sigma=0.5, alpha=0.25)
+        xi = trigger_value((0.5, 0.0, 0.0), (0.25, 0.0, 0.0), c, 0.75)
         assert xi == 0.0
 
 
@@ -92,7 +90,7 @@ class TestControlInput:
 class TestStepTrigger:
     def test_time_zero_is_always_an_event(self):
         st = TriggerState()
-        fired = step_trigger(st, 0.0, (0.2, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+        fired = step_trigger(st, 0.0, (0.2, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
         assert fired
         assert st.last_event_time == 0.0
         assert len(st.events) == 1
@@ -101,26 +99,26 @@ class TestStepTrigger:
     def test_no_event_right_after_latch(self):
         # e = 0 and ||G|| above (alpha/sigma)*bias keeps Xi positive.
         st = TriggerState()
-        step_trigger(st, 0.0, (1.0, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
-        fired = step_trigger(st, 0.01, (1.0, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+        step_trigger(st, 0.0, (1.0, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
+        fired = step_trigger(st, 0.01, (1.0, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
         assert not fired
         assert len(st.events) == 1
 
     def test_decayed_gradient_fires(self):
         # sigma*||G|| < alpha*bias makes Xi negative independently of e.
         st = TriggerState()
-        step_trigger(st, 0.0, (0.05, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
-        fired = step_trigger(st, 0.01, (0.05, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+        step_trigger(st, 0.0, (0.05, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
+        fired = step_trigger(st, 0.01, (0.05, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
         assert fired
 
     def test_boundary_does_not_fire(self):
-        c = TriggerConstants(sigma=0.5, alpha=0.25, bias=0.75)
+        c = TriggerConstants(sigma=0.5, alpha=0.25)
         st = TriggerState()
-        step_trigger(st, 0.0, (0.75, 0.0, 0.0), c, PAPER_SIV_GAIN)
+        step_trigger(st, 0.0, (0.75, 0.0, 0.0), c, 0.75, PAPER_SIV_GAIN)
         # held (0.75,0,0) against current (0.5,0,0): e = (0.25,0,0) and
         # Xi = 0.5*0.5 - 0.25*(0.25+0.75) = 0 exactly; the strict
         # inequality must keep the hold.
-        fired = step_trigger(st, 0.5, (0.5, 0.0, 0.0), c, PAPER_SIV_GAIN)
+        fired = step_trigger(st, 0.5, (0.5, 0.0, 0.0), c, 0.75, PAPER_SIV_GAIN)
         assert not fired
 
     def test_scripted_linear_drift_fires_at_predicted_step(self):
@@ -129,14 +127,14 @@ class TestStepTrigger:
         # s* = (0.5 - 0.195*bias) / 0.695; the event must land at the first
         # grid point strictly beyond s*.
         st = TriggerState()
-        step_trigger(st, 0.0, (1.0, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+        step_trigger(st, 0.0, (1.0, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
         s_star = (0.5 - 0.195 * SIV_BIAS) / 0.695
         ds = 1e-3
         fired_at = None
         for k in range(1, 1001):
             s = k * ds
             g = (1.0 - s, 0.0, 0.0)
-            if step_trigger(st, s, g, SIV_CONSTS, PAPER_SIV_GAIN):
+            if step_trigger(st, s, g, SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN):
                 fired_at = k
                 break
         assert fired_at is not None
@@ -145,17 +143,17 @@ class TestStepTrigger:
 
     def test_rejects_non_monotone_time(self):
         st = TriggerState()
-        step_trigger(st, 1.0, (1.0, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+        step_trigger(st, 1.0, (1.0, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
         with pytest.raises(ValueError):
-            step_trigger(st, 0.5, (1.0, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+            step_trigger(st, 0.5, (1.0, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
 
     def test_event_times_strictly_increase(self):
         st = TriggerState()
-        step_trigger(st, 0.0, (0.01, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+        step_trigger(st, 0.0, (0.01, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
         # Xi stays negative at this tiny norm, but a second event at the
         # same instant must not be recorded.
-        assert not step_trigger(st, 0.0, (0.01, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
-        assert step_trigger(st, 1e-4, (0.01, 0.0, 0.0), SIV_CONSTS, PAPER_SIV_GAIN)
+        assert not step_trigger(st, 0.0, (0.01, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
+        assert step_trigger(st, 1e-4, (0.01, 0.0, 0.0), SIV_CONSTS, SIV_BIAS, PAPER_SIV_GAIN)
         times = [e.time for e in st.events]
         assert times == sorted(times) and len(set(times)) == len(times)
 
