@@ -16,8 +16,8 @@ import warnings
 from dataclasses import replace
 
 from etseek.analysis import averaging_error, verify_scenario
-from etseek.config import load_scenario, parse_mode, scale_probing_frequency
-from etseek.engine import _ahead, _full_loop_ahead, run_simulation
+from etseek.config import load_scenario, scale_probing_frequency
+from etseek.engine import _full_loop_ahead, run_simulation
 from etseek.trace import NonFiniteStateError, ScenarioError
 from etseek.traceio import export_metrics, export_trace
 from etseek.vehicle import bessel_j
@@ -66,14 +66,17 @@ def _build_parser() -> _Parser:
 
 
 def _load_with_overrides(args):
+    for flag in ("out", "metrics"):
+        if getattr(args, flag, None) == "":
+            raise ScenarioError(f"cli.{flag}", "empty file path")
     sc = load_scenario(args.config)
     updates = {}
     if args.dt is not None:
         updates["dt"] = args.dt
     if args.t_final is not None:
         updates["t_final"] = args.t_final
-    if args.mode:
-        updates["mode"], updates["sample_period"] = parse_mode(args.mode)
+    if args.mode is not None:
+        updates["mode"] = args.mode.strip()
     return replace(sc, **updates) if updates else sc
 
 
@@ -125,19 +128,15 @@ def _cmd_compare(args) -> int:
             raise ScenarioError(
                 "cli.omega-list", f"--omega-list value {omega} cannot scale the scenario: {exc}"
             ) from exc
-    runs = [[replace(scaled, mode=mode, sample_period=None) for mode in ("full", "average")]
-            for _, scaled in lanes]
+    runs = [[replace(scaled, mode=mode) for mode in ("full", "average")] for _, scaled in lanes]
     deviations: dict[str, float] = {}
-    try:
-        for j, (omega, _) in enumerate(lanes):
-            # While this lane runs, a child may run the next lane's full loop.
-            with _full_loop_ahead(runs[j + 1][0] if j + 1 < len(runs) else None):
-                # Both runs from one call site: the grid warning prints once per site.
-                dev = averaging_error(*(run_simulation(run)[0] for run in runs[j]))
-                deviations[f"{omega:g}"] = dev
-                print(f"omega3={omega:g}: sup deviation = {dev:.6g}")
-    finally:
-        _ahead.clear()
+    for j, (omega, _) in enumerate(lanes):
+        # While this lane runs, a child may run the next lane's full loop.
+        with _full_loop_ahead(runs[j + 1][0] if j + 1 < len(runs) else None):
+            # Both runs from one call site: the grid warning prints once per site.
+            dev = averaging_error(*(run_simulation(run)[0] for run in runs[j]))
+            deviations[f"{omega:g}"] = dev
+            print(f"omega3={omega:g}: sup deviation = {dev:.6g}")
     ratios = {}
     for lo, hi in zip(omegas[:-1], omegas[1:]):
         ratios[f"{hi:g}/{lo:g}"] = deviations[f"{hi:g}"] / deviations[f"{lo:g}"]

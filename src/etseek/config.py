@@ -8,6 +8,7 @@ directly; it is derived from the dithers as a1*omega3*|J_2(a3)|.  The
 reader checks only what a file alone states (syntax, finiteness, unknown
 keys, ``_deg`` conflicts, a_i > 0); the value types check every other
 rule, each raising :class:`ScenarioError` under the value's file key.
+The mode text is a run's whole update policy, read by :func:`mode_period`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from etseek.trace import ScenarioError
 from etseek.trigger import GainMatrix, TriggerConstants, trigger_bias
 from etseek.vehicle import DitherParams, QuadraticField, VehicleState
 
-MODES = ("full", "average", "continuous-control", "sampled-data")
+#: The update period of each mode that names no sample period.
+_PERIODS = {"full": None, "average": None, "continuous-control": 0.0}
 
 _SAMPLED_RE = re.compile(r"^sampled-data\(([^)]+)\)$")
 
@@ -43,9 +45,9 @@ class Scenario:
     dt: float = _DEFAULT_DT
     t_final: float = _DEFAULT_T_FINAL
     mode: str = "full"
-    sample_period: float | None = None
 
     def __post_init__(self) -> None:
+        mode_period(self.mode)
         trigger_bias(self.dithers)  # refuses a3 outside J_2's domain and a bias that overflows
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ScenarioError("run.dt", "must be finite and > 0")
@@ -53,19 +55,16 @@ class Scenario:
             raise ScenarioError("run.t_final", "must be finite")
         if self.t_final < self.dt:
             raise ScenarioError("run.t_final", "must be >= dt")
-        if self.mode not in MODES:
-            raise ScenarioError("run.mode", f"unknown mode {self.mode!r}")
-        if self.mode == "sampled-data":
-            period = self.sample_period
-            if period is None or not (math.isfinite(period) and period > 0.0):
-                raise ScenarioError("run.mode", "sampled-data requires a finite positive period")
-        elif self.sample_period is not None:
-            raise ScenarioError("run.mode", "sample_period only applies to sampled-data")
 
     @property
     def bias(self) -> float:
         """The trigger bias of the dithers, :func:`etseek.trigger.trigger_bias`."""
         return trigger_bias(self.dithers)
+
+    @property
+    def update_period(self) -> float | None:
+        """The mode's control update period, :func:`mode_period`."""
+        return mode_period(self.mode)
 
     @property
     def steps(self) -> int:
@@ -85,21 +84,22 @@ class Scenario:
         return round(steps)
 
 
-def parse_mode(text: str) -> tuple[str, float | None]:
-    """Split a mode string into (mode, sample period)."""
-    text = text.strip()
-    match = _SAMPLED_RE.match(text)
-    if match:
-        try:
-            period = float(match.group(1))
-        except ValueError as exc:
-            raise ScenarioError("run.mode", f"bad sampled-data period {match.group(1)!r}") from exc
-        if not (math.isfinite(period) and period > 0.0):
-            raise ScenarioError("run.mode", f"sampled-data period must be finite and > 0, got {period}")
-        return "sampled-data", period
-    if text in MODES and text != "sampled-data":
-        return text, None
-    raise ScenarioError("run.mode", f"unknown mode {text!r}")
+def mode_period(mode: str) -> float | None:
+    """The update period a mode names: None under the event trigger (``full``,
+    ``average``), 0.0 for every step (``continuous-control``), P for the
+    clock ``sampled-data(P)``.  Raises ScenarioError under ``run.mode`` else."""
+    if mode in _PERIODS:
+        return _PERIODS[mode]
+    match = _SAMPLED_RE.match(str(mode))
+    if not match:
+        raise ScenarioError("run.mode", f"unknown mode {mode!r}")
+    try:
+        period = float(match.group(1))
+    except ValueError as exc:
+        raise ScenarioError("run.mode", f"bad sampled-data period {match.group(1)!r}") from exc
+    if not (math.isfinite(period) and period > 0.0):
+        raise ScenarioError("run.mode", f"sampled-data period must be finite and > 0, got {period}")
+    return period
 
 
 class _SectionReader:
@@ -244,7 +244,6 @@ def load_scenario(path: str | Path) -> Scenario:
         y=run.get_float("y0"),
         theta=run.get_angle("theta0"),
     )
-    mode, period = parse_mode(run.get_str("mode", "full"))
     scenario = Scenario(
         field=field,
         dithers=dithers,
@@ -253,8 +252,7 @@ def load_scenario(path: str | Path) -> Scenario:
         initial=initial,
         dt=run.get_float("dt", _DEFAULT_DT),
         t_final=run.get_float("t_final", _DEFAULT_T_FINAL),
-        mode=mode,
-        sample_period=period,
+        mode=run.get_str("mode", "full"),
     )
     run.reject_unknown()
     return scenario

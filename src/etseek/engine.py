@@ -1,9 +1,9 @@
 """Fixed-step integration engine and run orchestration.
 
-:func:`run_simulation` is the one reader of a scenario's mode.  It runs
-the event trigger on the full plant (``full``) or on the averaged loop
+:func:`run_simulation` maps a scenario's mode to its loop.  It runs the
+event trigger on the full plant (``full``) or on the averaged loop
 (``average``), or the full plant updated every step
-(``continuous-control``) or every sample period (``sampled-data``).
+(``continuous-control``) or every P seconds (``sampled-data(P)``).
 
 One classical RK4 step per grid point with the held control treated as
 constant over the step, which is exactly what the zero-order hold means.
@@ -83,25 +83,25 @@ def run_simulation(sc: Scenario) -> tuple[SimulationTrace, RunMetrics]:
     - ``full``: the full plant under the event trigger;
     - ``continuous-control``: the full plant, updated every step (a sample
       clock of period 0);
-    - ``sampled-data``: the full plant, updated every ``sample_period``;
+    - ``sampled-data(P)``: the full plant, updated every P seconds;
     - ``average``: the averaged loop under the event trigger.
 
-    Only the two trigger modes build the averaged model and warn on a coarse
-    grid.  A ``full`` run returns the trace that :func:`_full_loop_ahead`
-    handed off for this very ``Scenario`` object, if any, in place of running
-    its loop (identity, not equality: ``x0 = -0.0`` equals ``0.0``).  The
-    final error is the last pose's distance from the source, which on the
-    averaged loop is the norm of the last G.
+    Only the trigger modes (update period None) build the averaged model and
+    warn on a coarse grid.  Each run first takes any trace that
+    :func:`_full_loop_ahead` handed off, so none outlives it; a ``full`` run
+    uses it in place of its loop only if it ran for this very ``Scenario``
+    (identity, not equality: ``x0 = -0.0`` equals ``0.0``).  The final error
+    is the last pose's distance from the source, on the averaged loop the
+    norm of the last G.
     """
+    handed_to, trace = _ahead.pop() if _ahead else (None, None)
     f = sc.field
-    period = {"full": None, "average": None, "continuous-control": 0.0, "sampled-data": sc.sample_period}[sc.mode]
-    model = trigger_model(sc)[0] if period is None else None
+    model = trigger_model(sc)[0] if sc.update_period is None else None
     if sc.mode == "average":
         trace = run_average_loop(model, sc)
         final_error = math.sqrt(trace.g1[-1] ** 2 + trace.g2[-1] ** 2 + trace.g3[-1] ** 2)
     else:
-        ahead = _ahead.pop() if _ahead else (None, None)
-        trace = ahead[1] if ahead[0] is sc else _run_full(sc, period)
+        trace = trace if handed_to is sc else _run_full(sc)
         x, y, th = float(trace.x[-1]), float(trace.y[-1]), float(trace.theta[-1])
         final_error = math.sqrt((x - f.x_star) ** 2 + (y - f.y_star) ** 2 + (th - f.theta_star) ** 2)
     num_events = int(np.count_nonzero(trace.event))
@@ -126,7 +126,7 @@ def _full_loop_ahead(sc: Scenario | None):
 
     def run(_, spill):
         warnings.simplefilter("error")  # in the child, which leaves through os._exit
-        trace = _run_full(sc, None)
+        trace = _run_full(sc)
         spill.write(trace.t.base)
         spill.write(trace.event)
 
@@ -140,9 +140,9 @@ def _full_loop_ahead(sc: Scenario | None):
                     _ahead[:] = [(sc, trace)]
 
 
-def _run_full(sc: Scenario, period: float | None) -> SimulationTrace:
-    """The full plant's loop; ``period`` is None for the event trigger, else
-    the sample clock's period."""
+def _run_full(sc: Scenario) -> SimulationTrace:
+    """The full plant's loop, under the event trigger or a sample clock."""
+    period = sc.update_period  # None for the event trigger
     d = sc.dithers
     field = sc.field
     x_star, y_star, theta_star, q_star = field.x_star, field.y_star, field.theta_star, field.q_star

@@ -51,6 +51,12 @@ def random_hurwitz(rng):
 
 
 class TestSolveLyapunov:
+    @pytest.mark.parametrize("acl, q", [(np.ones((2, 3)), np.eye(2)), (-np.eye(3), np.eye(2))])
+    def test_non_square_input_is_refused(self, acl, q):
+        with pytest.raises(ValueError) as raised:
+            solve_lyapunov(acl, q)
+        assert str(raised.value) == "solve_lyapunov expects square matrices of equal size"
+
     def test_identity_case(self):
         cert = solve_lyapunov(-np.eye(3), np.eye(3))
         assert np.abs(cert.p - 0.5 * np.eye(3)).max() <= 1e-12

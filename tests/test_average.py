@@ -357,7 +357,7 @@ CLOCK_DIGESTS = {
 
 @pytest.mark.parametrize("name, period", sorted(CLOCK_DIGESTS))
 def test_sample_clock_full_horizon_digests(name, period):
-    sc = replace(load_scenario(name), mode="sampled-data", sample_period=period)
+    sc = replace(load_scenario(name), mode=f"sampled-data({period})")
     expected = CLOCK_DIGESTS[(name, period)]
     if isinstance(expected, float):
         with pytest.raises(NonFiniteStateError) as info:

@@ -195,11 +195,39 @@ def test_src_entry_counts_the_package_modules(tool, monkeypatch):
     (package / "vehicle.py").write_text("import math\n\n\nX = math.pi\n")
     (package / "scenarios" / "paper_siv.cfg").write_text("[field]\n")
     (package / "scenarios" / "nested.py").write_text("Y = 1\n")
-    assert tool.src_size(tool.ROOT) == {"modules": 2, "lines": 5}
+    assert tool.src_size(tool.ROOT) == {"modules": 2, "lines": 5, "code_lines": 2}
     monkeypatch.setattr(tool, "run_workload", lambda name, seed, seconds: canned_record())
     assert tool.main(["3"]) == 0
     payload = json.loads((tool.ROOT / "BENCH_3.json").read_text())
-    assert payload["src"] == {"modules": 2, "lines": 5}
+    assert payload["src"] == {"modules": 2, "lines": 5, "code_lines": 2}
+
+
+def test_code_lines_skip_blanks_docstrings_and_whole_line_comments(tool):
+    source = (
+        '"""Module doc,\n\nover three lines."""\n'
+        "import math  # a trailing comment leaves a code line\n"
+        "\n"
+        "    # an indented whole-line comment\n"
+        "class A:\n"
+        "    '''Class doc.'''\n"
+        "\n"
+        "    def f(self):\n"
+        '        """Function doc."""\n'
+        '        text = """a string,\n'
+        "\n"
+        '        not a docstring"""\n'
+        "        return (text,\n"
+        "                math.pi)\n"
+        "\n"
+        "\n"
+        "async def g():\n"
+        "    '''Doc.'''\n"
+        "    'an expression after the docstring'\n"
+    )
+    # import, class, def, the string's two non-blank lines, the return's two
+    # lines, async def and the later expression.
+    assert tool.code_lines(source) == 9
+    assert tool.code_lines("") == 0
 
 
 def test_a_failed_operation_writes_nothing(tool, monkeypatch, capsys):

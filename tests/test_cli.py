@@ -11,7 +11,7 @@ import pytest
 from test_traceio import SLEEP_S, _PartFaults, assert_no_child_left
 
 import etseek
-from etseek import engine, traceio
+from etseek import cli, engine, traceio
 from etseek.analysis import trigger_model
 from etseek.cli import _build_parser, main
 from etseek.config import packaged_scenario_path
@@ -456,6 +456,44 @@ def test_compare_refuses_an_empty_omega_entry(capsys, omegas):
     captured = capsys.readouterr()
     assert captured.err == f"error: cli.omega-list: entry 2 of {omegas!r} is empty\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("omegas", "refusal"),
+    [("20,x", "not numeric: '20,x'"), ("20", "need at least two omega3 values")],
+)
+def test_compare_refuses_a_non_numeric_entry_or_a_single_value(capsys, omegas, refusal):
+    code = main([
+        "compare", "--config", "smallgain.cfg", "--omega-list", omegas, "--t-final", "0.01",
+    ])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: cli.omega-list: {refusal}\n")
+
+
+@pytest.mark.parametrize(
+    ("verb", "flag"),
+    [("simulate", "out"), ("simulate", "metrics"), ("average", "out"), ("average", "metrics"),
+     ("verify", "metrics"), ("compare", "metrics")],
+)
+def test_an_empty_output_path_is_refused_before_any_run(monkeypatch, capsys, verb, flag):
+    monkeypatch.setattr(cli, "load_scenario", lambda path: pytest.fail("a scenario was loaded"))
+    lanes = ["--omega-list", "20,40"] if verb == "compare" else []
+    assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.01", *lanes, f"--{flag}", ""]) == 1
+    assert capsys.readouterr() == ("", f"error: cli.{flag}: empty file path\n")
+
+
+@pytest.mark.parametrize("mode", ["", "  "])
+def test_an_empty_mode_is_refused(capsys, mode):
+    assert main(["simulate", "--config", "smallgain.cfg", "--t-final", "0.01", "--mode", mode]) == 1
+    assert capsys.readouterr() == ("", "error: run.mode: unknown mode ''\n")
+
+
+@pytest.mark.parametrize(
+    ("mode", "summary"), [(" full ", "full: "), ("sampled-data(0.005)", "sampled-data(0.005): ")]
+)
+def test_the_summary_line_starts_with_the_stripped_mode(capsys, mode, summary):
+    assert main(["simulate", "--config", "smallgain.cfg", "--t-final", "0.01", "--mode", mode]) == 0
+    assert capsys.readouterr().out.startswith(f"{summary}steps=100 events=")
 
 
 @pytest.mark.parametrize(

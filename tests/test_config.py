@@ -8,8 +8,8 @@ from etseek.config import (
     Scenario,
     ScenarioError,
     load_scenario,
+    mode_period,
     packaged_scenario_path,
-    parse_mode,
     scale_probing_frequency,
 )
 
@@ -167,6 +167,20 @@ class TestValidation:
         sc = load_scenario(path)
         assert sc.field.theta_star == pytest.approx(math.pi / 4, abs=1e-15)
 
+    @pytest.mark.parametrize("gain, refusal", [
+        ({"row1": None, "row2": None}, "gain: missing section"),
+        ({"row2": None}, "gain.row2: missing key"),
+        ({"row1": "4.3822 4.3822"}, "gain.row1: expected 3 entries, got 2"),
+        ({"row1": "4.3822 x 0.1437"}, "gain.row1: not numeric: '4.3822 x 0.1437'"),
+    ])
+    def test_gain_section_refusals_name_the_key(self, tmp_path, gain, refusal):
+        path = write_cfg(tmp_path, gain=gain)
+        path.write_text(path.read_text().replace("[gain]\n\n", ""))  # an emptied section goes
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == refusal
+        assert info.value.context == refusal.split(":")[0]
+
     def test_bias_follows_dithers(self, tmp_path):
         path = write_cfg(tmp_path, dithers={"a3": "0.25"})
         sc = load_scenario(path)
@@ -177,27 +191,35 @@ class TestValidation:
 
 
 class TestModes:
-    def test_parse_mode(self):
-        assert parse_mode("full") == ("full", None)
-        assert parse_mode("average") == ("average", None)
-        assert parse_mode("continuous-control") == ("continuous-control", None)
-        assert parse_mode("sampled-data(0.01)") == ("sampled-data", 0.01)
+    def test_mode_period(self):
+        assert mode_period("full") is None
+        assert mode_period("average") is None
+        assert mode_period("continuous-control") == 0.0
+        assert mode_period("sampled-data(0.01)") == 0.01
         with pytest.raises(ScenarioError):
-            parse_mode("sampled-data")
+            mode_period("sampled-data")
         with pytest.raises(ScenarioError):
-            parse_mode("sampled-data(huh)")
+            mode_period("sampled-data(huh)")
         with pytest.raises(ScenarioError):
-            parse_mode("turbo")
+            mode_period("turbo")
 
     @pytest.mark.parametrize("period", ["nan", "inf", "-inf", "0", "-0.01"])
-    def test_parse_mode_rejects_bad_periods(self, period):
+    def test_mode_period_rejects_bad_periods(self, period):
         with pytest.raises(ScenarioError, match="run.mode"):
-            parse_mode(f"sampled-data({period})")
+            mode_period(f"sampled-data({period})")
 
     def test_sampled_mode_in_config(self, tmp_path):
         path = write_cfg(tmp_path, run={"mode": "sampled-data(0.05)"})
         sc = load_scenario(path)
-        assert sc.mode == "sampled-data" and sc.sample_period == 0.05
+        assert sc.mode == "sampled-data(0.05)" and sc.update_period == 0.05
+
+    @pytest.mark.parametrize("mode", ["turbo", None])
+    def test_replace_refuses_an_unknown_mode(self, siv_scenario, mode):
+        from dataclasses import replace
+
+        with pytest.raises(ScenarioError) as info:
+            replace(siv_scenario, mode=mode)
+        assert (info.value.context, str(info.value)) == ("run.mode", f"run.mode: unknown mode {mode!r}")
 
     def test_scenario_guards(self, siv_scenario):
         from dataclasses import replace
@@ -212,7 +234,7 @@ class TestModes:
             with pytest.raises(ScenarioError, match="run.t_final"):
                 replace(siv_scenario, t_final=bad)
             with pytest.raises(ScenarioError, match="run.mode"):
-                replace(siv_scenario, mode="sampled-data", sample_period=bad)
+                replace(siv_scenario, mode=f"sampled-data({bad})")
 
 
 class TestFrequencyScaling:
@@ -306,4 +328,5 @@ def test_run_and_trigger_values_load_or_raise_scenario_error(tmp_path, drawn, in
     sc = load_scenario(path)
     assert (sc.trigger.sigma, sc.trigger.alpha) == (v["sigma"], v["alpha"])
     assert (sc.initial.x, sc.initial.y, sc.initial.theta) == (v["x0"], v["y0"], theta)
-    assert (sc.dt, sc.t_final, sc.mode, sc.sample_period) == (v["dt"], v["t_final"], mode, period)
+    assert (sc.dt, sc.t_final, sc.mode) == (v["dt"], v["t_final"], run["mode"])
+    assert sc.update_period == {"continuous-control": 0.0, "sampled-data": period}.get(mode)

@@ -113,7 +113,7 @@ class TestRunSimulation:
         base = replace(smallgain_scenario, t_final=0.05)
         cont, _ = run_simulation(replace(base, mode="continuous-control"))
         samp, _ = run_simulation(
-            replace(base, mode="sampled-data", sample_period=base.dt)
+            replace(base, mode=f"sampled-data({base.dt})")
         )
         # Continuous control is the sample clock with period 0; a period of
         # dt fires on the same rows and so yields the same bits.
@@ -123,7 +123,7 @@ class TestRunSimulation:
 
     def test_sampled_data_period(self, smallgain_scenario):
         sc = replace(
-            smallgain_scenario, mode="sampled-data", sample_period=0.01, t_final=0.1
+            smallgain_scenario, mode="sampled-data(0.01)", t_final=0.1
         )
         trace, metrics = run_simulation(sc)
         expected = np.arange(0.0, 0.1, 0.01)
@@ -310,7 +310,8 @@ def test_sample_clock_holds_match_the_scalar_loop(
     # first row.  At every threshold, down to 0 where even
     # continuous-control hands its last row to the runner, the trace (or
     # the time of the failure) is the one the scalar loop alone writes.
-    sc = replace(request.getfixturevalue(fixture), mode=mode, sample_period=period, t_final=t_final)
+    mode = mode if period is None else f"{mode}({period})"
+    sc = replace(request.getfixturevalue(fixture), mode=mode, t_final=t_final)
     entered = []
     run_blocks = trigger.run_blocks
 
@@ -358,7 +359,7 @@ def test_a_clock_hold_is_one_block_and_a_trigger_hold_doubles(
         return run_blocks(trace, start, counted, *args)
 
     monkeypatch.setattr(trigger, "run_blocks", recorded)
-    run_simulation(replace(smallgain_scenario, mode="sampled-data", sample_period=0.05, t_final=0.5))
+    run_simulation(replace(smallgain_scenario, mode="sampled-data(0.05)", t_final=0.5))
     assert folds == [[499]] * 10
     folds.clear()
     run_simulation(replace(siv_scenario, t_final=4.0))
@@ -388,7 +389,8 @@ def test_each_run_builds_one_model_and_calls_module_globals(monkeypatch, siv_sce
     lanes = {}
     for mode, period in [("continuous-control", None), ("sampled-data", 0.005), ("full", None),
                          ("average", None)]:
-        run_simulation(replace(siv_scenario, mode=mode, sample_period=period, t_final=0.01))
+        run_simulation(replace(siv_scenario, mode=mode if period is None else f"{mode}({period})",
+                               t_final=0.01))
         lanes[mode] = calls[:]
         calls.clear()
     analysis.verify_scenario(replace(siv_scenario, t_final=0.01))

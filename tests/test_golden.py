@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etseek.config import load_scenario, parse_mode
+from etseek.config import load_scenario
 from etseek.engine import NonFiniteStateError, run_simulation
 from etseek.trace import TRACE_COLUMNS
 
@@ -178,8 +178,7 @@ def _sha256(array: np.ndarray) -> str:
 
 @pytest.mark.parametrize("config, mode", sorted(GOLDEN))
 def test_golden_digests(config, mode):
-    name, period = parse_mode(mode)
-    sc = replace(load_scenario(config), t_final=T_FINAL, mode=name, sample_period=period)
+    sc = replace(load_scenario(config), t_final=T_FINAL, mode=mode)
     expected = GOLDEN[(config, mode)]
     if isinstance(expected, float):
         with pytest.raises(NonFiniteStateError) as info:
@@ -224,8 +223,7 @@ THEORY_KEYS = ("tau_star", "alpha_min", "hurwitz", "decay_violations", "averagin
     "config, mode", sorted(case for case, expected in GOLDEN.items() if not isinstance(expected, float))
 )
 def test_golden_metrics(config, mode):
-    name, period = parse_mode(mode)
-    sc = replace(load_scenario(config), t_final=T_FINAL, mode=name, sample_period=period)
+    sc = replace(load_scenario(config), t_final=T_FINAL, mode=mode)
     _, metrics = run_simulation(sc)
     expected = dict(zip(METRIC_KEYS, GOLDEN_METRICS[(config, mode)]), **dict.fromkeys(THEORY_KEYS))
     assert metrics.as_dict() == expected

@@ -71,8 +71,7 @@ def reference_run_full(sc):
                 trig.held_control = control_input(sc.gain, g)
                 trig.last_event_time = t
                 trig.events.append(TriggerEvent(t, g, trig.held_control))
-                if sc.mode == "sampled-data":
-                    next_sample += sc.sample_period
+                next_sample += sc.update_period
                 fired = True
         u = trig.held_control
         row = (t, x, y, th, *estimator_pose(pose, d, t), q, *g, *u, xi, 1 if fired else 0)
@@ -200,7 +199,8 @@ modes = st.one_of(
 @example(name="smallgain.cfg", dx=0.0, dy=0.0, dth=0.0, mode=("full", None), t_final=0.05)
 def test_inlined_loop_matches_reference(name, dx, dy, dth, mode, t_final):
     sc = jittered(
-        SCENARIOS[name], dx, dy, dth, mode=mode[0], sample_period=mode[1], t_final=t_final
+        SCENARIOS[name], dx, dy, dth, t_final=t_final,
+        mode=mode[0] if mode[1] is None else f"{mode[0]}({mode[1]!r})",
     )
     # Short hold-block thresholds put these runs' holds into blocks of
     # doubling width, with hand-backs at firing rows and at the horizon.
@@ -248,7 +248,7 @@ def test_averaged_loop_matches_reference(name, dx, dy, dth, t_final):
 def test_divergent_run_fails_at_the_same_time(dx, dy, dth):
     sc = jittered(
         SCENARIOS["paper_siv.cfg"], dx, dy, dth,
-        mode="sampled-data", sample_period=0.01, t_final=2.0,
+        mode="sampled-data(0.01)", t_final=2.0,
     )
     try:
         ref, log = reference_run_full(sc)

@@ -196,7 +196,7 @@ GOLDEN_CSV = {
 
 @pytest.mark.parametrize(("name", "mode"), list(GOLDEN_CSV))
 def test_csv_bytes_are_pinned(tmp_path, name, mode):
-    sc = replace(load_scenario(name), t_final=2.0, mode=mode, sample_period=None)
+    sc = replace(load_scenario(name), t_final=2.0, mode=mode)
     trace, _ = run_simulation(sc)
     path = tmp_path / "trace.csv"
     export_trace(trace, path)
@@ -277,7 +277,7 @@ def test_kernel_matches_percent_format_in_its_window(fields):
 def test_export_memory_is_bounded(tmp_path, siv_scenario):
     # The 4 s paper_siv trace of the I/O benchmark; the exporter encodes
     # 1024 rows at a time, so its peak does not grow with the trace.
-    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
+    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full"))
     assert len(trace) == 40_001
     tracemalloc.start()
     try:
@@ -289,7 +289,7 @@ def test_export_memory_is_bounded(tmp_path, siv_scenario):
 
 
 def assert_import_allocates_the_table_once(tmp_path, siv_scenario):
-    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
+    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full"))
     path = tmp_path / "trace.csv"
     export_trace(trace, path)
     tracemalloc.start()
@@ -356,6 +356,36 @@ def test_import_rejects_event_values_other_than_0_and_1(tmp_path, event):
 def test_import_rejects_a_marker_that_does_not_match_the_header(tmp_path, header, tails):
     with pytest.raises(ValueError, match="does not match its header"):
         import_trace(_csv(tmp_path, header, *tails))
+
+
+def test_import_refuses_an_unknown_header(tmp_path):
+    path = _csv(tmp_path, "t,x,y", "1")
+    with pytest.raises(ValueError) as raised:
+        import_trace(path)
+    assert str(raised.value) == f"unexpected trace header in {path}: 't,x,y'"
+
+
+def test_import_of_an_unreadable_path_names_it(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(OSError) as raised:
+        import_trace(path)
+    assert str(raised.value) == (
+        f"cannot read trace from {path}: [Errno 2] No such file or directory: {str(path)!r}"
+    )
+
+
+def test_metrics_export_to_a_directory_names_it(tmp_path):
+    with pytest.raises(OSError) as raised:
+        export_metrics({"num_steps": 1}, tmp_path)
+    assert str(raised.value) == (
+        f"cannot write metrics to {tmp_path}: [Errno 21] Is a directory: {str(tmp_path)!r}"
+    )
+
+
+def test_an_unknown_column_is_a_key_error():
+    with pytest.raises(KeyError) as raised:
+        SimulationTrace.preallocate(1).column("nope")
+    assert raised.value.args == ("nope",)
 
 
 def test_event_and_marker_text_per_row(tmp_path):
@@ -652,7 +682,7 @@ def test_export_in_parts_is_byte_identical(split_csv, tmp_path, monkeypatch, for
 
 
 def test_siv_export_in_parts_is_byte_identical(tmp_path, siv_scenario, monkeypatch, forks):
-    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full", sample_period=None))
+    trace, _ = run_simulation(replace(siv_scenario, t_final=4.0, mode="full"))
     assert len(trace) == 40_001
     assert_export_in_parts(trace, tmp_path / "parts.csv", monkeypatch, forks,
                            {1: 1, 2: 2, 3: 3, 4: 4})

@@ -43,8 +43,10 @@ and ``verify`` on ``paper_siv`` for 60 s), then the CSV export and
 import of the 60 s ``paper_siv`` full trace (600,001 rows, about
 161 MB) into a temporary directory.
 
-It counts the modules of ``src/etseek/*.py`` and their lines (newlines,
-as ``wc -l`` counts them) into a top-level ``src`` entry.
+It counts the modules of ``src/etseek/*.py``, their lines (newlines, as
+``wc -l`` counts them) and their code lines (lines that are not blank,
+not in a docstring and not a whole-line comment) into a top-level
+``src`` entry.
 
 Then it runs the tier-1 suite once, with the command ``ROADMAP.md``
 gives, from the root of the checkout, and records its wall time, the
@@ -63,6 +65,8 @@ otherwise nothing is written and the exit status is 1.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import re
@@ -70,6 +74,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,8 +97,8 @@ from etseek.traceio import export_trace, import_trace
 siv, smallgain = load_scenario("paper_siv.cfg"), load_scenario("smallgain.cfg")
 
 
-def scenario(base, mode, seconds, period=None):
-    return replace(base, t_final=seconds, mode=mode, sample_period=period)
+def scenario(base, mode, seconds):
+    return replace(base, t_final=seconds, mode=mode)
 
 
 RUNS = {
@@ -102,7 +107,7 @@ RUNS = {
     "smallgain continuous-control, 30 s":
         (run_simulation, scenario(smallgain, "continuous-control", 30.0)),
     "smallgain sampled-data(0.05), 30 s":
-        (run_simulation, scenario(smallgain, "sampled-data", 30.0, 0.05)),
+        (run_simulation, scenario(smallgain, "sampled-data(0.05)", 30.0)),
     "paper_siv average, 60 s": (run_simulation, scenario(siv, "average", 60.0)),
     "smallgain average, 30 s": (run_simulation, scenario(smallgain, "average", 30.0)),
     "verify paper_siv, 60 s": (verify_scenario, scenario(siv, "full", 60.0)),
@@ -304,11 +309,29 @@ def in_process_summary(output: str) -> dict:
     return entry
 
 
+def code_lines(source: str) -> int:
+    """Lines of a module's ``source`` that are not blank, not in a docstring
+    and not a whole-line comment."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    spanned = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                              tokenize.DEDENT, tokenize.ENDMARKER):
+            spanned.update(range(token.start[0], token.end[0] + 1))
+    lines = source.splitlines()
+    return sum(1 for n in spanned - docstrings if lines[n - 1].strip())
+
+
 def src_size(root: Path) -> dict:
     """The src entry of BENCH_<pr>.json: how many modules ``src/etseek/*.py``
-    under ``root`` holds, and their lines."""
+    under ``root`` holds, their lines and their :func:`code_lines`."""
     files = sorted((root / "src" / "etseek").glob("*.py"))
-    return {"modules": len(files), "lines": sum(path.read_bytes().count(b"\n") for path in files)}
+    return {"modules": len(files), "lines": sum(path.read_bytes().count(b"\n") for path in files),
+            "code_lines": sum(code_lines(path.read_text(encoding="utf-8")) for path in files)}
 
 
 def run_tier1() -> tuple[str, float]:
