@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
 
 def _load_with_overrides(args):
     for flag in ("out", "metrics"):
-        if getattr(args, flag, None) == "":
+        path = getattr(args, flag, None)
+        if path is not None and not path.strip():
             raise ScenarioError(f"cli.{flag}", "empty file path")
     sc = load_scenario(args.config)
     updates = {}

@@ -1,13 +1,14 @@
 """Scenario configuration: file format, validation, shipped scenarios.
 
 A scenario file is an INI document with flat sections [field], [dithers],
-[gain], [trigger] and [run]; see the shipped ``paper_siv.cfg`` for the
-full key set.  Angle-valued keys accept a ``_deg`` variant that is
-converted to radians at load.  The trigger bias is never configured
-directly; it is derived from the dithers as a1*omega3*|J_2(a3)|.  The
-reader checks only what a file alone states (syntax, finiteness, unknown
-keys, ``_deg`` conflicts, a_i > 0); the value types check every other
-rule, each raising :class:`ScenarioError` under the value's file key.
+[gain], [trigger] and [run]; one table, :data:`_KEYS`, lists every key
+with its kind and default.  Angle-valued keys accept a ``_deg`` variant
+that is converted to radians at load.  The trigger bias is never
+configured directly; it is derived from the dithers as
+a1*omega3*|J_2(a3)|.  The reader checks only what a file alone states
+(syntax, finiteness, unknown keys, ``_deg`` conflicts, a_i > 0), in every
+section before any value type is built; the value types then check every
+other rule, each raising :class:`ScenarioError` under the value's file key.
 The mode text is a run's whole update policy, read by :func:`mode_period`.
 """
 
@@ -31,6 +32,29 @@ _SAMPLED_RE = re.compile(r"^sampled-data\(([^)]+)\)$")
 
 _DEFAULT_DT = 1e-4
 _DEFAULT_T_FINAL = 60.0
+
+#: Every key a scenario file may hold, by section, with its kind and its
+#: default; None marks a required key.  An ``angle`` key may be given
+#: instead in degrees as ``<key>_deg``; an ``amplitude`` must be > 0; a
+#: ``row`` holds three numbers.
+_KEYS = {
+    "field": {
+        "x_star": ("float", None), "y_star": ("float", None),
+        "theta_star": ("angle", None), "q_star": ("float", None),
+    },
+    "dithers": {
+        "a1": ("amplitude", None), "a2": ("amplitude", None), "a3": ("amplitude", None),
+        "omega1": ("float", None), "omega2": ("float", None), "omega3": ("float", None),
+        "frequency_override": ("bool", False),
+    },
+    "gain": {"row1": ("row", None), "row2": ("row", None)},
+    "trigger": {"sigma": ("float", None), "alpha": ("float", None)},
+    "run": {
+        "x0": ("float", None), "y0": ("float", None), "theta0": ("angle", None),
+        "dt": ("float", _DEFAULT_DT), "t_final": ("float", _DEFAULT_T_FINAL),
+        "mode": ("str", "full"),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -102,79 +126,61 @@ def mode_period(mode: str) -> float | None:
     return period
 
 
-class _SectionReader:
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self.section = section
-        if not parser.has_section(section):
-            raise ScenarioError(section, "missing section")
-        self.raw = dict(parser.items(section))
-        self.seen: set[str] = set()
+def _value(name: str, kind: str, text: str) -> float | bool | str | tuple[float, ...]:
+    """The value of a key of ``kind`` (see :data:`_KEYS`) from its text.
 
-    def _fetch(self, key: str) -> str | None:
-        if key in self.raw:
-            self.seen.add(key)
-            return self.raw[key]
-        return None
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        text = self._fetch(key)
-        if text is None:
-            if default is not None:
-                return default
-            raise ScenarioError(f"{self.section}.{key}", "missing key")
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise ScenarioError(f"{self.section}.{key}", f"not a number: {text!r}") from exc
-        if not math.isfinite(value):
-            raise ScenarioError(f"{self.section}.{key}", f"must be finite, got {text!r}")
-        return value
-
-    def get_angle(self, key: str, default: float | None = None) -> float:
-        """Radian value of an angle key, accepting a _deg alternative."""
-        has_rad = key in self.raw
-        has_deg = f"{key}_deg" in self.raw
-        if has_rad and has_deg:
-            raise ScenarioError(f"{self.section}.{key}", f"both {key} and {key}_deg given")
-        if has_deg:
-            return math.radians(self.get_float(f"{key}_deg"))
-        return self.get_float(key, default)
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        text = self._fetch(key)
-        if text is None:
-            return default
+    Raises ScenarioError under ``name``, the key as ``section.key``.
+    """
+    if kind == "str":
+        return text.strip()
+    if kind == "bool":
         try:
             return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
         except KeyError:
-            raise ScenarioError(f"{self.section}.{key}", f"not a boolean: {text!r}") from None
-
-    def get_row(self, key: str, width: int) -> tuple[float, ...]:
-        text = self._fetch(key)
-        if text is None:
-            raise ScenarioError(f"{self.section}.{key}", "missing key")
+            raise ScenarioError(name, f"not a boolean: {text!r}") from None
+    if kind == "row":
         parts = text.replace(",", " ").split()
-        if len(parts) != width:
-            raise ScenarioError(
-                f"{self.section}.{key}", f"expected {width} entries, got {len(parts)}"
-            )
+        if len(parts) != 3:
+            raise ScenarioError(name, f"expected 3 entries, got {len(parts)}")
         try:
             row = tuple(float(p) for p in parts)
         except ValueError as exc:
-            raise ScenarioError(f"{self.section}.{key}", f"not numeric: {text!r}") from exc
+            raise ScenarioError(name, f"not numeric: {text!r}") from exc
         if not all(math.isfinite(v) for v in row):
-            raise ScenarioError(f"{self.section}.{key}", f"entries must be finite: {text!r}")
+            raise ScenarioError(name, f"entries must be finite: {text!r}")
         return row
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ScenarioError(name, f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(name, f"must be finite, got {text!r}")
+    if kind == "amplitude" and value <= 0.0:
+        raise ScenarioError(name, "must be > 0")
+    return value
 
-    def get_str(self, key: str, default: str) -> str:
-        text = self._fetch(key)
-        return default if text is None else text.strip()
 
-    def reject_unknown(self) -> None:
-        unknown = set(self.raw) - self.seen
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ScenarioError(f"{self.section}.{key}", "unknown key")
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+    """The values of a section's keys in :data:`_KEYS`, angles in radians."""
+    if not parser.has_section(section):
+        raise ScenarioError(section, "missing section")
+    raw = dict(parser.items(section))
+    values = {}
+    for key, (kind, default) in _KEYS[section].items():
+        name, text = f"{section}.{key}", raw.pop(key, None)
+        if kind == "angle" and f"{key}_deg" in raw:
+            if text is not None:
+                raise ScenarioError(name, f"both {key} and {key}_deg given")
+            values[key] = math.radians(_value(f"{name}_deg", "float", raw.pop(f"{key}_deg")))
+        elif text is not None:
+            values[key] = _value(name, kind, text)
+        elif default is None:
+            raise ScenarioError(name, "missing key")
+        else:
+            values[key] = default
+    if raw:  # what no key of the table took
+        raise ScenarioError(f"{section}.{min(raw)}", "unknown key")
+    return values
 
 
 def packaged_scenario_path(name: str) -> Path:
@@ -207,55 +213,15 @@ def load_scenario(path: str | Path) -> Scenario:
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise ScenarioError(str(path), f"parse error: {message}") from exc
 
-    fld = _SectionReader(parser, "field")
-    field = QuadraticField(
-        x_star=fld.get_float("x_star"),
-        y_star=fld.get_float("y_star"),
-        theta_star=fld.get_angle("theta_star"),
-        q_star=fld.get_float("q_star"),
+    field, dithers, gain, trigger, run = (_read_section(parser, section) for section in _KEYS)
+    return Scenario(
+        field=QuadraticField(**field),
+        dithers=DitherParams(**dithers),
+        gain=GainMatrix(rows=(gain["row1"], gain["row2"])),
+        trigger=TriggerConstants(**trigger),
+        initial=VehicleState(x=run["x0"], y=run["y0"], theta=run["theta0"]),
+        dt=run["dt"], t_final=run["t_final"], mode=run["mode"],
     )
-    fld.reject_unknown()
-
-    dth = _SectionReader(parser, "dithers")
-    amplitudes = {name: dth.get_float(name) for name in ("a1", "a2", "a3")}
-    for name, value in amplitudes.items():
-        if value <= 0.0:
-            raise ScenarioError(f"dithers.{name}", "must be > 0")
-    dithers = DitherParams(
-        **amplitudes,
-        omega1=dth.get_float("omega1"),
-        omega2=dth.get_float("omega2"),
-        omega3=dth.get_float("omega3"),
-        frequency_override=dth.get_bool("frequency_override", False),
-    )
-    dth.reject_unknown()
-
-    gn = _SectionReader(parser, "gain")
-    gain = GainMatrix(rows=(gn.get_row("row1", 3), gn.get_row("row2", 3)))
-    gn.reject_unknown()
-
-    trg = _SectionReader(parser, "trigger")
-    trigger = TriggerConstants(trg.get_float("sigma"), trg.get_float("alpha"))
-    trg.reject_unknown()
-
-    run = _SectionReader(parser, "run")
-    initial = VehicleState(
-        x=run.get_float("x0"),
-        y=run.get_float("y0"),
-        theta=run.get_angle("theta0"),
-    )
-    scenario = Scenario(
-        field=field,
-        dithers=dithers,
-        gain=gain,
-        trigger=trigger,
-        initial=initial,
-        dt=run.get_float("dt", _DEFAULT_DT),
-        t_final=run.get_float("t_final", _DEFAULT_T_FINAL),
-        mode=run.get_str("mode", "full"),
-    )
-    run.reject_unknown()
-    return scenario
 
 
 def scale_probing_frequency(sc: Scenario, factor: float) -> Scenario:

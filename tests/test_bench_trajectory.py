@@ -31,14 +31,18 @@ IN_PROCESS_OUTPUT = (
 
 
 #: The outputs of the two host calibrations: the python loop's min moves
-#: from 0.030 s to 0.033 s, the numpy kernel's stays at 0.020 s.
+#: from 0.030 s to 0.033 s, the numpy kernel's stays at 0.020 s.  Two
+#: loops at once take 0.031 s, then 0.058 s: the second CPU was free
+#: before and busy after.
 CALIBRATION_BEFORE = (
     '{"python_s": [0.031, 0.030, 0.032, 0.030, 0.033],'
-    ' "numpy_s": [0.020, 0.021, 0.020, 0.022, 0.020]}\n'
+    ' "numpy_s": [0.020, 0.021, 0.020, 0.022, 0.020],'
+    ' "pair_s": [0.033, 0.031, 0.036]}\n'
 )
 CALIBRATION_AFTER = (
     '{"python_s": [0.034, 0.033, 0.035, 0.033, 0.036],'
-    ' "numpy_s": [0.021, 0.020, 0.020, 0.020, 0.023]}\n'
+    ' "numpy_s": [0.021, 0.020, 0.020, 0.020, 0.023],'
+    ' "pair_s": [0.060, 0.058, 0.066]}\n'
 )
 
 
@@ -255,6 +259,8 @@ def test_host_entry_is_the_control_and_its_move(tool, monkeypatch):
         # slow's wall_s spread is 6.7% of its median, under the 10% move;
         # fast's is 20%.
         "moved": ["slow"],
+        "parallel_ratio": {"before": pytest.approx(0.031 / 0.030),
+                           "after": pytest.approx(0.058 / 0.033)},
         "usable_cpus": 2,
         "bytecode_cache": True,
     }
@@ -286,6 +292,7 @@ def test_calibration_record_is_required(tool):
     record = json.loads(CALIBRATION_BEFORE)
     for output in ("", "Traceback (most recent call last):\n", '{"python_s": [0.03]}\n',
                    json.dumps({**record, "numpy_s": []}), json.dumps([record]),
+                   json.dumps({kernel: record[kernel] for kernel in ("python_s", "numpy_s")}),
                    json.dumps({**record, "python_s": ["fast"]})):
         with pytest.raises(ValueError, match="no calibration record"):
             tool.calibration_summary(output)

@@ -478,8 +478,9 @@ def test_compare_refuses_a_non_numeric_entry_or_a_single_value(capsys, omegas, r
 def test_an_empty_output_path_is_refused_before_any_run(monkeypatch, capsys, verb, flag):
     monkeypatch.setattr(cli, "load_scenario", lambda path: pytest.fail("a scenario was loaded"))
     lanes = ["--omega-list", "20,40"] if verb == "compare" else []
-    assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.01", *lanes, f"--{flag}", ""]) == 1
-    assert capsys.readouterr() == ("", f"error: cli.{flag}: empty file path\n")
+    for path in ("", "  ", " \t "):  # a blank name is no name
+        assert main([verb, "--config", "smallgain.cfg", "--t-final", "0.01", *lanes, f"--{flag}", path]) == 1
+        assert capsys.readouterr() == ("", f"error: cli.{flag}: empty file path\n")
 
 
 @pytest.mark.parametrize("mode", ["", "  "])

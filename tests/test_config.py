@@ -126,8 +126,12 @@ class TestValidation:
     @pytest.mark.parametrize("section, key, value", [
         ("field", "q_star", "nan"),
         ("field", "x_star", "-inf"),
+        ("field", "theta_star_deg", "inf"),
         ("dithers", "omega3", "inf"),
         ("gain", "row1", "4.3822 nan 0.1437"),
+        ("trigger", "alpha", "nan"),
+        ("run", "theta0_deg", "nan"),
+        ("run", "t_final", "inf"),
     ])
     def test_non_finite_value_names_the_key(self, tmp_path, section, key, value):
         path = write_cfg(tmp_path, **{section: {key: value}})
@@ -180,6 +184,57 @@ class TestValidation:
             load_scenario(path)
         assert str(info.value) == refusal
         assert info.value.context == refusal.split(":")[0]
+
+    @pytest.mark.parametrize("section, values, refusal", [
+        ("field", {"x_star": None, "y_star": None, "theta_star_deg": None, "q_star": None},
+         "field: missing section"),
+        ("dithers", {k: None for k in ("a1", "a2", "a3", "omega1", "omega2", "omega3")},
+         "dithers: missing section"),
+        ("trigger", {"sigma": None, "alpha": None}, "trigger: missing section"),
+        ("run", {k: None for k in ("x0", "y0", "theta0_deg", "dt", "t_final", "mode")},
+         "run: missing section"),
+        ("field", {"y_star": None}, "field.y_star: missing key"),
+        ("field", {"theta_star_deg": None}, "field.theta_star: missing key"),
+        ("dithers", {"omega2": None}, "dithers.omega2: missing key"),
+        ("trigger", {"alpha": None}, "trigger.alpha: missing key"),
+        ("run", {"x0": None}, "run.x0: missing key"),
+        ("run", {"theta0_deg": None}, "run.theta0: missing key"),
+        ("field", {"theta_star_deg": "thirty"}, "field.theta_star_deg: not a number: 'thirty'"),
+        ("run", {"theta0_deg": "sixty"}, "run.theta0_deg: not a number: 'sixty'"),
+        ("run", {"dt": "fast"}, "run.dt: not a number: 'fast'"),
+        ("trigger", {"sigma": "nan"}, "trigger.sigma: must be finite, got 'nan'"),
+        ("dithers", {"a1": "inf"}, "dithers.a1: must be finite, got 'inf'"),
+        ("field", {"theta_star": "0.5"}, "field.theta_star: both theta_star and theta_star_deg given"),
+        ("run", {"theta0": "1.0"}, "run.theta0: both theta0 and theta0_deg given"),
+        ("dithers", {"frequency_override": "maybe"},
+         "dithers.frequency_override: not a boolean: 'maybe'"),
+        ("dithers", {"a2": "0"}, "dithers.a2: must be > 0"),
+        ("dithers", {"a1": "-0.5"}, "dithers.a1: must be > 0"),
+        ("run", {"warp": "9", "bogus": "1"}, "run.bogus: unknown key"),
+        ("run", {"dt_deg": "1"}, "run.dt_deg: unknown key"),
+        ("trigger", {"bias": "0.3"}, "trigger.bias: unknown key"),
+        ("field", {"theta_star_rad": "0.5"}, "field.theta_star_rad: unknown key"),
+    ])
+    def test_reader_refusals_name_the_key(self, tmp_path, section, values, refusal):
+        path = write_cfg(tmp_path, **{section: values})
+        path.write_text(f"{path.read_text()}\n".replace(f"[{section}]\n\n", ""))  # an emptied section goes
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == refusal
+        assert info.value.context == refusal.split(":")[0]
+
+    def test_reader_refusals_come_before_the_value_checks(self, tmp_path):
+        # TriggerConstants refuses sigma = 2, but the file also lacks a [run] key.
+        path = write_cfg(tmp_path, trigger={"sigma": "2.0"}, run={"x0": None})
+        with pytest.raises(ScenarioError, match=r"^run\.x0: missing key$"):
+            load_scenario(path)
+
+    def test_absent_optional_keys_take_their_defaults(self, tmp_path):
+        path = write_cfg(tmp_path, run={"dt": None, "t_final": None, "mode": None})
+        assert "frequency_override" not in path.read_text()
+        sc = load_scenario(path)
+        assert (sc.dt, sc.t_final, sc.mode) == (1e-4, 60.0, "full")
+        assert sc.dithers.frequency_override is False
 
     def test_bias_follows_dithers(self, tmp_path):
         path = write_cfg(tmp_path, dithers={"a3": "0.25"})
@@ -255,6 +310,31 @@ class TestFrequencyScaling:
         assert scaled.bias == pytest.approx(
             d.a1 * d.omega3 * abs(bessel_j(2, d.a3)), abs=1e-15
         )
+
+
+def test_the_key_table_is_the_documented_key_set():
+    # README's ini block and paper_siv.cfg give both angles in degrees;
+    # smallgain.cfg gives theta0 in radians and may omit what has a default.
+    import configparser
+    import re
+    from pathlib import Path
+
+    from etseek.config import _KEYS
+
+    def keys(text):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(text)
+        return {(section, key) for section in parser.sections() for key in parser[section]}
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Scenario files\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    table = [(section, key, kind) for section, kinds in _KEYS.items() for key, (kind, _) in kinds.items()]
+    in_degrees = {(section, f"{key}_deg" if kind == "angle" else key) for section, key, kind in table}
+    in_radians = {(section, key) for section, key, _ in table}
+    text = {name: packaged_scenario_path(name).read_text(encoding="utf-8")
+            for name in ("paper_siv.cfg", "smallgain.cfg")}
+    assert keys(block) == keys(text["paper_siv.cfg"]) == in_degrees
+    assert keys(text["smallgain.cfg"]) <= in_degrees | in_radians
 
 
 def test_replaced_dithers_run_like_a_file_with_them(tmp_path, smallgain_scenario):

@@ -18,16 +18,20 @@ with no spread and no provenance, so the record is read instead.
 
 Before the first workload and again after the last, it times a fixed
 host calibration in a fresh Python process: a pure-Python float loop and
-a numpy kernel, five times each.  The ``host`` entry keeps each kernel's
-min from both runs and their sum, averaged over the two runs, as the
-control; each workload's ``wall_s`` median as a multiple of the control;
-the calibration's move, the larger relative change of a kernel's min
-between the two runs; the workloads whose ``wall_s`` relative
-interquartile range (IQR over median) is below that move, for which the
-host changed more during the run than the workload's own spread;
-``usable_cpus``, the CPUs this process may run on (None where the
+a numpy kernel, five times each, then the float loop in two forked
+children at once, three times (``pair_s``).  The ``host`` entry keeps
+each kernel's min from both runs and their sum, averaged over the two
+runs, as the control; each workload's ``wall_s`` median as a multiple of
+the control; the calibration's move, the larger relative change of a
+kernel's min between the two runs; the workloads whose ``wall_s``
+relative interquartile range (IQR over median) is below that move, for
+which the host changed more during the run than the workload's own
+spread; ``usable_cpus``, the CPUs this process may run on (None where the
 platform cannot say), since the CSV split forks a child per usable CPU
-and ``compare`` overlaps its lanes from two on; and ``bytecode_cache``,
+and ``compare`` overlaps its lanes from two on; ``parallel_ratio``, for
+each calibration the min ``pair_s`` over the min of the float loop
+alone, near 1 where a second CPU was free for those forks and near 2
+where it was busy; and ``bytecode_cache``,
 False where ``PYTHONDONTWRITEBYTECODE`` is set and non-empty in the
 environment the workloads inherit, since then every worker compiles
 ``src/`` and ``setup_s`` and ``peak_rss_mb`` grow with its length.  The
@@ -137,9 +141,10 @@ print(json.dumps(record))
 
 
 #: The host calibration, as ``python -c``: time a pure-Python float loop
-#: and a numpy kernel five times each; print one JSON line of timings.
+#: and a numpy kernel five times each, and the loop in two forked children
+#: at once three times; print one JSON line of timings.
 CALIBRATION = """
-import json, time
+import json, os, time
 import numpy as np
 
 
@@ -157,10 +162,28 @@ def numpy_kernel():
     return float(np.sqrt(np.sin(a) * np.sin(a) + np.cos(a) * a).sum())
 
 
+def python_pair():
+    children = []
+    for _ in range(2):
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                python_loop()
+                status = 0
+            finally:
+                os._exit(status)
+        children.append(pid)
+    if any([os.waitpid(pid, 0)[1] for pid in children]):
+        raise SystemExit("a forked calibration child failed")
+
+
 record = {}
-for name, kernel in (("python_s", python_loop), ("numpy_s", numpy_kernel)):
+for name, kernel, repeats in (
+    ("python_s", python_loop, 5), ("numpy_s", numpy_kernel, 5), ("pair_s", python_pair, 3)
+):
     times = record[name] = []
-    for _ in range(5):
+    for _ in range(repeats):
         start = time.perf_counter()
         kernel()
         times.append(time.perf_counter() - start)
@@ -240,12 +263,12 @@ def run_calibration() -> str:
 
 
 def calibration_summary(output: str) -> dict:
-    """Each kernel's min time, from the calibration's last output line;
-    raises ValueError if the line is not such a record."""
+    """Each kernel's min time and ``pair_s``'s, from the calibration's last
+    output line; raises ValueError if the line is not such a record."""
     lines = output.strip().splitlines()
     try:
         record = json.loads(lines[-1])
-        return {kernel: min(float(t) for t in record[kernel]) for kernel in KERNELS}
+        return {name: min(float(t) for t in record[name]) for name in (*KERNELS, "pair_s")}
     except (IndexError, KeyError, TypeError, ValueError):
         # ValueError: bad JSON, no times or a time that is no number; TypeError: no mapping
         raise ValueError(f"no calibration record in its output: {output[-200:]!r}") from None
@@ -264,11 +287,15 @@ def host_summary(before: str, after: str, workloads: dict) -> dict:
     The control is the sum of the kernels' mins, averaged over the two
     runs.  The move is the larger relative change of a kernel's min from
     the first run to the second; ``moved`` names the workloads whose
-    ``wall_s`` relative IQR is below it.  ``usable_cpus`` is
+    ``wall_s`` relative IQR is below it.  ``parallel_ratio`` is each
+    run's min ``pair_s`` over its min ``python_s``.  ``usable_cpus`` is
     :func:`usable_cpus`; ``bytecode_cache`` is whether the workloads,
     which inherit this environment, may write bytecode caches.
     """
     first, second = calibration_summary(before), calibration_summary(after)
+    # Popping pair_s leaves only KERNELS in each run's mins.
+    parallel = {run: mins.pop("pair_s") / mins["python_s"]
+                for run, mins in (("before", first), ("after", second))}
     control = (sum(first.values()) + sum(second.values())) / 2.0
     move = max(abs(second[kernel] / first[kernel] - 1.0) for kernel in KERNELS)
     walls = {name: entry["wall_s"] for name, entry in workloads.items()}
@@ -276,6 +303,7 @@ def host_summary(before: str, after: str, workloads: dict) -> dict:
         "before": first, "after": second, "control_s": control, "move": move,
         "wall_s_per_control": {name: wall["median"] / control for name, wall in walls.items()},
         "moved": [name for name, wall in walls.items() if wall["iqr"] / wall["median"] < move],
+        "parallel_ratio": parallel,
         "usable_cpus": usable_cpus(),
         "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
